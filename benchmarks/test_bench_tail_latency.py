@@ -10,11 +10,11 @@ re-registration by the :class:`~repro.serving.supervisor.GatewaySupervisor`)
 that the :class:`~repro.serving.client.LibEIClient` must absorb through
 replica failover with **zero failed requests**.
 
-The per-scenario p50/p95/p99, RPS and error counts are written to the
-repo-root ``BENCH_serving_tail.json`` on every run — the persistent perf
-trajectory ROADMAP item 2 asks for (see docs/BENCHMARKS.md for the
-schema, and the ``tail-latency-smoke`` CI job that uploads it as a build
-artifact).
+The per-scenario p50/p95/p99, RPS and error counts are written to
+``BENCH_serving_tail.json`` under pytest's ``tmp_path`` — a test run
+never edits the tracked repo-root copy (see docs/BENCHMARKS.md for the
+schema; the ``tail-latency-smoke`` CI job runs with
+``--basetemp=bench-out`` and uploads the file as a build artifact).
 
 Determinism contract (asserted here, relied on everywhere): two traces
 generated with the same seed are byte-identical — same arrivals, same
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 from benchmarks.conftest import print_table
 from repro.apps import register_all
@@ -46,7 +45,6 @@ from repro.serving import ALEMTelemetry, EdgeFleet, GatewaySupervisor, LibEIClie
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 FLEET = ["raspberry-pi-4", "jetson-tx2", "raspberry-pi-4", "jetson-tx2"]
 GATEWAYS = 2
 SEED = 20190707  # the paper's conference year+month+day; any fixed int works
@@ -79,7 +77,7 @@ def deploy_fleet() -> EdgeFleet:
     return fleet
 
 
-def test_bench_tail_latency_diurnal_trace_with_replica_kill(benchmark):
+def test_bench_tail_latency_diurnal_trace_with_replica_kill(benchmark, tmp_path):
     # determinism first: the traffic itself must be reproducible before
     # any latency number measured under it can be compared across PRs
     trace = build_trace()
@@ -120,7 +118,7 @@ def test_bench_tail_latency_diurnal_trace_with_replica_kill(benchmark):
 
     out = write_bench_report(
         report,
-        REPO_ROOT / BENCH_REPORT_NAME,
+        tmp_path / BENCH_REPORT_NAME,
         extra={
             "fleet": {
                 "devices": FLEET,

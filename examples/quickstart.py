@@ -78,7 +78,7 @@ def main() -> None:
 
     # Serve libei and exercise the Fig. 6 URLs.
     server = LibEIServer(openei)
-    with server.running():
+    with server:
         client = LibEIClient(server.address)
         detection = client.get("/ei_algorithms/safety/detection/%7Bvideo=camera1%7D")
         frame = client.get("/ei_data/realtime/camera1/%7Btimestamp=now%7D")

@@ -28,6 +28,12 @@ same-algorithm requests into one vectorized invocation
 ``batching=BatchingConfig(...)`` to :class:`LibEIServer` or
 :class:`~repro.serving.fleet.FleetGateway` to turn it on.
 
+What each replica serves per ``(scenario, algorithm)`` is held once, in
+the fleet's :class:`~repro.serving.deployments.DeploymentTable` of
+frozen :class:`~repro.serving.deployments.Deployment` records, read by
+one libei handler; the two controllers below are policy loops that
+propose transitions to it.
+
 The model lifecycle layer makes serving *versions* operable:
 :mod:`repro.serving.rollout` canaries a new
 :class:`~repro.core.registry.ModelRegistry` version on one replica,
@@ -53,7 +59,6 @@ back to the pre-crash fleet state.
 from repro.serving.adaptive import (
     AdaptiveController,
     ControllerStats,
-    ModelDeployment,
     ReselectionEvent,
     SLOPolicy,
 )
@@ -61,6 +66,7 @@ from repro.serving.api import LibEIDispatcher, LibEITarget, ParsedRequest, parse
 from repro.serving.batching import BatchingConfig, BatchingDispatcher, BatchingStats
 from repro.serving.cache import CacheStats, SelectionCache, TTLLRUCache
 from repro.serving.client import LibEIClient
+from repro.serving.deployments import Deployment, DeploymentTable
 from repro.serving.fleet import EdgeFleet, FleetGateway, FleetInstance
 from repro.serving.recovery import RecoveryReport, recover_control_plane
 from repro.serving.rollout import (
@@ -68,7 +74,6 @@ from repro.serving.rollout import (
     RolloutEvent,
     RolloutPolicy,
     RolloutStats,
-    ServingEntry,
 )
 from repro.serving.telemetry import ALEMTelemetry, TelemetryWindow
 from repro.serving.router import (
@@ -91,6 +96,8 @@ __all__ = [
     "CacheStats",
     "CapabilityAwareRouter",
     "ControllerStats",
+    "Deployment",
+    "DeploymentTable",
     "EdgeFleet",
     "FleetGateway",
     "FleetInstance",
@@ -100,7 +107,6 @@ __all__ = [
     "LibEIDispatcher",
     "LibEIServer",
     "LibEITarget",
-    "ModelDeployment",
     "ParsedRequest",
     "ROUTING_POLICIES",
     "RecoveryReport",
@@ -112,7 +118,6 @@ __all__ = [
     "RoundRobinRouter",
     "RoutingPolicy",
     "SLOPolicy",
-    "ServingEntry",
     "SelectionCache",
     "TTLLRUCache",
     "TelemetryWindow",

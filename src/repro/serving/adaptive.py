@@ -22,13 +22,17 @@ for energy systems): it
    paper's first dataflow through a
    :class:`~repro.collaboration.cloud_edge.CloudOffloadPlanner`.
 
-Scenario handlers participate through :meth:`AdaptiveController.make_handler`,
-which serves whatever model is currently deployed for the replica and
-reports simulation-aware ``observed_alem`` measurements (nominal profile
-latency scaled by the runtime's emulated
-:attr:`~repro.runtime.edgeos.EdgeRuntime.slowdown`), so an injected
-device slowdown propagates through telemetry into a reselection without
-restarting the gateway.
+The controller holds policy state only.  What each replica serves lives
+in the fleet's one :class:`~repro.serving.deployments.DeploymentTable`:
+a reselection *proposes* a ``select`` or ``offload`` transition to it,
+and the table's libei handler (see :meth:`AdaptiveController.register_handlers`)
+serves whatever record is current and reports simulation-aware
+``observed_alem`` (nominal profile latency scaled by the runtime's
+emulated :attr:`~repro.runtime.edgeos.EdgeRuntime.slowdown`), so an
+injected device slowdown propagates through telemetry into a reselection
+without restarting the gateway.  A policy added over a key that already
+has records — a rollout baseline, say — *adopts* them rather than
+solving a second selection nobody would serve.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,15 +52,8 @@ from repro.core.model_selector import RLModelSelector
 from repro.core.openei import OpenEI
 from repro.core.wal import ControlPlaneJournal
 from repro.exceptions import ConfigurationError, ModelSelectionError, ResourceNotFoundError
-from repro.serving.telemetry import OBSERVED_ALEM_KEY, ALEMTelemetry, TelemetryWindow
-
-#: Maps :meth:`ALEMRequirement.violations` names to telemetry axis names.
-_VIOLATION_AXES = {
-    "accuracy": "accuracy",
-    "latency": "latency_s",
-    "energy": "energy_j",
-    "memory": "memory_mb",
-}
+from repro.serving.deployments import Deployment
+from repro.serving.telemetry import ALEMTelemetry, TelemetryWindow
 
 
 @dataclass(frozen=True)
@@ -91,38 +88,6 @@ class SLOPolicy:
         return (self.scenario, self.algorithm)
 
 
-@dataclass
-class ModelDeployment:
-    """What one replica currently serves for one ``(scenario, algorithm)``.
-
-    ``expected`` is the *nominal* analytic ALEM of the deployed model on
-    the replica's device (the baseline drift is measured against);
-    ``predicted`` is the drift-adjusted ALEM the last selection believed
-    it would deliver.  ``mode`` is ``"edge"`` or ``"cloud"``.
-    """
-
-    scenario: str
-    algorithm: str
-    instance_id: str
-    model_name: str
-    mode: str
-    expected: ALEM
-    predicted: ALEM
-    reselections: int = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "algorithm": self.algorithm,
-            "instance_id": self.instance_id,
-            "model": self.model_name,
-            "mode": self.mode,
-            "reselections": self.reselections,
-            "expected": self.expected.as_dict(),
-            "predicted": self.predicted.as_dict(),
-        }
-
-
 @dataclass(frozen=True)
 class ReselectionEvent:
     """One control action taken after a detected SLO violation."""
@@ -138,17 +103,7 @@ class ReselectionEvent:
     invalidated_keys: int
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "algorithm": self.algorithm,
-            "instance_id": self.instance_id,
-            "violations": dict(self.violations),
-            "drift": self.drift,
-            "old_model": self.old_model,
-            "new_model": self.new_model,
-            "outcome": self.outcome,
-            "invalidated_keys": self.invalidated_keys,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -163,24 +118,24 @@ class ControllerStats:
     cache_invalidations: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "checks": self.checks,
-            "violations": self.violations,
-            "reselections": self.reselections,
-            "offloads": self.offloads,
-            "exhausted": self.exhausted,
-            "cache_invalidations": self.cache_invalidations,
-        }
+        return asdict(self)
+
+
+def _where(policy: SLOPolicy, instance) -> Dict[str, str]:
+    """The key fields a record and its reselection event share."""
+    return dict(
+        scenario=policy.scenario, algorithm=policy.algorithm, instance_id=instance.instance_id
+    )
 
 
 class AdaptiveController:
     """Fleet-wide online reselection driven by measured ALEM.
 
-    The controller holds one :class:`ModelDeployment` per
-    ``(scenario, algorithm, replica)`` under its registered policies.
+    Under each registered policy the fleet's deployment table holds one
+    :class:`~repro.serving.deployments.Deployment` per replica.
     :meth:`check_all` (typically called periodically, or every N gateway
-    requests) compares each deployment's telemetry window against its
-    policy and reselects where the SLO is violated.
+    requests) compares each record's telemetry window against its policy
+    and reselects where the SLO is violated.
     """
 
     def __init__(
@@ -213,7 +168,6 @@ class AdaptiveController:
         self.events: Deque[ReselectionEvent] = deque(maxlen=max_events)  # guarded-by: _lock
         self._lock = threading.RLock()
         self._policies: Dict[Tuple[str, str], SLOPolicy] = {}  # guarded-by: _lock
-        self._deployments: Dict[Tuple[str, str, str], ModelDeployment] = {}  # guarded-by: _lock
         self._last_action: Dict[Tuple[str, str, str], float] = {}  # guarded-by: _lock
         # measured-over-analytic latency factor per deployment key.  It is
         # learned from *edge* observations and deliberately persists while
@@ -223,25 +177,27 @@ class AdaptiveController:
         # onto the still-slowed edge).
         self._calibration: Dict[Tuple[str, str, str], float] = {}  # guarded-by: _lock
         # let the fleet surface this controller through /ei_status
-        if hasattr(fleet, "adaptive"):
-            fleet.adaptive = self
+        fleet.adaptive = self
 
     # -- policy registration -----------------------------------------------------
-    def add_policy(self, policy: SLOPolicy) -> List[ModelDeployment]:
-        """Register a policy and solve the initial selection on every replica."""
+    def add_policy(self, policy: SLOPolicy) -> List[Deployment]:
+        """Register a policy over one key's records on every replica.
+
+        A key nothing serves yet gets the initial Eq. (1) selection per
+        replica.  A key that already has records (a rollout baseline) is
+        *adopted*: the policy watches what is actually being served.
+        """
         with self._lock:
             if policy.key in self._policies:
                 raise ConfigurationError(
                     f"a policy for {policy.scenario}/{policy.algorithm} is already registered"
                 )
             self._policies[policy.key] = policy
-            deployments = []
-            for instance in self.fleet:
-                deployment = self._initial_deployment(policy, instance)
-                self._deployments[
-                    (policy.scenario, policy.algorithm, instance.instance_id)
-                ] = deployment
-                deployments.append(deployment)
+            table = self.fleet.deployments
+            deployments = table.records(*policy.key)
+            if not deployments:
+                deployments = [self._initial_deployment(policy, i) for i in self.fleet]
+                table.deploy(*policy.key, deployments)
             return deployments
 
     def policy(self, scenario: str, algorithm: str) -> SLOPolicy:
@@ -254,61 +210,35 @@ class AdaptiveController:
                     f"no SLO policy registered for {scenario}/{algorithm}"
                 ) from exc
 
-    def _initial_deployment(self, policy: SLOPolicy, instance) -> ModelDeployment:
+    def _initial_deployment(self, policy: SLOPolicy, instance) -> Deployment:
         openei = instance.openei
+        where = _where(policy, instance)
         try:
-            result = openei.select_model(
+            selected = openei.select_model(
                 task=policy.task, requirement=policy.requirement, target=policy.target
-            )
-            alem = result.selected.alem
-            return ModelDeployment(
-                scenario=policy.scenario,
-                algorithm=policy.algorithm,
-                instance_id=instance.instance_id,
-                model_name=result.selected.model_name,
-                mode="edge",
-                expected=alem,
-                predicted=alem,
+            ).selected
+            return Deployment(
+                **where, model_name=selected.model_name, mode="edge",
+                expected=selected.alem, predicted=selected.alem,
             )
         except ModelSelectionError:
             if self.offload is None:
                 raise
             plan = self._offload_plan(openei, policy)
-            return ModelDeployment(
-                scenario=policy.scenario,
-                algorithm=policy.algorithm,
-                instance_id=instance.instance_id,
-                model_name=plan.model_name,
-                mode="cloud",
-                expected=plan.alem,
-                predicted=plan.alem,
+            return Deployment(
+                **where, model_name=plan.model_name, mode="cloud",
+                expected=plan.alem, predicted=plan.alem,
             )
 
     # -- deployment lookup -------------------------------------------------------
-    def deployment(self, scenario: str, algorithm: str, instance_id: str) -> ModelDeployment:
-        with self._lock:
-            try:
-                # a reselection installs a *new* ModelDeployment object, so
-                # handing out the live one would let callers mutate state a
-                # concurrent check() is reading — return a snapshot instead
-                return replace(self._deployments[(scenario, algorithm, instance_id)])
-            except KeyError as exc:
-                raise ResourceNotFoundError(
-                    f"no deployment for {scenario}/{algorithm} on {instance_id!r}"
-                ) from exc
+    def deployment(self, scenario: str, algorithm: str, instance_id: str) -> Deployment:
+        return self.fleet.deployments.get(scenario, algorithm, instance_id)
 
-    def deployment_for(self, openei: OpenEI, scenario: str, algorithm: str) -> ModelDeployment:
-        """The deployment serving one OpenEI instance (used inside handlers)."""
-        for instance in self.fleet:
-            if instance.openei is openei:
-                return self.deployment(scenario, algorithm, instance.instance_id)
-        raise ResourceNotFoundError(
-            "the OpenEI instance handling this request is not part of the controller's fleet"
-        )
-
-    def deployments(self) -> List[ModelDeployment]:
+    def deployments(self) -> List[Deployment]:
+        """The records under every registered policy."""
         with self._lock:
-            return list(self._deployments.values())
+            keys = list(self._policies)
+        return [record for key in keys for record in self.fleet.deployments.records(*key)]
 
     def reset_calibration(
         self, scenario: Optional[str] = None, algorithm: Optional[str] = None
@@ -346,52 +276,12 @@ class AdaptiveController:
         return restored
 
     # -- the serving handler -----------------------------------------------------
-    def make_handler(self, scenario: str, algorithm: str):
-        """An :data:`~repro.core.openei.AlgorithmHandler` that serves the
-        currently deployed model and reports ``observed_alem`` telemetry.
-
-        The reported latency is the deployment's nominal profile latency
-        scaled by the runtime's emulated slowdown (cloud deployments are
-        immune to edge slowdown).  When the request carries a ``payload``
-        the deployed model actually runs on it and the response includes
-        the predicted label; cloud mode uses the zoo copy of the model as
-        a stand-in for the cloud-hosted weights.
-        """
-
-        def handler(ei: OpenEI, args: Dict[str, object]) -> Dict[str, object]:
-            deployment = self.deployment_for(ei, scenario, algorithm)
-            if deployment.mode == "cloud":
-                latency = deployment.expected.latency_s
-            else:
-                latency = deployment.expected.latency_s * ei.runtime.slowdown
-            result: Dict[str, object] = {
-                "model": deployment.model_name,
-                "mode": deployment.mode,
-                OBSERVED_ALEM_KEY: {
-                    "latency_s": latency,
-                    "accuracy": deployment.expected.accuracy,
-                },
-            }
-            payload = args.get("payload")
-            if payload is not None and deployment.model_name in ei.zoo:
-                inputs = np.asarray(payload, dtype=np.float64)
-                entry = ei.zoo.get(deployment.model_name)
-                if inputs.shape == tuple(entry.input_shape):
-                    inputs = inputs[None, ...]
-                probabilities = entry.model.predict(inputs)
-                result["label"] = int(np.argmax(probabilities[0]))
-            return result
-
-        return handler
-
     def register_handlers(self) -> None:
-        """Register :meth:`make_handler` fleet-wide for every policy."""
+        """Serve every policy's key from the deployment table, fleet-wide."""
         with self._lock:
-            policies = list(self._policies.values())
-        for policy in policies:
-            self.fleet.register_algorithm(
-                policy.scenario, policy.algorithm, self.make_handler(policy.scenario, policy.algorithm)
-            )
+            keys = list(self._policies)
+        for key in keys:
+            self.fleet.deployments.serve(*key)
 
     # -- the control loop --------------------------------------------------------
     def check_all(self) -> List[ReselectionEvent]:
@@ -410,15 +300,13 @@ class AdaptiveController:
         learned: List[Tuple[Tuple[str, str, str], float]] = []
         with self._lock:
             self.stats.checks += 1
-            for instance in self.fleet:
+            for deployment in self.fleet.deployments.records(scenario, algorithm):
+                instance = self.fleet.instance(deployment.instance_id)
                 key = (scenario, algorithm, instance.instance_id)
-                deployment = self._deployments.get(key)
-                if deployment is None:
-                    continue
                 window = self.telemetry.window(scenario, algorithm, instance.instance_id)
                 if window is None:
                     continue
-                violations = self._confirmed_violations(policy, window)
+                violations = window.confirmed_violations(policy.requirement, policy.min_samples)
                 if not violations:
                     continue
                 last = self._last_action.get(key)
@@ -449,22 +337,11 @@ class AdaptiveController:
                 )
         return events
 
-    def _confirmed_violations(
-        self, policy: SLOPolicy, window: TelemetryWindow
-    ) -> Dict[str, float]:
-        """Violations whose axis has at least ``min_samples`` observations."""
-        violations = window.violations(policy.requirement)
-        return {
-            name: magnitude
-            for name, magnitude in violations.items()
-            if window.count(_VIOLATION_AXES[name]) >= policy.min_samples
-        }
-
     def _reselect(  # requires-lock: _lock (only called from check() inside the with block)
         self,
         policy: SLOPolicy,
         instance,
-        deployment: ModelDeployment,
+        deployment: Deployment,
         window: TelemetryWindow,
         violations: Dict[str, float],
         learned: List[Tuple[Tuple[str, str, str], float]],
@@ -472,6 +349,7 @@ class AdaptiveController:
         openei = instance.openei
         observed = window.observed_alem()
         key = (policy.scenario, policy.algorithm, instance.instance_id)
+        where = _where(policy, instance)
 
         # calibrate the analytic profile against the measurements: the
         # latency drift of the *deployed* model applies to every candidate
@@ -500,19 +378,20 @@ class AdaptiveController:
         candidates = openei.evaluate_capability(task=policy.task)
         adjusted = [self._apply_drift(c, drift, accuracy_scale) for c in candidates]
 
+        def event(new_model: Optional[str], outcome: str) -> ReselectionEvent:
+            return ReselectionEvent(
+                **where, violations=violations, drift=drift, old_model=deployment.model_name,
+                new_model=new_model, outcome=outcome, invalidated_keys=invalidated,
+            )
+
         try:
             selected = self._solve(openei, adjusted, policy)
             nominal = next(
                 c for c in candidates if c.model_name == selected.model_name
             )
-            new_deployment = ModelDeployment(
-                scenario=policy.scenario,
-                algorithm=policy.algorithm,
-                instance_id=instance.instance_id,
-                model_name=selected.model_name,
-                mode="edge",
-                expected=nominal.alem,
-                predicted=selected.alem,
+            new_deployment = Deployment(
+                **where, model_name=selected.model_name, mode="edge",
+                expected=nominal.alem, predicted=selected.alem,
                 reselections=deployment.reselections + 1,
             )
             outcome = "reselected"
@@ -520,30 +399,15 @@ class AdaptiveController:
         except ModelSelectionError:
             if self.offload is None:
                 self.stats.exhausted += 1
-                return ReselectionEvent(
-                    scenario=policy.scenario,
-                    algorithm=policy.algorithm,
-                    instance_id=instance.instance_id,
-                    violations=violations,
-                    drift=drift,
-                    old_model=deployment.model_name,
-                    new_model=None,
-                    outcome="exhausted",
-                    invalidated_keys=invalidated,
-                )
+                return event(None, "exhausted")
             plan = self._offload_plan(openei, policy)
             if deployment.mode == "cloud" and plan.model_name == deployment.model_name:
                 # the SLO is still violated but the cloud is already the
                 # best known fallback: hold position instead of flapping
                 return None
-            new_deployment = ModelDeployment(
-                scenario=policy.scenario,
-                algorithm=policy.algorithm,
-                instance_id=instance.instance_id,
-                model_name=plan.model_name,
-                mode="cloud",
-                expected=plan.alem,
-                predicted=plan.alem,
+            new_deployment = Deployment(
+                **where, model_name=plan.model_name, mode="cloud",
+                expected=plan.alem, predicted=plan.alem,
                 reselections=deployment.reselections + 1,
             )
             outcome = "offloaded"
@@ -551,19 +415,9 @@ class AdaptiveController:
 
         # hot swap: subsequent handler calls serve the new deployment; the
         # fresh model is judged on its own window, not its predecessor's
-        self._deployments[key] = new_deployment
+        self.fleet.deployments.put(new_deployment)
         self.telemetry.reset(policy.scenario, policy.algorithm, instance.instance_id)
-        return ReselectionEvent(
-            scenario=policy.scenario,
-            algorithm=policy.algorithm,
-            instance_id=instance.instance_id,
-            violations=violations,
-            drift=drift,
-            old_model=deployment.model_name,
-            new_model=new_deployment.model_name,
-            outcome=outcome,
-            invalidated_keys=invalidated,
-        )
+        return event(new_deployment.model_name, outcome)
 
     @staticmethod
     def _apply_drift(
@@ -629,6 +483,6 @@ class AdaptiveController:
                     for p in self._policies.values()
                 ],
                 **self.stats.as_dict(),
-                "deployments": [d.as_dict() for d in self._deployments.values()],
+                "deployments": [d.as_dict() for d in self.deployments()],
                 "recent_events": [e.as_dict() for e in list(self.events)[-10:]],
             }

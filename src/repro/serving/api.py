@@ -160,11 +160,6 @@ class LibEIDispatcher:
     def __init__(self, target: LibEITarget) -> None:
         self.target = target
 
-    @property
-    def openei(self) -> LibEITarget:
-        """Backward-compatible alias from when the only target was OpenEI."""
-        return self.target
-
     def handle_path(self, path: str) -> Dict[str, object]:
         """Parse and dispatch a URL path, returning a JSON-serializable response."""
         return self.handle(parse_path(path))

@@ -109,8 +109,12 @@ class LibEIClient:
         """
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
+            # snapshot once per pass: another thread moving _primary
+            # mid-pass would otherwise make this one try a dead replica
+            # twice and the live one never
+            start = self._primary
             for offset in range(len(self.addresses)):
-                index = (self._primary + offset) % len(self.addresses)
+                index = (start + offset) % len(self.addresses)
                 try:
                     body = self._get_from(index, path)
                 # OSError covers URLError, timeouts and mid-read resets

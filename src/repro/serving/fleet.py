@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -30,6 +29,7 @@ from repro.exceptions import ConfigurationError, ResourceNotFoundError
 from repro.serving.api import ParsedRequest
 from repro.serving.batching import BatchingConfig
 from repro.serving.cache import SelectionCache
+from repro.serving.deployments import DeploymentTable
 from repro.serving.router import RoutingPolicy, make_router
 from repro.serving.server import LibEIServer
 from repro.serving.telemetry import ALEMTelemetry
@@ -88,13 +88,12 @@ class EdgeFleet:
         # a RolloutController registers itself here so /ei_status reports
         # per-replica serving versions and in-flight canaries
         self.rollout = None
+        # what every replica serves per (scenario, algorithm): the one
+        # table both controllers propose transitions to
+        self.deployments = DeploymentTable(self)
         self._instances: List[FleetInstance] = []
         self._ids = itertools.count()
         self._stats_lock = threading.Lock()
-        # lazily-built worker pool behind submit_algorithm(); daemon
-        # threads, so an un-shut-down pool cannot hang interpreter exit
-        self._dispatch_pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _dispatch_lock
-        self._dispatch_lock = threading.Lock()
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -271,39 +270,6 @@ class EdgeFleet:
             tagged.append(result)
         return tagged
 
-    def submit_algorithm(
-        self,
-        scenario: str,
-        name: str,
-        args: Optional[Dict[str, object]] = None,
-        max_workers: int = 16,
-    ) -> "Future[Dict[str, object]]":
-        """Non-blocking :meth:`call_algorithm`: route, dispatch, return a future.
-
-        This is the open-loop firing primitive: an arrival-time-driven
-        load generator (:class:`~repro.loadgen.harness.OpenLoopHarness`)
-        must fire the next request on schedule even while earlier ones
-        are still executing, so the dispatch cannot block the schedule
-        thread.  Calls run on a shared fleet-owned worker pool
-        (``max_workers`` sizes it on first use); queueing behind a full
-        pool is visible to the caller as future latency — exactly the
-        backpressure signal a tail-latency measurement needs.
-        """
-        with self._dispatch_lock:
-            if self._dispatch_pool is None:
-                self._dispatch_pool = ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="fleet-dispatch"
-                )
-            pool = self._dispatch_pool
-        return pool.submit(self.call_algorithm, scenario, name, args)
-
-    def shutdown_dispatch(self, wait: bool = True) -> None:
-        """Tear down the :meth:`submit_algorithm` worker pool (idempotent)."""
-        with self._dispatch_lock:
-            pool, self._dispatch_pool = self._dispatch_pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
     def get_realtime_data(self, sensor_id: str) -> Dict[str, object]:
         """Serve a realtime data call from an instance owning the sensor."""
         instance = self._instance_with_sensor(sensor_id)
@@ -322,13 +288,6 @@ class EdgeFleet:
         """Bump a request counter under the fleet lock (handler threads race)."""
         with self._stats_lock:
             instance.requests_served += count
-
-    # -- statistics --------------------------------------------------------------
-    def cache_stats(self) -> Optional[Dict[str, object]]:
-        """Shared selection-cache statistics (``None`` when caching is off)."""
-        if self.selection_cache is None:
-            return None
-        return self.selection_cache.describe()
 
 
 class FleetGateway(LibEIServer):

@@ -1,7 +1,7 @@
 """Crash recovery: replay the control-plane WAL back into a live fleet.
 
-A restarted gateway process starts from nothing — empty serving tables,
-empty telemetry windows, no calibration, no rollout claims.  This module
+A restarted gateway process starts from nothing — an empty deployment
+table, empty telemetry windows, no calibration, no rollout claims.  This module
 turns the :class:`~repro.core.wal.ControlPlaneJournal` (plus the blob
 store behind :meth:`~repro.core.registry.ModelRegistry.recover`) into
 the pre-crash control state by a single left-to-right reduction over
@@ -13,7 +13,9 @@ the journal:
   :class:`AdaptiveController`;
 * the last ``rollout-deploy`` / ``rollout-promote`` per
   ``(scenario, algorithm)`` names the fleet-wide baseline, which is
-  re-deployed through the normal :meth:`RolloutController.deploy` path;
+  re-deployed through the normal :meth:`RolloutController.deploy` path
+  unless the fleet's :class:`~repro.serving.deployments.DeploymentTable`
+  says every replica already serves it;
 * an *open* ``rollout-lease`` — one with no later release, promote or
   rollback — is adjudicated against its journaled ``expires_at``: an
   unexpired lease **resumes** (the recovered controller re-runs
@@ -31,7 +33,7 @@ rollout that is already in flight.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.registry import ModelRegistry
@@ -56,15 +58,7 @@ class RecoveryReport:
     calibrations_restored: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "events_replayed": self.events_replayed,
-            "deployed": list(self.deployed),
-            "leases_resumed": self.leases_resumed,
-            "leases_expired": self.leases_expired,
-            "leases_released": self.leases_released,
-            "telemetry_restored": self.telemetry_restored,
-            "calibrations_restored": self.calibrations_restored,
-        }
+        return asdict(self)
 
 
 def _reduce(events: List[Dict[str, object]]):
@@ -111,23 +105,6 @@ def _reduce(events: List[Dict[str, object]]):
             leases.pop((event["scenario"], event["algorithm"]), None)
         # REGISTRY_PUBLISH events belong to ModelRegistry.recover()
     return snapshots, calibrations, baselines, leases
-
-
-def _baseline_current(rollout: RolloutController, scenario: str,
-                      algorithm: str, fingerprint: str) -> bool:
-    """Whether every fleet replica already serves ``fingerprint``."""
-    try:
-        entries = rollout.serving(scenario, algorithm)
-    except ResourceNotFoundError:
-        return False
-    if len(entries) < len(rollout.fleet.instances):
-        return False
-    return all(e.version.fingerprint == fingerprint for e in entries)
-
-
-def _lease_in_flight(rollout: RolloutController, scenario: str, algorithm: str) -> bool:
-    status = rollout.describe()["rollouts"].get(f"{scenario}/{algorithm}")
-    return status is not None and status["stage"] in ("staging", "canary", "promoting")
 
 
 def recover_control_plane(
@@ -180,11 +157,11 @@ def recover_control_plane(
         return report
 
     for (scenario, algorithm), baseline in sorted(baselines.items()):
-        if _lease_in_flight(rollout, scenario, algorithm):
+        if rollout.in_flight(scenario, algorithm):
             # a live canary explains why the fleet is not uniformly on the
             # baseline; deploying now would stomp the claim mid-rollout
             continue
-        if _baseline_current(rollout, scenario, algorithm, baseline["fingerprint"]):
+        if fleet.deployments.serves_everywhere(scenario, algorithm, baseline["fingerprint"]):
             continue
         rollout.deploy(
             scenario, algorithm, baseline["name"], version=int(baseline["version"])
@@ -192,7 +169,7 @@ def recover_control_plane(
         report.deployed.append(str(baseline["ref"]))
 
     for (scenario, algorithm), lease in sorted(leases.items()):
-        if _lease_in_flight(rollout, scenario, algorithm):
+        if rollout.in_flight(scenario, algorithm):
             continue  # a previous recovery pass (or live traffic) re-claimed it
         if float(lease["expires_at"]) <= now():
             # the crashed holder sat on the claim past its TTL: release it

@@ -2,15 +2,17 @@
 
 The :class:`~repro.core.registry.ModelRegistry` gives models versions;
 this module makes a *new* version safe to push across a live fleet.  A
-:class:`RolloutController` owns what every replica currently serves for
-a ``(scenario, algorithm)`` and drives the rollout state machine:
+:class:`RolloutController` drives the rollout state machine, proposing
+each transition to the fleet's one
+:class:`~repro.serving.deployments.DeploymentTable` (which holds what
+every replica currently serves for a ``(scenario, algorithm)``):
 
 1. **deploy** — install a registry version fleet-wide as the serving
    baseline.  Every replica pulls its own private copy of the artifact
    (replicas never share mutable model objects), the shared zoo entry is
    refreshed so Eq. (1) selection and the adaptive controller see the
-   same build, and :meth:`make_handler` handlers are registered through
-   the existing ``register_algorithm`` path.
+   same build, and the table's handler is registered through the
+   existing ``register_algorithm`` path.
 2. **canary** (:meth:`begin`) — stage the candidate version on one
    replica only.  Its telemetry window is reset so the candidate is
    judged on its own observations, while the rest of the fleet keeps
@@ -22,9 +24,9 @@ a ``(scenario, algorithm)`` and drives the rollout state machine:
    **rolls back** the canary to the baseline; ``healthy_checks``
    consecutive clean windows of at least ``min_samples`` observations
    **promote** the candidate fleet-wide.
-4. **promote / rollback** — both are hot swaps: the serving table flips
-   under the controller's lock, in-flight requests finish on the model
-   object they already resolved, and the next request sees the new
+4. **promote / rollback** — both are hot swaps: the deployment table
+   flips under its lock, in-flight requests finish on the immutable
+   record they already resolved, and the next request sees the new
    version.  No sockets close, no handler re-registration, nothing
    drops.  Engine plans recompile automatically because every pulled
    copy is a fresh :class:`~repro.nn.model.Sequential` whose structural
@@ -40,26 +42,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.alem import ALEM, ALEMRequirement
-from repro.core.openei import OpenEI
 from repro.core.registry import ModelRegistry, ModelVersion
 from repro.core.wal import ControlPlaneJournal
 from repro.exceptions import ConfigurationError, ResourceNotFoundError
-from repro.nn.model import Sequential
-from repro.serving.telemetry import OBSERVED_ALEM_KEY, ALEMTelemetry
-
-#: Maps :meth:`ALEMRequirement.violations` names to telemetry axis names.
-_VIOLATION_AXES = {
-    "accuracy": "accuracy",
-    "latency": "latency_s",
-    "energy": "energy_j",
-    "memory": "memory_mb",
-}
+from repro.serving.deployments import Deployment
+from repro.serving.telemetry import ALEMTelemetry
 
 
 @dataclass(frozen=True)
@@ -85,52 +76,16 @@ class RolloutPolicy:
 
     def as_dict(self) -> Dict[str, object]:
         """Lossless serialization for the rollout-lease journal record."""
-        requirement = self.requirement
-        return {
-            "min_samples": self.min_samples,
-            "healthy_checks": self.healthy_checks,
-            "requirement": {
-                "min_accuracy": requirement.min_accuracy,
-                "max_latency_s": requirement.max_latency_s,
-                "max_energy_j": requirement.max_energy_j,
-                "max_memory_mb": requirement.max_memory_mb,
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "RolloutPolicy":
         """Rebuild a policy from its journaled form (recovery path)."""
-        requirement = dict(record.get("requirement") or {})
         return cls(
-            requirement=ALEMRequirement(
-                min_accuracy=requirement.get("min_accuracy"),
-                max_latency_s=requirement.get("max_latency_s"),
-                max_energy_j=requirement.get("max_energy_j"),
-                max_memory_mb=requirement.get("max_memory_mb"),
-            ),
+            requirement=ALEMRequirement(**dict(record.get("requirement") or {})),
             min_samples=int(record["min_samples"]),
             healthy_checks=int(record["healthy_checks"]),
         )
-
-
-@dataclass
-class ServingEntry:
-    """What one replica currently serves for one ``(scenario, algorithm)``."""
-
-    instance_id: str
-    version: ModelVersion
-    model: Sequential
-    expected: ALEM
-    canary: bool = False  # guarded-by: _lock (flipped by the RolloutController)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "instance_id": self.instance_id,
-            "version": self.version.ref,
-            "fingerprint": self.version.fingerprint[:12],
-            "canary": self.canary,
-            "expected": self.expected.as_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -169,7 +124,7 @@ class _ActiveRollout:
     target: ModelVersion
     canary_id: str
     policy: RolloutPolicy
-    baseline: ServingEntry  # guarded-by: _lock (what the canary served before staging)
+    baseline: Deployment  # guarded-by: _lock (what the canary served before staging)
     healthy_streak: int = 0  # guarded-by: _lock
     stage: str = "canary"  # guarded-by: _lock ("staging" | "canary" | "promoting" | "promoted" | "rolled-back")
     #: Lease bounds journaled when the claim was granted; after a crash,
@@ -196,19 +151,11 @@ class RolloutStats:
     bytes_transferred: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "deploys": self.deploys,
-            "canaries": self.canaries,
-            "checks": self.checks,
-            "promotions": self.promotions,
-            "rollbacks": self.rollbacks,
-            "failures": self.failures,
-            "bytes_transferred": self.bytes_transferred,
-        }
+        return asdict(self)
 
 
 class RolloutController:
-    """Versioned serving tables plus the canary → promote/rollback loop."""
+    """The versioned deploy → canary → promote/rollback policy loop."""
 
     def __init__(
         self,
@@ -240,16 +187,13 @@ class RolloutController:
         self.stats = RolloutStats()  # guarded-by: _lock
         self.events: Deque[RolloutEvent] = deque(maxlen=max_events)  # guarded-by: _lock
         self._lock = threading.RLock()
-        # (scenario, algorithm) -> instance_id -> ServingEntry
-        self._serving: Dict[Tuple[str, str], Dict[str, ServingEntry]] = {}  # guarded-by: _lock
         self._rollouts: Dict[Tuple[str, str], _ActiveRollout] = {}  # guarded-by: _lock
-        if hasattr(fleet, "rollout"):
-            fleet.rollout = self
+        fleet.rollout = self
 
     # -- installing entries ------------------------------------------------------
     def _make_entry(
-        self, instance, version: ModelVersion, canary: bool = False
-    ) -> ServingEntry:
+        self, key: Tuple[str, str], instance, version: ModelVersion, canary: bool = False
+    ) -> Deployment:
         """Pull a private model copy for one replica and profile it there."""
         model = self.registry.pull(version.name, version.version)
         openei = instance.openei
@@ -266,13 +210,33 @@ class RolloutController:
             energy_j=profile.energy_j,
             memory_mb=profile.memory_mb,
         )
-        return ServingEntry(
+        return Deployment(
+            scenario=key[0],
+            algorithm=key[1],
             instance_id=instance.instance_id,
+            model_name=version.name,
+            mode="edge",
+            expected=expected,
+            predicted=expected,
             version=version,
             model=model,
-            expected=expected,
             canary=canary,
         )
+
+    def _log(  # requires-lock: _lock
+        self, kind: str, key: Tuple[str, str], ref: str, instance_ids, **details
+    ) -> RolloutEvent:
+        """Append one transition to the event log and hand it back."""
+        event = RolloutEvent(
+            kind=kind, scenario=key[0], algorithm=key[1], ref=ref,
+            instance_ids=tuple(instance_ids), **details,
+        )
+        self.events.append(event)
+        return event
+
+    def _held(self, key: Tuple[str, str]) -> Dict[str, Deployment]:
+        """What each replica serves for ``key`` right now, by replica id."""
+        return {r.instance_id: r for r in self.fleet.deployments.records(*key)}
 
     def _transfer_cost(
         self, target: ModelVersion, held: Optional[ModelVersion]
@@ -304,10 +268,10 @@ class RolloutController:
         version: Optional[int] = None,
         update_zoo: bool = True,
         validate: bool = True,
-    ) -> List[ServingEntry]:
+    ) -> List[Deployment]:
         """Serve a registry version fleet-wide as the rollout baseline.
 
-        Registers a :meth:`make_handler` handler for the algorithm on
+        Registers the deployment table's handler for the algorithm on
         every replica; ``update_zoo=True`` (default) also refreshes the
         fleet's shared zoo entry so selection-layer consumers profile the
         exact published build.  ``validate=True`` (default) re-runs the
@@ -317,31 +281,21 @@ class RolloutController:
         target = self.registry.get(name, version)
         self._shape_check(target, validate)
         key = (scenario, algorithm)
-        with self._lock:
-            previous = dict(self._serving.get(key, {}))
-        # pull + profile per replica happens outside the lock: request
-        # handlers read the serving table through it, and a deploy must
-        # not stall live traffic for N artifact deserializations
-        table: Dict[str, ServingEntry] = {}
+        previous = self._held(key)
+        # pull + profile per replica happens outside any lock: a deploy
+        # must not stall live traffic for N artifact deserializations
+        table: Dict[str, Deployment] = {}
         moved = 0
         for instance in self.fleet:
             held = previous.get(instance.instance_id)
             moved += self._transfer_cost(target, held.version if held else None)
-            table[instance.instance_id] = self._make_entry(instance, target)
+            table[instance.instance_id] = self._make_entry(key, instance, target)
         with self._lock:
-            self._serving[key] = table
+            self.fleet.deployments.deploy(scenario, algorithm, table.values())
             self._rollouts.pop(key, None)
             self.stats.deploys += 1
             self.stats.bytes_transferred += moved
-            event = RolloutEvent(
-                kind="deploy",
-                scenario=scenario,
-                algorithm=algorithm,
-                ref=target.ref,
-                instance_ids=tuple(sorted(table)),
-                transfer_bytes=moved,
-            )
-            self.events.append(event)
+            self._log("deploy", key, target.ref, sorted(table), transfer_bytes=moved)
         if self.journal is not None:
             # journaled before deploy() returns: an acknowledged baseline
             # survives a crash, and recovery re-deploys the same version
@@ -356,7 +310,7 @@ class RolloutController:
             )
         if update_zoo:
             self._refresh_zoo(target)
-        self.fleet.register_algorithm(scenario, algorithm, self.make_handler(scenario, algorithm))
+        self.fleet.deployments.serve(scenario, algorithm)
         return list(table.values())
 
     def _refresh_zoo(self, version: ModelVersion) -> None:
@@ -398,24 +352,24 @@ class RolloutController:
                 "so the canary would neither promote nor roll back"
             )
         with self._lock:
-            table = self._serving.get(key)
-            if not table:
+            table = self._held(key)
+            first = next(iter(table.values()), None)
+            if first is None or first.version is None:
                 raise ResourceNotFoundError(
                     f"nothing deployed for {scenario}/{algorithm}; call deploy() first"
                 )
-            active = self._rollouts.get(key)
-            if active is not None and active.stage in ("staging", "canary", "promoting"):
+            if self.in_flight(scenario, algorithm):
                 raise ConfigurationError(
-                    f"a rollout of {active.target.ref} is already in flight "
+                    f"a rollout of {self._rollouts[key].target.ref} is already in flight "
                     f"for {scenario}/{algorithm}"
                 )
-            baseline_version = next(iter(table.values())).version
+            baseline_version = first.version
             target = self.registry.get(baseline_version.name, version)
             if canary is None:
                 canary = self.fleet.instances[0].instance_id
             instance = self.fleet.instance(canary)
             baseline = table.get(canary)
-            held = baseline.version if baseline is not None else baseline_version
+            held = baseline if baseline is not None else first
             if held.fingerprint == target.fingerprint:
                 raise ConfigurationError(
                     f"{canary} already serves {target.ref}; nothing to roll out"
@@ -426,7 +380,7 @@ class RolloutController:
             granted_at = self.clock()
             claim = _ActiveRollout(
                 target=target, canary_id=canary, policy=policy,
-                baseline=baseline if baseline is not None else next(iter(table.values())),
+                baseline=held,
                 stage="staging",
                 granted_at=granted_at,
                 expires_at=granted_at + self.lease_ttl_s,
@@ -452,17 +406,17 @@ class RolloutController:
                 granted_at=claim.granted_at,
                 expires_at=claim.expires_at,
             )
-        # pull + profile outside the lock: request handlers resolve their
-        # entry through it, and staging must not stall live traffic
+        # pull + profile outside the lock: staging must not stall the
+        # control loop for an artifact deserialization
         try:
             self._shape_check(target, validate)
             if baseline is None:
                 # the replica joined the fleet after deploy(): install the
                 # current baseline on it first so a rollback has a real
                 # deployment to restore
-                baseline = self._make_entry(instance, baseline_version)
-            moved = self._transfer_cost(target, held)
-            entry = self._make_entry(instance, target, canary=True)
+                baseline = self._make_entry(key, instance, baseline_version)
+            moved = self._transfer_cost(target, held.version)
+            entry = self._make_entry(key, instance, target, canary=True)
         except Exception as exc:
             # a failed staging must leave a trace operators can find:
             # count it, log the canary-failed event, release the claim,
@@ -494,23 +448,14 @@ class RolloutController:
                 )
             raise
         with self._lock:
-            table = self._serving[key]
             # rollback restores whatever the replica served at swap time
             # (the freshly-built baseline for a replica that joined late)
-            claim.baseline = table.get(canary, baseline)
-            table[canary] = entry
+            replaced = self.fleet.deployments.put(entry)
+            claim.baseline = replaced if replaced is not None else baseline
             claim.stage = "canary"
             self.stats.canaries += 1
             self.stats.bytes_transferred += moved
-            event = RolloutEvent(
-                kind="canary",
-                scenario=scenario,
-                algorithm=algorithm,
-                ref=target.ref,
-                instance_ids=(canary,),
-                transfer_bytes=moved,
-            )
-            self.events.append(event)
+            event = self._log("canary", key, target.ref, (canary,), transfer_bytes=moved)
         # judge the canary on its own observations, not its predecessor's
         self.telemetry.reset(scenario, algorithm, canary)
         return event
@@ -546,11 +491,7 @@ class RolloutController:
             window = self.telemetry.window(scenario, algorithm, canary_id)
             if window is None:
                 return None
-            violations = {
-                name: magnitude
-                for name, magnitude in window.violations(policy.requirement).items()
-                if window.count(_VIOLATION_AXES[name]) >= policy.min_samples
-            }
+            violations = window.confirmed_violations(policy.requirement, policy.min_samples)
             if violations:
                 return self._rollback(key, active, violations, window.count("latency_s"))
             if window.count("latency_s") < policy.min_samples:
@@ -561,15 +502,10 @@ class RolloutController:
                 active.healthy_streak += 1
                 promote_now = active.healthy_streak >= policy.healthy_checks
                 if not promote_now:
-                    event = RolloutEvent(
-                        kind="healthy",
-                        scenario=scenario,
-                        algorithm=algorithm,
-                        ref=active.target.ref,
-                        instance_ids=(canary_id,),
+                    event = self._log(
+                        "healthy", key, active.target.ref, (canary_id,),
                         samples=window.count("latency_s"),
                     )
-                    self.events.append(event)
             if promote_now:
                 return self._promote(key, active)
             # each healthy check must stand on a fresh window: clear so the
@@ -611,24 +547,24 @@ class RolloutController:
         scenario, algorithm = key
         target = active.target
         # claim the transition, then build the new entries outside the
-        # lock: request handlers resolve their entry through this lock,
-        # so N artifact pulls + profiling passes must not stall traffic
+        # lock: N artifact pulls + profiling passes must not stall the
+        # control loop
         with self._lock:
             if active.stage != "canary":
                 raise ResourceNotFoundError(
                     f"no rollout in flight for {scenario}/{algorithm}"
                 )
             active.stage = "promoting"
-            snapshot = dict(self._serving[key])
+            snapshot = self._held(key)
         try:
-            fresh: Dict[str, ServingEntry] = {}
+            fresh: List[Deployment] = []
             moved = 0
             for instance in self.fleet:
                 held = snapshot.get(instance.instance_id)
-                if held is not None and held.version.fingerprint == target.fingerprint:
+                if held is not None and held.fingerprint == target.fingerprint:
                     continue
                 moved += self._transfer_cost(target, held.version if held else None)
-                fresh[instance.instance_id] = self._make_entry(instance, target)
+                fresh.append(self._make_entry(key, instance, target))
         except Exception as exc:
             # failed mid-pull: the canary keeps serving, but the aborted
             # promotion is counted and logged before the error propagates
@@ -647,22 +583,11 @@ class RolloutController:
                 )
             raise
         with self._lock:
-            table = self._serving[key]
-            table.update(fresh)
-            for entry in table.values():
-                entry.canary = False
+            serving = self.fleet.deployments.promote(scenario, algorithm, fresh)
             active.stage = "promoted"
             self.stats.promotions += 1
             self.stats.bytes_transferred += moved
-            event = RolloutEvent(
-                kind="promote",
-                scenario=scenario,
-                algorithm=algorithm,
-                ref=target.ref,
-                instance_ids=tuple(sorted(table)),
-                transfer_bytes=moved,
-            )
-            self.events.append(event)
+            event = self._log("promote", key, target.ref, serving, transfer_bytes=moved)
         if self.journal is not None:
             # resolves the journaled lease: recovery treats a promote as
             # both the lease's resolution and the new fleet-wide baseline
@@ -694,20 +619,13 @@ class RolloutController:
             if active.stage != "canary":  # raced with a concurrent transition
                 return None
             baseline = active.baseline
-            baseline.canary = False
-            self._serving[key][active.canary_id] = baseline
+            self.fleet.deployments.put(baseline)
             active.stage = "rolled-back"
             self.stats.rollbacks += 1
-            event = RolloutEvent(
-                kind="rollback",
-                scenario=scenario,
-                algorithm=algorithm,
-                ref=active.target.ref,
-                instance_ids=(active.canary_id,),
-                violations=violations,
-                samples=samples,
+            event = self._log(
+                "rollback", key, active.target.ref, (active.canary_id,),
+                violations=violations, samples=samples,
             )
-            self.events.append(event)
             baseline_ref = baseline.version.ref
         if self.journal is not None:
             # resolves the journaled lease: after a crash the fleet must
@@ -724,63 +642,18 @@ class RolloutController:
         return event
 
     # -- serving -----------------------------------------------------------------
-    def serving(self, scenario: str, algorithm: str) -> List[ServingEntry]:
-        """The current serving table (one entry per replica)."""
+    def serving(self, scenario: str, algorithm: str) -> List[Deployment]:
+        """The key's current records (one per replica)."""
+        records = self.fleet.deployments.records(scenario, algorithm)
+        if not records:
+            raise ResourceNotFoundError(f"nothing deployed for {scenario}/{algorithm}")
+        return records
+
+    def in_flight(self, scenario: str, algorithm: str) -> bool:
+        """Whether a canary claim is staging, serving or promoting for the key."""
         with self._lock:
-            table = self._serving.get((scenario, algorithm))
-            if not table:
-                raise ResourceNotFoundError(
-                    f"nothing deployed for {scenario}/{algorithm}"
-                )
-            return list(table.values())
-
-    def entry_for(self, openei: OpenEI, scenario: str, algorithm: str) -> ServingEntry:
-        """The entry serving one OpenEI instance (used inside handlers)."""
-        for instance in self.fleet:
-            if instance.openei is openei:
-                with self._lock:
-                    table = self._serving.get((scenario, algorithm), {})
-                    entry = table.get(instance.instance_id)
-                if entry is None:
-                    break
-                return entry
-        raise ResourceNotFoundError(
-            f"no rollout deployment of {scenario}/{algorithm} covers this instance"
-        )
-
-    def make_handler(self, scenario: str, algorithm: str):
-        """An :data:`~repro.core.openei.AlgorithmHandler` serving the
-        replica's current version and reporting ``observed_alem``.
-
-        The reported latency is the version's profiled latency on the
-        replica's device scaled by the runtime's emulated slowdown; the
-        reported accuracy is the version's published accuracy (so a
-        regressed build shows up in the canary window).  A ``payload``
-        argument matching the version's input shape is actually run
-        through the deployed model.
-        """
-
-        def handler(ei: OpenEI, args: Dict[str, object]) -> Dict[str, object]:
-            entry = self.entry_for(ei, scenario, algorithm)
-            result: Dict[str, object] = {
-                "model": entry.version.name,
-                "version": entry.version.ref,
-                "canary": entry.canary,
-                OBSERVED_ALEM_KEY: {
-                    "latency_s": entry.expected.latency_s * ei.runtime.slowdown,
-                    "accuracy": entry.expected.accuracy,
-                },
-            }
-            payload = args.get("payload")
-            if payload is not None:
-                inputs = np.asarray(payload, dtype=np.float64)
-                if inputs.shape == tuple(entry.version.input_shape):
-                    inputs = inputs[None, ...]
-                probabilities = entry.model.predict(inputs)
-                result["label"] = int(np.argmax(probabilities[0]))
-            return result
-
-        return handler
+            active = self._rollouts.get((scenario, algorithm))
+            return active is not None and active.stage in ("staging", "canary", "promoting")
 
     # -- reporting ---------------------------------------------------------------
     def describe(self) -> Dict[str, object]:
@@ -789,8 +662,9 @@ class RolloutController:
             return {
                 **self.stats.as_dict(),
                 "serving": {
-                    f"{scenario}/{algorithm}": [e.as_dict() for e in table.values()]
-                    for (scenario, algorithm), table in sorted(self._serving.items())
+                    f"{scenario}/{algorithm}": [r.as_dict() for r in records]
+                    for (scenario, algorithm), records in self.fleet.deployments.snapshot().items()
+                    if any(r.version is not None for r in records)
                 },
                 "rollouts": {
                     f"{scenario}/{algorithm}": {

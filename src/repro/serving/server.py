@@ -113,19 +113,3 @@ class LibEIServer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-    def running(self):
-        """Context manager that starts the server on entry and stops it on exit."""
-        return _ServerContext(self)
-
-
-class _ServerContext:
-    def __init__(self, server: LibEIServer) -> None:
-        self._server = server
-
-    def __enter__(self) -> LibEIServer:
-        self._server.start()
-        return self._server
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._server.stop()

@@ -45,6 +45,14 @@ _AXES = ("accuracy", "latency_s", "energy_j", "memory_mb")
 #: violate a ``min_accuracy`` / ``max_*`` constraint.
 _NEUTRAL = {"accuracy": 1.0, "latency_s": 0.0, "energy_j": 0.0, "memory_mb": 0.0}
 
+#: Maps :meth:`ALEMRequirement.violations` names to telemetry axis names.
+_VIOLATION_AXES = {
+    "accuracy": "accuracy",
+    "latency": "latency_s",
+    "energy": "energy_j",
+    "memory": "memory_mb",
+}
+
 
 @dataclass
 class TelemetryWindow:
@@ -99,6 +107,20 @@ class TelemetryWindow:
     def violations(self, requirement: ALEMRequirement) -> Dict[str, float]:
         """Constraint violations of the windowed means (measured axes only)."""
         return requirement.violations(self.observed_alem())
+
+    def confirmed_violations(
+        self, requirement: ALEMRequirement, min_samples: int
+    ) -> Dict[str, float]:
+        """Violations whose axis has at least ``min_samples`` observations.
+
+        Both control loops act only on these: one slow request must not
+        reconfigure a fleet or roll back a canary.
+        """
+        return {
+            name: magnitude
+            for name, magnitude in self.violations(requirement).items()
+            if self.count(_VIOLATION_AXES[name]) >= min_samples
+        }
 
     def clear(self) -> None:
         """Forget every sample (used after a reselection, so the fresh

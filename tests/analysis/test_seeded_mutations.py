@@ -13,6 +13,7 @@ from pathlib import Path
 
 from repro.analysis import run_lint
 import repro.serving.client as client_module
+import repro.serving.deployments as deployments_module
 import repro.serving.rollout as rollout_module
 
 
@@ -29,7 +30,7 @@ def _rules_for(report, path: Path):
 
 
 def test_clean_sources_have_no_findings(tmp_path):
-    for module in (rollout_module, client_module):
+    for module in (rollout_module, deployments_module, client_module):
         report = run_lint([str(Path(module.__file__))])
         assert report.findings == [], module.__name__
 
@@ -43,6 +44,30 @@ def test_guarded_attribute_mutated_outside_lock_is_caught(tmp_path):
         tmp_path,
     )
     assert "guarded-by" in _rules_for(run_lint([str(mutant)]), mutant)
+
+
+def test_deployment_table_written_outside_its_lock_is_caught(tmp_path):
+    # the per-replica serving state moved out of rollout.py into the one
+    # DeploymentTable: a transition that flips it bare must still be caught
+    mutant = _mutate(
+        deployments_module,
+        "        with self._lock:\n"
+        "            self._records[(scenario, algorithm)] = {r.instance_id: r for r in records}",
+        "        self._records[(scenario, algorithm)] = {r.instance_id: r for r in records}",
+        tmp_path,
+    )
+    assert "guarded-by" in _rules_for(run_lint([str(mutant)]), mutant)
+
+
+def test_deployment_table_leaked_by_reference_is_caught(tmp_path):
+    # hand the live replica dict to callers instead of a copy
+    mutant = _mutate(
+        deployments_module,
+        "            return list(self._records.get((scenario, algorithm), {}).values())",
+        "            return self._records",
+        tmp_path,
+    )
+    assert "mutable-return" in _rules_for(run_lint([str(mutant)]), mutant)
 
 
 def test_urlopen_under_lock_is_caught(tmp_path):

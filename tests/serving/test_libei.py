@@ -95,7 +95,7 @@ def test_dispatcher_safe_handle_maps_errors_to_status_codes(served_openei):
 
 def test_server_round_trip_with_client(served_openei):
     server = LibEIServer(served_openei)
-    with server.running():
+    with server:
         client = LibEIClient(server.address)
         assert client.status()["status"] == "ok"
         response = client.call_algorithm("safety", "detection", {"video": "camera1"})
@@ -111,7 +111,7 @@ def test_server_round_trip_with_client(served_openei):
 
 def test_client_raises_api_error_on_missing_resources(served_openei):
     server = LibEIServer(served_openei)
-    with server.running():
+    with server:
         client = LibEIClient(server.address)
         with pytest.raises(APIError):
             client.call_algorithm("safety", "missing")
@@ -225,6 +225,40 @@ def test_client_all_replicas_down_raises_after_retries():
         client.status()
 
 
+def test_client_failover_pass_visits_every_replica_once_when_primary_moves():
+    """Regression: ``get`` re-read ``_primary`` on every offset of a pass,
+    so another thread moving it mid-pass made a two-replica client try
+    the dead replica twice and the live one never."""
+    client = LibEIClient([("127.0.0.1", 9), ("127.0.0.1", 10)], retries=0)
+    visited = []
+
+    def fake_get_from(index, path):
+        visited.append(index)
+        # what a concurrent caller's success on the other replica does
+        client._primary = (client._primary + 1) % len(client.addresses)
+        if index == 0:
+            raise ConnectionRefusedError(111, "Connection refused")
+        return {"status": "ok"}
+
+    client._get_from = fake_get_from
+    assert client.get("/ei_status") == {"status": "ok"}
+    assert visited == [0, 1]
+
+    # and a pass over all-dead replicas still tries each exactly once
+    visited.clear()
+    client._primary = 0
+
+    def dead_get_from(index, path):
+        visited.append(index)
+        client._primary = (client._primary + 1) % len(client.addresses)
+        raise ConnectionRefusedError(111, "Connection refused")
+
+    client._get_from = dead_get_from
+    with pytest.raises(APIError, match="unreachable"):
+        client.get("/ei_status")
+    assert sorted(visited) == [0, 1]
+
+
 def test_client_rejects_invalid_configuration():
     with pytest.raises(ReproError):
         LibEIClient([])
@@ -244,7 +278,7 @@ def test_server_is_its_own_context_manager(served_openei):
 def test_paper_example_urls_work_end_to_end(served_openei):
     """The two literal GET examples from Fig. 6 must round-trip over HTTP."""
     server = LibEIServer(served_openei)
-    with server.running():
+    with server:
         client = LibEIClient(server.address)
         algorithm = client.get("/ei_algorithms/safety/detection/%7Bvideo=camera1%7D")
         assert algorithm["status"] == "ok"

@@ -43,7 +43,7 @@ def full_stack(images_dataset):
 def test_walkthrough_detection_over_rest(full_stack):
     """Deploy-and-play: the Fig. 6 URLs answer over a live HTTP endpoint."""
     server = LibEIServer(full_stack)
-    with server.running():
+    with server:
         client = LibEIClient(server.address)
         frame = client.get("/ei_data/realtime/camera1/%7Btimestamp=now%7D")
         assert frame["status"] == "ok"
