@@ -46,7 +46,9 @@ HEAPQ_MUTATORS = frozenset({"heappush", "heappop", "heapreplace", "heappushpop"}
 #: Calls that park the calling thread (so must never run under a lock).
 #: ``Condition.wait`` is deliberately absent: it releases the lock while
 #: blocked, which is the whole point of a condition variable.
-BLOCKING_TERMINALS = frozenset({"sleep", "urlopen", "serve_forever", "create_connection"})
+BLOCKING_TERMINALS = frozenset(
+    {"sleep", "urlopen", "serve_forever", "create_connection", "getresponse"}
+)
 SUBPROCESS_CALLS = frozenset({"check_call", "check_output", "Popen"})
 
 #: Calls in an ``except`` body that count as *handling* the exception.
@@ -330,8 +332,9 @@ class GuardedByRule(Rule):
 
 
 class BlockingUnderLockRule(Rule):
-    """No blocking call (sleep, urlopen, subprocess, thread join,
-    ``serve_forever``, zero-arg ``Future.result``) while holding a lock.
+    """No blocking call (sleep, urlopen, ``getresponse``, subprocess,
+    thread join, ``serve_forever``, zero-arg ``Future.result``) while
+    holding a lock.
 
     History: the gateway supervisor held its registry lock across
     ``LibEIServer.stop()`` (which joins the server thread) and across
@@ -463,7 +466,8 @@ class MissingTimeoutRule(Rule):
     """Network calls must carry an explicit timeout.
 
     History: the libei client's first version blocked forever on a hung
-    gateway; every ``urlopen``/``create_connection`` now names a timeout.
+    gateway; every ``urlopen``/``create_connection``/``HTTPConnection``
+    now names a timeout.
     """
 
     rule_id = "missing-timeout"
@@ -471,7 +475,7 @@ class MissingTimeoutRule(Rule):
     description = "network call without an explicit timeout"
 
     #: terminal name -> number of positional args that includes a timeout
-    NETWORK_CALLS = {"urlopen": 3, "create_connection": 2}
+    NETWORK_CALLS = {"urlopen": 3, "create_connection": 2, "HTTPConnection": 3}
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -71,9 +71,12 @@ class WorkspaceArena:
     its own buffer set, so the arena is bounded by (threads actively
     serving) x (distinct shapes served).
 
-    Buffer sets of threads that have exited are pruned whenever a new
-    thread first touches the arena, so thread-per-request servers
-    (``ThreadingHTTPServer`` spawns one thread per connection) do not
+    A libei handler thread lives as long as its keep-alive connection
+    (``ThreadingHTTPServer`` spawns one thread per connection, and
+    ``LibEIClient`` reuses connections), so a caller's requests keep
+    landing on one thread and reuse its buffer set.  Buffer sets of
+    threads that have exited — closed connections — are pruned whenever
+    a new thread first touches the arena, so the arena does not
     accumulate workspaces for every thread ever seen.
     """
 

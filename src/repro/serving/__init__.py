@@ -11,9 +11,10 @@ Every resource — algorithms, data, models, the device itself — is a URL:
 
 :mod:`repro.serving.api` parses URLs and dispatches them against any
 :class:`~repro.serving.api.LibEITarget` without any network;
-:mod:`repro.serving.server` exposes a target over a threaded stdlib HTTP
-server, and :mod:`repro.serving.client` is a small urllib client with
-replica failover.
+:mod:`repro.serving.server` exposes a target over a threaded stdlib
+HTTP/1.1 server with persistent connections, and
+:mod:`repro.serving.client` is a small ``http.client`` client that
+reuses them, with replica failover.
 
 The fleet layer scales the same grammar to many devices:
 :mod:`repro.serving.fleet` deploys N OpenEI instances behind one

@@ -1,4 +1,4 @@
-"""A small urllib-based client for libei endpoints.
+"""A small ``http.client``-based client for libei endpoints.
 
 This is what "other edges and IoT devices" use to call a peer's
 algorithms and read its data (Section III.D) — and what the Fig. 6
@@ -10,6 +10,14 @@ front-ends over one fleet).  When a replica is unreachable it fails over
 to the next one, sticking with whichever last answered; ``retries``
 adds full extra passes over the replica set with ``backoff_s`` sleeps
 in between.
+
+Connections are persistent (HTTP/1.1 keep-alive): the client keeps a
+stack of idle connections per address and a request takes one, reads its
+response fully and gives the connection back, so steady traffic pays TCP
+set-up once.  A pooled connection the peer has since closed (idled out,
+restarted) is told apart from an unreachable replica: the request is
+sent once more on a fresh connection to the *same* replica before
+failover is considered.
 """
 
 from __future__ import annotations
@@ -18,9 +26,7 @@ import http.client
 import json
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,16 +45,24 @@ def _normalize_addresses(address: Union[Address, Sequence[Address]]) -> List[Add
     return addresses
 
 
+def _algorithm_path(scenario: str, algorithm: str, args: Optional[Dict[str, object]]) -> str:
+    """``/ei_algorithms/<scenario>/<algorithm>/`` with ``args`` as the query string."""
+    query = "?" + urllib.parse.urlencode(args) if args else ""
+    return f"/ei_algorithms/{scenario}/{algorithm}/{query}"
+
+
 class LibEIClient:
     """HTTP client speaking the libei URL grammar, with replica failover.
 
-    The client is safe to share across threads: each :meth:`get` opens
-    its own connection, and ``_primary`` (the sticky last-good replica
-    index) is a single atomic int.  For open-loop load generation,
+    The client is safe to share across threads: each :meth:`get` has a
+    connection to itself for the whole exchange (taken from the idle
+    stack or freshly opened, given back only once the response is fully
+    read), and ``_primary`` (the sticky last-good replica index) is a
+    single atomic int.  For open-loop load generation,
     :meth:`submit` / :meth:`submit_algorithm` dispatch without blocking
     the caller, on a lazily-built client-owned worker pool sized by
     ``max_workers``; :meth:`close` (or the context-manager exit) tears
-    the pool down.
+    the pool down and closes the idle connections.
     """
 
     def __init__(
@@ -71,6 +85,12 @@ class LibEIClient:
         self._primary = 0  # index of the replica that last answered
         self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _pool_lock
         self._pool_lock = threading.Lock()
+        # one stack of idle keep-alive connections per address; the lock is
+        # a leaf held for the push/pop only, never across socket I/O
+        self._idle: List[List[http.client.HTTPConnection]] = [  # guarded-by: _idle_lock
+            [] for _ in self.addresses
+        ]
+        self._idle_lock = threading.Lock()
 
     @property
     def base_url(self) -> str:
@@ -81,18 +101,43 @@ class LibEIClient:
     # -- low-level ------------------------------------------------------------
     def _get_from(self, replica_index: int, path: str) -> Dict[str, object]:
         """GET from one replica; APIError for HTTP errors and malformed bodies."""
-        host, port = self.addresses[replica_index]
-        url = f"http://{host}:{port}" + path
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout_s) as response:
-                raw = response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
+        with self._idle_lock:
+            idle = self._idle[replica_index]
+            connection = idle.pop() if idle else None
+        if connection is not None:
             try:
-                body = json.loads(exc.read().decode("utf-8"))
-                message = body.get("error", str(exc))
-            except Exception:  # noqa: BLE001 - body may not be JSON
-                message = str(exc)
-            raise APIError(f"libei request failed ({exc.code}): {message}") from exc
+                return self._exchange(replica_index, connection, path)
+            except ConnectionError:
+                # the peer closed this connection since it was pooled (idle
+                # timeout, restart): that says nothing about the replica
+                # yet, so ask once more on a fresh connection
+                pass
+        host, port = self.addresses[replica_index]
+        connection = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+        return self._exchange(replica_index, connection, path)
+
+    def _exchange(
+        self, replica_index: int, connection: http.client.HTTPConnection, path: str
+    ) -> Dict[str, object]:
+        """One request/response on a connection this call owns until it is read out."""
+        try:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            raw = response.read().decode("utf-8")
+        except BaseException:
+            connection.close()  # half-used: must never reach the idle stack
+            raise
+        if response.will_close:  # HTTP/1.0 peer or "Connection: close"
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle[replica_index].append(connection)
+        if not 200 <= response.status < 300:
+            try:
+                message = json.loads(raw).get("error", response.reason)
+            except (ValueError, AttributeError):  # body is not a JSON object
+                message = response.reason
+            raise APIError(f"libei request failed ({response.status}): {message}")
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -117,10 +162,10 @@ class LibEIClient:
                 index = (start + offset) % len(self.addresses)
                 try:
                     body = self._get_from(index, path)
-                # OSError covers URLError, timeouts and mid-read resets
-                # (ConnectionResetError); HTTPException covers truncated
-                # responses (IncompleteRead).  APIError — an HTTP error
-                # status or malformed body — is NOT caught: the replica
+                # OSError covers refused connections, timeouts and mid-read
+                # resets (ConnectionResetError); HTTPException covers
+                # truncated responses (IncompleteRead).  APIError — an HTTP
+                # error status or malformed body — is NOT caught: the replica
                 # answered, so failing over would mask real errors.
                 except (OSError, http.client.HTTPException) as exc:
                     last_error = exc
@@ -159,17 +204,19 @@ class LibEIClient:
         self, scenario: str, algorithm: str, args: Optional[Dict[str, object]] = None
     ) -> "Future[Dict[str, object]]":
         """Non-blocking :meth:`call_algorithm` (see :meth:`submit`)."""
-        query = ""
-        if args:
-            query = "?" + urllib.parse.urlencode({k: v for k, v in args.items()})
-        return self.submit(f"/ei_algorithms/{scenario}/{algorithm}/{query}")
+        return self.submit(_algorithm_path(scenario, algorithm, args))
 
     def close(self, wait: bool = True) -> None:
-        """Tear down the :meth:`submit` worker pool (idempotent)."""
+        """Tear down the :meth:`submit` pool and close idle connections (idempotent)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait)
+        with self._idle_lock:
+            stacks, self._idle = self._idle, [[] for _ in self.addresses]
+        for stack in stacks:
+            for connection in stack:
+                connection.close()
 
     def __enter__(self) -> "LibEIClient":
         return self
@@ -186,10 +233,7 @@ class LibEIClient:
         self, scenario: str, algorithm: str, args: Optional[Dict[str, object]] = None
     ) -> Dict[str, object]:
         """GET /ei_algorithms/<scenario>/<algorithm>/?args as query string."""
-        query = ""
-        if args:
-            query = "?" + urllib.parse.urlencode({k: v for k, v in args.items()})
-        return self.get(f"/ei_algorithms/{scenario}/{algorithm}/{query}")
+        return self.get(_algorithm_path(scenario, algorithm, args))
 
     def realtime_data(self, sensor_id: str, timestamp: Optional[float] = None) -> Dict[str, object]:
         """GET /ei_data/realtime/<sensor_id>/{timestamp=...}."""

@@ -1,34 +1,137 @@
-"""Threaded HTTP server exposing libei over the network (stdlib only)."""
+"""Threaded HTTP/1.1 server exposing libei over the network (stdlib only).
+
+Connections are persistent: a handler thread lives as long as its
+connection and serves every request the peer sends on it, so a caller
+that reuses connections (:class:`~repro.serving.client.LibEIClient`
+does) pays TCP set-up and thread start once, not per request.
+"""
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.serving.api import LibEIDispatcher, LibEITarget
 from repro.serving.batching import BatchingConfig, BatchingDispatcher
 
+#: Seconds a connection may sit without a complete request (or a peer
+#: may stall a response write) before the server closes it and the
+#: handler thread ends.  Clients see a closed pooled connection and
+#: redial; see ``LibEIClient``'s stale-connection rule.
+IDLE_TIMEOUT_S = 30.0
+
 
 class _LibEIRequestHandler(BaseHTTPRequestHandler):
     """Maps GET requests to the libei dispatcher; responses are JSON."""
 
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S  # socketserver applies it to the accepted socket
     dispatcher: LibEIDispatcher  # injected by LibEIServer
+    server: "_LibEIHTTPServer"
+
+    def handle(self) -> None:
+        if not self.server.park(self.connection):
+            return  # accepted in the instant stop() ran: close unanswered
+        try:
+            super().handle()
+        except ConnectionError:
+            # how a persistent connection ends when the peer resets it or
+            # writes into one stop() severed: nobody is left to answer
+            pass
+        finally:
+            self.server.forget(self.connection)
 
     # silence the default stderr access log
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         del format, args
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        status, body = self.dispatcher.safe_handle_path(self.path)
-        payload = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        if not self.server.claim(self.connection):
+            # stop() found this connection waiting and severed it while the
+            # request line was being read; the peer redials elsewhere
+            self.close_connection = True
+            return
+        try:
+            status, body = self.dispatcher.safe_handle_path(self.path)
+            payload = json.dumps(body).encode("utf-8")
+            if self.server.closing.is_set():
+                self.close_connection = True
+            # ONE write: a head and a body written separately park the
+            # body behind Nagle until the peer's delayed ACK (~40 ms) on
+            # every request after a connection's first
+            self.wfile.write(self._head(status, len(payload)) + payload)
+        finally:
+            if not self.server.park(self.connection):
+                self.close_connection = True
+
+    def _head(self, status: int, length: int) -> bytes:
+        """Status line and headers, as ``send_response`` + ``send_header`` would emit them."""
+        lines = [
+            f"{self.protocol_version} {status} {self.responses.get(status, ('',))[0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {length}",
+        ]
+        if self.close_connection:  # an HTTP/1.0 peer, "Connection: close", or stop()
+            lines.append("Connection: close")
+        return "\r\n".join(lines + ["", ""]).encode("latin-1")
+
+
+class _LibEIHTTPServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that can end the connections it accepted.
+
+    With keep-alive a closed listening socket is not enough to take a
+    server down: a peer holding an open connection would go on being
+    answered.  Handlers report here whenever their connection starts
+    waiting for a request (:meth:`park`) and when one arrives
+    (:meth:`claim`), so :meth:`sever` can shut the waiting connections
+    down at once and leave the claimed ones to close after their response.
+    """
+
+    def __init__(self, address: Tuple[str, int], handler: type) -> None:
+        super().__init__(address, handler)
+        # leaf lock: held for set updates only, never across socket I/O
+        self._lock = threading.Lock()
+        #: live connections waiting for a request (not inside a handler)
+        self._waiting: Set[socket.socket] = set()  # guarded-by: _lock
+        #: set by sever() under _lock, so park/claim order against it
+        self.closing = threading.Event()
+
+    def park(self, connection: socket.socket) -> bool:
+        """The connection now waits for a request; False when the server is closing."""
+        with self._lock:
+            if self.closing.is_set():
+                return False
+            self._waiting.add(connection)
+            return True
+
+    def claim(self, connection: socket.socket) -> bool:
+        """A request arrived on the connection; False when :meth:`sever` got to it first."""
+        with self._lock:
+            self._waiting.discard(connection)
+            return not self.closing.is_set()
+
+    def forget(self, connection: socket.socket) -> None:
+        """The connection is ending, whichever side ended it."""
+        with self._lock:
+            self._waiting.discard(connection)
+
+    def sever(self) -> None:
+        """Shut down every waiting connection; claimed ones close after their response."""
+        with self._lock:
+            self.closing.set()
+            waiting, self._waiting = self._waiting, set()
+        for connection in waiting:
+            try:
+                # wakes the handler thread blocked on the next request line
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer, or the handler, already closed it
 
 
 class LibEIServer:
@@ -73,7 +176,7 @@ class LibEIServer:
             (_LibEIRequestHandler,),
             {"dispatcher": self.dispatcher},
         )
-        self._server = ThreadingHTTPServer((host, port), handler)
+        self._server = _LibEIHTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -95,7 +198,12 @@ class LibEIServer:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop the server, join its thread, and close the listening socket.
+        """Stop accepting, close the listening socket, end accepted connections.
+
+        A request in flight still gets its complete response, marked
+        ``Connection: close``; idle connections are shut down, so no
+        request sent after this returns is answered by this server —
+        a peer holding a pooled connection finds it closed and redials.
 
         Safe to call repeatedly; ``server_close()`` runs even if the
         server never started, so a constructed-but-unused server does not
@@ -106,6 +214,7 @@ class LibEIServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         self._server.server_close()
+        self._server.sever()
 
     def __enter__(self) -> "LibEIServer":
         self.start()

@@ -7,8 +7,10 @@ fails over when one goes down.  :class:`GatewaySupervisor` owns that
 gateway set and closes the loop operationally:
 
 * :meth:`kill` takes a gateway down hard (its listening socket closes,
-  new connections are refused) — the fault-injection primitive used by
-  the chaos suite and :class:`~repro.loadgen.faults.FaultInjector`;
+  new connections are refused, and the keep-alive connections it had
+  accepted are ended — a request already in its handler is answered
+  first) — the fault-injection primitive used by the chaos suite and
+  :class:`~repro.loadgen.faults.FaultInjector`;
 * :meth:`restart` **re-registers** the replica: a fresh
   :class:`~repro.serving.fleet.FleetGateway` over the *same* fleet is
   rebound to the *same* address, so clients holding the address list
@@ -148,7 +150,8 @@ class GatewaySupervisor:
     def kill(self, index: int) -> Tuple[str, int]:
         """Take one gateway down hard; returns the address that went dark.
 
-        New connections to the slot are refused until :meth:`restart`;
+        New connections to the slot are refused until :meth:`restart`
+        and pooled ones are severed (see :meth:`LibEIServer.stop`);
         clients with the full address list fail over to the survivors.
         """
         with self._lock:

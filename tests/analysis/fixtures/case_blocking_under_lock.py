@@ -19,6 +19,11 @@ class Poller:
         with self._lock:
             return urlopen(url, timeout=1.0).read()  # EXPECT[blocking-under-lock]
 
+    def bad_pooled_read(self, connection):
+        with self._lock:
+            connection.request("GET", "/")
+            return connection.getresponse().read()  # EXPECT[blocking-under-lock]
+
     def bad_subprocess(self):
         with self._lock:
             subprocess.check_output(["true"])  # EXPECT[blocking-under-lock]
@@ -33,6 +38,12 @@ class Poller:
 
     def good_sleep_unlocked(self):
         time.sleep(0.1)
+
+    def good_take_then_read(self, idle):
+        with self._lock:
+            connection = idle.pop()
+        connection.request("GET", "/")
+        return connection.getresponse().read()
 
     def good_str_join(self):
         with self._lock:

@@ -83,6 +83,50 @@ def test_urlopen_under_lock_is_caught(tmp_path):
     assert "blocking-under-lock" in _rules_for(run_lint([str(mutant)]), mutant)
 
 
+def test_pooled_connection_without_timeout_is_caught(tmp_path):
+    # a keep-alive connection dialled with no timeout hangs its caller on a
+    # wedged gateway for as long as the connection lives, not just one call
+    mutant = _mutate(
+        client_module,
+        "http.client.HTTPConnection(host, port, timeout=self.timeout_s)",
+        "http.client.HTTPConnection(host, port)",
+        tmp_path,
+    )
+    assert "missing-timeout" in _rules_for(run_lint([str(mutant)]), mutant)
+
+
+def test_socket_read_under_the_idle_lock_is_caught(tmp_path):
+    # do the round trip while holding the leaf lock of the idle stacks:
+    # every other caller's take/give-back then waits out a network read
+    mutant = _mutate(
+        client_module,
+        "        with self._idle_lock:\n"
+        "            idle = self._idle[replica_index]\n"
+        "            connection = idle.pop() if idle else None\n",
+        "        with self._idle_lock:\n"
+        "            idle = self._idle[replica_index]\n"
+        "            connection = idle.pop() if idle else None\n"
+        "            if connection is not None:\n"
+        '                connection.request("GET", path)\n'
+        "                connection.getresponse()\n",
+        tmp_path,
+    )
+    assert "blocking-under-lock" in _rules_for(run_lint([str(mutant)]), mutant)
+
+
+def test_idle_stack_touched_outside_its_lock_is_caught(tmp_path):
+    # give a connection back without the lock: two callers can then be
+    # handed the same connection and interleave on it
+    mutant = _mutate(
+        client_module,
+        "            with self._idle_lock:\n"
+        "                self._idle[replica_index].append(connection)",
+        "            self._idle[replica_index].append(connection)",
+        tmp_path,
+    )
+    assert "guarded-by" in _rules_for(run_lint([str(mutant)]), mutant)
+
+
 def test_swallowed_exception_is_caught(tmp_path):
     # gut the canary-failure recording back to a silent swallow
     source = Path(rollout_module.__file__).read_text()

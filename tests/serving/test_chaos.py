@@ -22,6 +22,7 @@ operator sidecar would run them — serialized by a test-local lock.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -153,6 +154,59 @@ def test_mid_trace_gateway_kill_survived_with_zero_failed_requests():
     assert outcomes == ["applied", "applied"]
     # the kill reported the address that went dark; the restart, the same one
     assert report.faults[0]["address"] == report.faults[1]["address"]
+
+
+def test_rolling_gateway_kills_under_closed_loop_traffic_on_pooled_connections():
+    """Four callers share one client (so every request rides a pooled
+    keep-alive connection) while the two gateways are killed and
+    re-registered in turn.  Whatever instant a kill lands in — connection
+    idle, request line half read, handler running, response being
+    written — the caller gets an answer: from the dying gateway if the
+    request was already in its handler, from the survivor otherwise."""
+    fleet = deploy_app_fleet(devices=FLEET[:2])
+    failures = []
+    answered = [0] * 4
+    done = threading.Event()
+
+    def caller(index: int, client: LibEIClient) -> None:
+        seq = index
+        while not done.is_set():
+            try:
+                body = client.call_algorithm("home", "power_monitor", {"seq": seq})
+                assert body["status"] == "ok", body
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                failures.append(repr(exc))
+                return
+            answered[index] += 1
+            seq += 4
+
+    with GatewaySupervisor(fleet, gateways=2) as supervisor:
+        with LibEIClient(supervisor.addresses, timeout_s=10.0) as client:
+            callers = [threading.Thread(target=caller, args=(i, client)) for i in range(4)]
+            for thread in callers:
+                thread.start()
+            try:
+                for _ in range(3):
+                    for slot in (0, 1):
+                        supervisor.kill(slot)
+                        supervisor.restart(slot)
+                        # traffic kept flowing, and no failover pass that saw
+                        # this slot down is still running when the other slot
+                        # goes: a caller's second answer from here on belongs
+                        # to a call that began after the restart
+                        after_restart = list(answered)
+                        give_up = time.monotonic() + 10.0
+                        while any(now < was + 2 for now, was in zip(answered, after_restart)):
+                            assert not failures and time.monotonic() < give_up
+                            time.sleep(0.005)
+            finally:
+                done.set()
+                for thread in callers:
+                    thread.join(timeout=15.0)
+            assert not any(thread.is_alive() for thread in callers)
+    assert failures == []
+    assert supervisor.kills == 6 and supervisor.restarts == 6
+    assert all(count > 0 for count in answered)
 
 
 # -- adaptive reselection under slowdown -------------------------------------------

@@ -1,6 +1,10 @@
 """Tests for the libei URL grammar, dispatcher, HTTP server and client."""
 
+import json
+import socket
+import sys
 import threading
+import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -352,3 +356,241 @@ def test_client_connection_reset_mid_request_fails_over(served_openei):
         resetting.shutdown()
         thread.join(timeout=5.0)
         resetting.server_close()
+
+
+# -- persistent connections: the client's idle stack --------------------------------
+
+def accepted_connections(server: LibEIServer) -> list:
+    """Count accepts: every connection the server takes passes ``get_request``."""
+    accepted = []
+    get_request = server._server.get_request
+
+    def counting_get_request():
+        request = get_request()
+        accepted.append(request[1])
+        return request
+
+    server._server.get_request = counting_get_request
+    return accepted
+
+
+def waiting_connections(server: LibEIServer, count: int) -> list:
+    """The server's idle accepted sockets, once there are exactly ``count`` of them.
+
+    A handler parks its connection *after* writing the response and lets
+    go of it after noticing the close, so either can trail the client.
+    """
+    deadline = time.monotonic() + 5.0
+    while len(server._server._waiting) != count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    waiting = list(server._server._waiting)
+    assert len(waiting) == count
+    return waiting
+
+
+def test_sequential_gets_share_one_accepted_connection(served_openei):
+    server = LibEIServer(served_openei)
+    accepted = accepted_connections(server)
+    with server, LibEIClient(server.address) as client:
+        for _ in range(25):
+            assert client.status()["status"] == "ok"
+        assert client.call_algorithm("safety", "detection")["status"] == "ok"
+        assert len(accepted) == 1
+        assert [len(stack) for stack in client._idle] == [1]
+
+
+def test_stale_pooled_connection_is_retried_on_the_same_replica(served_openei, monkeypatch):
+    spare = LibEIServer(served_openei)
+    server = LibEIServer(served_openei)
+    accepted = accepted_connections(server)
+    with spare, server:
+        client = LibEIClient([server.address, spare.address], retries=2, backoff_s=5.0)
+        assert client.status()["status"] == "ok"
+        # the server ends the pooled connection behind the client's back
+        (pooled,) = client._idle[0]
+        (accepted_socket,) = waiting_connections(server, 1)
+        accepted_socket.shutdown(socket.SHUT_RDWR)
+        waiting_connections(server, 0)
+
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        assert client.status()["status"] == "ok"
+        assert len(accepted) == 2                    # redialled the same replica...
+        assert client._primary == 0                  # ...which stays primary
+        assert client._idle[1] == []                 # the spare was never asked
+        assert slept == []                           # and no retries pass was spent
+        assert client._idle[0] != [pooled]           # the dead connection is gone
+
+
+def test_at_most_one_same_replica_retry_per_stale_connection(served_openei):
+    """A stale connection to a replica that is really down costs one fresh
+    dial (refused), then failover — not a loop."""
+    with LibEIServer(served_openei) as live:
+        doomed = LibEIServer(served_openei)
+        doomed.start()
+        client = LibEIClient([doomed.address, live.address], timeout_s=2.0)
+        assert client.status()["status"] == "ok" and client._primary == 0
+        doomed.stop()
+        dials = []
+        exchange = client._exchange
+
+        def recording_exchange(index, connection, path):
+            dials.append((index, connection.sock is None))  # sock None = fresh
+            return exchange(index, connection, path)
+
+        client._exchange = recording_exchange
+        assert client.status()["status"] == "ok"
+        assert dials == [(0, False), (0, True), (1, True)]
+        assert client._primary == 1
+
+
+def test_http10_peer_is_never_pooled():
+    """``canned_server`` speaks HTTP/1.0, so every response will close.  (The
+    HTTP/1.1 ``Connection: close`` case is the in-flight-kill test in
+    ``test_supervisor.py``.)"""
+    with canned_server(200, b'{"status": "ok"}') as address:
+        client = LibEIClient(address)
+        for _ in range(3):
+            assert client.status() == {"status": "ok"}
+        assert client._idle == [[]]
+
+
+def test_error_status_drains_the_body_before_the_connection_is_reused(served_openei):
+    class Draining(LibEIDispatcher):
+        def safe_handle_path(self, path):
+            if path == "/draining":
+                return 503, {"status": "error", "error": "fleet draining " + "x" * 4096}
+            return super().safe_handle_path(path)
+
+    server = LibEIServer(Draining(served_openei))
+    accepted = accepted_connections(server)
+    with server, LibEIClient(server.address) as client:
+        for _ in range(3):
+            with pytest.raises(APIError, match="503.*fleet draining"):
+                client.get("/draining")
+            with pytest.raises(APIError, match="404"):
+                client.call_algorithm("safety", "missing")
+            assert client.status()["status"] == "ok"
+        assert len(accepted) == 1  # error responses kept the connection usable
+
+
+def test_threads_sharing_one_client_never_interleave_on_a_connection(served_openei):
+    def echo(ei, args):
+        return {"seq": args["seq"]}
+
+    served_openei.register_algorithm("safety", "echo", echo)
+    threads_n, calls_n = 8, 200
+    wrong = []
+    crashed = []
+    server = LibEIServer(served_openei)
+    accepted = accepted_connections(server)
+
+    def worker(index: int, client: LibEIClient) -> None:
+        try:
+            for k in range(calls_n):
+                seq = index * calls_n + k
+                body = client.call_algorithm("safety", "echo", {"seq": seq})
+                if body["result"]["seq"] != seq:
+                    wrong.append((seq, body))
+        except Exception as exc:  # noqa: BLE001 - reported by the assert below
+            crashed.append(exc)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # widen every take/give-back race window
+    try:
+        with server, LibEIClient(server.address) as client:
+            workers = [threading.Thread(target=worker, args=(i, client))
+                       for i in range(threads_n)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60.0)
+            idle = len(client._idle[0])
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert crashed == [] and wrong == []
+    # a connection is held by one call at a time, so there are never more
+    # of them than callers, and every one came back to the stack
+    assert 1 <= len(accepted) <= threads_n
+    assert idle == len(accepted)
+
+
+def test_close_closes_idle_connections_and_stays_idempotent(served_openei):
+    with LibEIServer(served_openei) as server:
+        client = LibEIClient(server.address)
+        assert client.submit("/ei_status").result(timeout=5.0)["status"] == "ok"
+        assert client.status()["status"] == "ok"
+        pooled = list(client._idle[0])
+        assert pooled and all(c.sock is not None for c in pooled)
+        client.close()
+        assert client._idle == [[]] and client._pool is None
+        assert all(c.sock is None for c in pooled)
+        client.close()
+        # a closed client is not poisoned: the next call dials afresh
+        assert client.status()["status"] == "ok"
+        client.close()
+
+
+# -- persistent connections: the server side ---------------------------------------
+
+def read_to_eof(sock: socket.socket) -> bytes:
+    received = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return received
+        received += chunk
+
+
+def test_http10_request_is_answered_then_closed_by_the_server(served_openei):
+    """``bench/servebench/passes.py::_response_header_bytes`` reads to EOF:
+    it must see the close at once, not after the idle timeout."""
+    with LibEIServer(served_openei) as server:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(b"GET /ei_status HTTP/1.0\r\nHost: test\r\n\r\n")
+            started = time.monotonic()
+            received = read_to_eof(sock)
+            assert time.monotonic() - started < 5.0
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["status"] == "ok"
+        assert int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0]) == len(body)
+
+
+def test_http11_connection_serves_many_requests_and_honours_connection_close(served_openei):
+    with LibEIServer(served_openei) as server:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            reader = sock.makefile("rb")
+            for _ in range(3):
+                sock.sendall(b"GET /ei_status HTTP/1.1\r\nHost: test\r\n\r\n")
+                headers = {}
+                assert reader.readline() == b"HTTP/1.1 200 OK\r\n"
+                for line in iter(reader.readline, b"\r\n"):
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.lower()] = value.strip()
+                assert "connection" not in headers
+                assert json.loads(reader.read(int(headers["content-length"])))["status"] == "ok"
+            sock.sendall(b"GET /ei_status HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+            assert b"\r\nConnection: close\r\n" in reader.read()  # read() returns at EOF
+
+
+def test_idle_timeout_closes_a_silent_connection(served_openei):
+    from repro.serving.server import IDLE_TIMEOUT_S
+
+    server = LibEIServer(served_openei)
+    handler_class = server._server.RequestHandlerClass
+    assert handler_class.timeout == IDLE_TIMEOUT_S
+    handler_class.timeout = 0.2  # this server's bound subclass only
+    with server:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            started = time.monotonic()
+            assert read_to_eof(sock) == b""  # closed without a byte sent either way
+            assert 0.1 < time.monotonic() - started < 4.0
+        # a connection that does talk is served, then idles out the same way
+        client = LibEIClient(server.address)
+        assert client.status()["status"] == "ok"
+        waiting_connections(server, 0)
+        # ...which the client sees as a stale pooled connection and redials
+        assert client.status()["status"] == "ok"
