@@ -3,9 +3,9 @@
 PR 1's fleet gateway still answered every ``/ei_algorithms`` request with
 one model call.  The :class:`~repro.serving.batching.BatchingDispatcher`
 coalesces concurrent same-algorithm requests into a single vectorized
-``predict`` over stacked inputs (the batch handler registered alongside
-the per-request handler; see
-:meth:`repro.core.openei.OpenEI.register_algorithm`).
+``predict`` over stacked inputs (the algorithm's one handler takes a
+list of calls; see :meth:`repro.core.openei.OpenEI.register_algorithm`).
+Unbatched, every request reaches that handler as a list of one.
 
 The workload is the kind that benefits most on an edge device: a
 FastGRNN sequence classifier whose forward pass walks timesteps in a
@@ -60,18 +60,8 @@ def _sequence(seed: int) -> np.ndarray:
     return _BASE_SEQUENCE * ((int(seed) % 13) - 6)
 
 
-def classify(ei, args):
-    """Per-request path: one FastGRNN forward pass per call."""
-    proba = CLASSIFIER.predict_proba(_sequence(args["seed"]))
-    return {
-        "seed": int(args["seed"]),
-        "label": int(proba.argmax(axis=1)[0]),
-        "confidence": round(float(proba.max(axis=1)[0]), 6),
-    }
-
-
 def classify_batch(ei, calls):
-    """Batched path: one forward pass over the whole stacked micro-batch."""
+    """One forward pass over the stacked sequences of every call in the list."""
     stacked = np.concatenate([_sequence(args["seed"]) for args in calls])
     proba = CLASSIFIER.predict_proba(stacked)
     return [
@@ -86,8 +76,7 @@ def classify_batch(ei, calls):
 
 def build_fleet(size: int) -> EdgeFleet:
     fleet = EdgeFleet.deploy([DEVICE_POOL[i % len(DEVICE_POOL)] for i in range(size)])
-    fleet.register_algorithm("health", "classify", classify,
-                             batch_handler=classify_batch)
+    fleet.register_algorithm("health", "classify", batch_handler=classify_batch)
     return fleet
 
 

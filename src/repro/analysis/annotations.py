@@ -18,8 +18,8 @@ and survive refactors that move code between files:
     On (or immediately under) a ``def`` line.  Asserts the function is
     only ever called with the named lock already held, so mutations of
     attributes guarded by that lock are legal in its body.  This is the
-    escape hatch for helper methods like ``ConcurrentExecutor._admit_next``
-    whose caller holds the condition across the call.
+    escape hatch for helper methods like ``AdaptiveController._reselect``
+    whose caller holds the lock across the call.
 
 ``# lint: ignore[rule-id, ...] reason``
     Suppresses the named rules on that line (trailing) or on the next

@@ -277,8 +277,9 @@ class GuardedByRule(Rule):
     while that lock is held.
 
     History: the serving fleet has 17 locks across 13 modules, and the
-    judging flag in rollout.py and the failed-task list in executor.py
-    were both mutated outside their locks before this rule existed.
+    judging flag in rollout.py and the failed-task list in the since
+    deleted runtime/executor.py were both mutated outside their locks
+    before this rule existed.
     """
 
     rule_id = "guarded-by"

@@ -1,12 +1,12 @@
-"""Shared micro-batch plumbing for the scenario apps' batch handlers.
+"""Shared list-of-calls plumbing for the scenario apps' handlers.
 
-Every app batch handler follows the same contract (see
-``docs/API.md``, "App `batch_handler` contract"): gather one reading per
-request, answer the whole micro-batch with one stacked call when the
-inputs are shape-homogeneous, and report each request's *amortized*
-share of the batch wall clock as its observed ALEM latency.  The two
-subtle pieces of that contract live here so the four apps cannot drift
-apart.
+Every app registers one handler over a list of calls (see
+``docs/API.md``, "App `batch_handler` contract"; a single request is a
+list of one): gather one reading per call, answer the whole list with
+one stacked call when the inputs are shape-homogeneous, and report each
+call's *amortized* share of the wall clock as its observed ALEM latency.
+The two subtle pieces of that contract live here so the four apps cannot
+drift apart.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ def amortized_batch_latency(start: float, ei, count: int) -> float:
 def stack_if_homogeneous(payloads: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     """``np.stack(payloads)`` when they share one shape, else ``None``.
 
-    Batch handlers consume their sensor readings exactly once *before*
+    Handlers consume their sensor readings exactly once *before*
     stacking; a mixed-shape micro-batch (requests naming
     differently-sized sensors) must take the caller's per-reading path
     rather than raise — an exception here would make the dispatcher's
-    error-isolation retry re-consume fresh readings, diverging from the
-    unbatched path.
+    error-isolation retry re-consume fresh readings, so a co-batched
+    request would see a later reading than it would have alone.
     """
     if len({payload.shape for payload in payloads}) == 1:
         return np.stack(payloads)

@@ -120,17 +120,10 @@ def register_connected_health(
         )
         return result
 
-    def activity_handler(ei: OpenEI, args: Dict[str, object]) -> Dict[str, object]:
-        start = time.perf_counter()
-        reading = ei.data_store.realtime(str(args.get("sensor", sensor_id)))
-        result = recognizer.recognize(reading.payload)
-        latency = (time.perf_counter() - start) * ei.runtime.slowdown
-        return _finalize(result, reading, latency)
-
     def activity_batch_handler(
         ei: OpenEI, calls: List[Dict[str, object]]
     ) -> List[Dict[str, object]]:
-        """Stack the micro-batch's IMU windows into one fused engine forward."""
+        """Stack the calls' IMU windows into one fused engine forward."""
         start = time.perf_counter()
         readings = [
             ei.data_store.realtime(str(args.get("sensor", sensor_id))) for args in calls
@@ -147,7 +140,6 @@ def register_connected_health(
         ]
 
     openei.register_algorithm(
-        "health", "activity_recognition", activity_handler,
-        batch_handler=activity_batch_handler,
+        "health", "activity_recognition", batch_handler=activity_batch_handler
     )
     return recognizer

@@ -18,7 +18,22 @@ import numpy as np
 from repro.apps._batching import amortized_batch_latency, stack_if_homogeneous
 from repro.core.openei import OpenEI
 from repro.data.sensors import VehicleCameraSensor
-from repro.exceptions import ConfigurationError
+from repro.exceptions import APIError, ConfigurationError
+
+#: Most frames one ``vehicles/tracking`` call may capture.  ``frames`` comes
+#: straight from the request URL; a larger value is refused, not clamped.
+MAX_FRAMES_PER_CALL = 256
+
+
+def _frame_count(args: Dict[str, object]) -> int:
+    """The call's validated ``frames`` argument (default 1, values below 1 mean 1)."""
+    frames = args.get("frames", 1)
+    if not isinstance(frames, int) or frames > MAX_FRAMES_PER_CALL:
+        raise APIError(
+            f"argument 'frames' must be an integer of at most {MAX_FRAMES_PER_CALL}, "
+            f"got {frames!r}"
+        )
+    return max(1, frames)
 
 
 @dataclass
@@ -148,23 +163,10 @@ def register_connected_vehicles(
             "predicted_next": [float(prediction[0]), float(prediction[1])],
         }
 
-    def tracking_handler(ei: OpenEI, args: Dict[str, object]) -> Dict[str, object]:
-        start = time.perf_counter()
-        frames = int(args.get("frames", 1))
-        readings = ei.data_store.capture(str(args.get("video", camera_id)), count=max(1, frames))
-        measurements = tracker.measure_batch(np.stack([r.payload for r in readings]))
-        result = _fold_track(readings, measurements)
-        # per-request latency observation for the adaptive control
-        # plane (wall clock scaled by the emulated device slowdown)
-        result["observed_alem"] = {
-            "latency_s": (time.perf_counter() - start) * ei.runtime.slowdown
-        }
-        return result
-
     def tracking_batch_handler(
         ei: OpenEI, calls: List[Dict[str, object]]
     ) -> List[Dict[str, object]]:
-        """Measure every frame of the micro-batch in one vectorized pass.
+        """Measure every frame of every call in one vectorized pass.
 
         The alpha-beta filter itself is sequential (each update feeds the
         next), so per-request results are folded in arrival order — but
@@ -172,11 +174,13 @@ def register_connected_vehicles(
         over the stacked frames of *all* requests.
         """
         start = time.perf_counter()
+        # every call's ``frames`` is checked before any reading is consumed:
+        # a raise after capture() would make the dispatcher's per-request
+        # retry re-consume readings
+        counts = [_frame_count(args) for args in calls]
         per_call_readings = [
-            ei.data_store.capture(
-                str(args.get("video", camera_id)), count=max(1, int(args.get("frames", 1)))
-            )
-            for args in calls
+            ei.data_store.capture(str(args.get("video", camera_id)), count=count)
+            for args, count in zip(calls, counts)
         ]
         flat_readings = [r for readings in per_call_readings for r in readings]
         stacked = stack_if_homogeneous([reading.payload for reading in flat_readings])
@@ -195,12 +199,12 @@ def register_connected_vehicles(
             measurements = all_measurements[offset : offset + len(readings)]
             offset += len(readings)
             results.append(_fold_track(readings, measurements))
+        # per-request latency observation for the adaptive control plane
+        # (wall clock scaled by the emulated device slowdown)
         latency = amortized_batch_latency(start, ei, len(calls))
         for result in results:
             result["observed_alem"] = {"latency_s": latency}
         return results
 
-    openei.register_algorithm(
-        "vehicles", "tracking", tracking_handler, batch_handler=tracking_batch_handler
-    )
+    openei.register_algorithm("vehicles", "tracking", batch_handler=tracking_batch_handler)
     return tracker

@@ -145,22 +145,8 @@ def register_public_safety(openei: OpenEI, camera_id: str = "camera1", seed: int
             "observed_alem": {"latency_s": latency_s},
         }
 
-    def detection_handler(ei: OpenEI, args: Dict[str, object]) -> Dict[str, object]:
-        start = time.perf_counter()
-        reading = ei.data_store.realtime(str(args.get("video", camera_id)))
-        detections = detector.detect(reading.payload)
-        latency = (time.perf_counter() - start) * ei.runtime.slowdown
-        return _detection_result(reading, detections, latency)
-
-    def firearm_handler(ei: OpenEI, args: Dict[str, object]) -> Dict[str, object]:
-        start = time.perf_counter()
-        reading = ei.data_store.realtime(str(args.get("video", camera_id)))
-        detections = detector.detect(reading.payload)
-        latency = (time.perf_counter() - start) * ei.runtime.slowdown
-        return _firearm_result(reading, detections, latency)
-
     def _batched(build_result):
-        """A batch handler that stacks the micro-batch's frames into one detector call."""
+        """A handler that stacks the frames of its calls into one detector call."""
 
         def batch_handler(ei: OpenEI, calls: List[Dict[str, object]]) -> List[Dict[str, object]]:
             start = time.perf_counter()
@@ -180,10 +166,8 @@ def register_public_safety(openei: OpenEI, camera_id: str = "camera1", seed: int
 
         return batch_handler
 
+    openei.register_algorithm("safety", "detection", batch_handler=_batched(_detection_result))
     openei.register_algorithm(
-        "safety", "detection", detection_handler, batch_handler=_batched(_detection_result)
-    )
-    openei.register_algorithm(
-        "safety", "firearm_detection", firearm_handler, batch_handler=_batched(_firearm_result)
+        "safety", "firearm_detection", batch_handler=_batched(_firearm_result)
     )
     return detector

@@ -159,17 +159,10 @@ def register_smart_home(
             },
         }
 
-    def power_monitor_handler(ei: OpenEI, args: Dict[str, object]) -> Dict[str, object]:
-        start = time.perf_counter()
-        reading = ei.data_store.realtime(str(args.get("meter", meter_id)))
-        states = monitor.infer_states(float(reading.payload[0]))
-        latency = (time.perf_counter() - start) * ei.runtime.slowdown
-        return _result(reading, states, latency)
-
     def power_monitor_batch_handler(
         ei: OpenEI, calls: List[Dict[str, object]]
     ) -> List[Dict[str, object]]:
-        """Resolve a whole micro-batch with one vectorized nearest-sum lookup."""
+        """Resolve every call's reading with one vectorized nearest-sum lookup."""
         start = time.perf_counter()
         readings = [
             ei.data_store.realtime(str(args.get("meter", meter_id))) for args in calls
@@ -182,8 +175,5 @@ def register_smart_home(
             for reading, states in zip(readings, batch_states)
         ]
 
-    openei.register_algorithm(
-        "home", "power_monitor", power_monitor_handler,
-        batch_handler=power_monitor_batch_handler,
-    )
+    openei.register_algorithm("home", "power_monitor", batch_handler=power_monitor_batch_handler)
     return monitor

@@ -9,7 +9,6 @@ and a registry of scenario algorithms reachable through libei's
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,26 +19,48 @@ from repro.core.model_selector import ModelSelector, SelectionResult
 from repro.core.model_zoo import ModelZoo
 from repro.core.package_manager import InferenceOutcome, PackageManager
 from repro.data.store import EdgeDataStore
-from repro.exceptions import BatchContractError, DeploymentError, ResourceNotFoundError
+from repro.exceptions import (
+    BatchContractError,
+    ConfigurationError,
+    DeploymentError,
+    ResourceNotFoundError,
+)
 from repro.hardware.catalog import get_device
 from repro.hardware.device import DeviceSpec
-from repro.hardware.profiler import make_profiler
 from repro.runtime.edgeos import EdgeRuntime
 
-#: Signature of a scenario algorithm: it receives the OpenEI instance and
-#: the request arguments and returns a JSON-serializable dictionary.
-AlgorithmHandler = Callable[["OpenEI", Dict[str, object]], Dict[str, object]]
-
-#: Signature of a batch-capable scenario algorithm: one call over a list of
-#: request argument dicts, returning one result per request *in order* —
-#: typically a single vectorized ``predict`` over stacked inputs.
+#: Signature of a scenario algorithm as the registry stores it: one call
+#: over a list of request argument dicts, returning one JSON-serializable
+#: result per request *in order* — typically a single vectorized
+#: ``predict`` over stacked inputs.  A single request is a list of one.
 BatchAlgorithmHandler = Callable[
     ["OpenEI", List[Dict[str, object]]], List[Dict[str, object]]
 ]
 
+#: Convenience signature for an algorithm written one request at a time;
+#: :meth:`OpenEI.register_algorithm` adapts it into a loop.
+AlgorithmHandler = Callable[["OpenEI", Dict[str, object]], Dict[str, object]]
+
+
+def _looped(handler: AlgorithmHandler) -> BatchAlgorithmHandler:
+    """Adapt a one-request handler to the list signature the registry stores."""
+
+    def handle_each(ei: "OpenEI", calls: List[Dict[str, object]]) -> List[Dict[str, object]]:
+        return [handler(ei, args) for args in calls]
+
+    return handle_each
+
 
 class OpenEI:
-    """One deployed OpenEI instance on one edge device."""
+    """One deployed OpenEI instance on one edge device.
+
+    The algorithm registry holds one handler per
+    ``/ei_algorithms/<scenario>/<algorithm>`` URL — a callable over a
+    list of calls — and :meth:`_invoke` is the only path to it:
+    :meth:`call_algorithm` is a list of one, :meth:`call_algorithm_batch`
+    the list as given.  Neither public method calls the other, so a
+    subclass may wrap both (spans, counters) and see each call once.
+    """
 
     #: The four application scenarios of Fig. 4.
     SCENARIOS = ("safety", "vehicles", "home", "health")
@@ -52,7 +73,6 @@ class OpenEI:
         zoo: Optional[ModelZoo] = None,
         data_store: Optional[EdgeDataStore] = None,
         selection_cache=None,
-        telemetry=None,
     ) -> None:
         if device is None and device_name is None:
             raise DeploymentError("OpenEI needs a device or a device name to deploy onto")
@@ -69,15 +89,9 @@ class OpenEI:
         # A repro.serving.cache.SelectionCache (duck-typed here so core does
         # not import serving); may be shared by every instance of a fleet.
         self.selection_cache = selection_cache
-        # A repro.serving.telemetry.ALEMTelemetry (duck-typed for the same
-        # reason).  When attached, every algorithm call records its observed
-        # ALEM under this instance's device name; a fleet records at the
-        # gateway instead, so instances deployed behind one leave this None.
-        self.telemetry = telemetry
-        self._algorithms: Dict[str, Dict[str, AlgorithmHandler]] = {
+        self._algorithms: Dict[str, Dict[str, BatchAlgorithmHandler]] = {
             scenario: {} for scenario in self.SCENARIOS
         }
-        self._batch_algorithms: Dict[Tuple[str, str], BatchAlgorithmHandler] = {}
 
     # -- deployment -----------------------------------------------------------
     @classmethod
@@ -92,14 +106,11 @@ class OpenEI:
             "package_manager": self.package_manager.describe(),
             "runtime": self.runtime.describe(),
             "models": self.zoo.names,
-            "scenarios": {
-                scenario: sorted(handlers) for scenario, handlers in self._algorithms.items()
-            },
+            "scenarios": self.algorithms(),
             "sensors": self.data_store.sensor_ids,
             "selection_cache": (
                 self.selection_cache.describe() if self.selection_cache is not None else None
             ),
-            "telemetry": self.telemetry.describe() if self.telemetry is not None else None,
         }
 
     # -- model selection ---------------------------------------------------------
@@ -195,23 +206,27 @@ class OpenEI:
         self,
         scenario: str,
         name: str,
-        handler: AlgorithmHandler,
+        handler: Optional[AlgorithmHandler] = None,
         batch_handler: Optional[BatchAlgorithmHandler] = None,
     ) -> None:
-        """Expose ``handler`` as ``/ei_algorithms/<scenario>/<name>``.
+        """Expose one handler as ``/ei_algorithms/<scenario>/<name>``.
 
-        ``batch_handler`` optionally serves a whole list of concurrent
-        requests in one call (see :meth:`call_algorithm_batch`); it must
-        return exactly one result per request, in request order, and each
-        result must match what ``handler`` returns for the same args.
+        Pass exactly one of the two.  ``batch_handler`` answers a whole
+        list of calls in one invocation — one result per call, in call
+        order — and is stored as is.  ``handler`` answers one call; it is
+        adapted here, once, into a loop over the list.  Either way the
+        registry holds a single callable per algorithm, which serves
+        :meth:`call_algorithm` (a list of one) and
+        :meth:`call_algorithm_batch` alike.
         """
-        if scenario not in self._algorithms:
-            self._algorithms[scenario] = {}
-        self._algorithms[scenario][name] = handler
-        if batch_handler is not None:
-            self._batch_algorithms[(scenario, name)] = batch_handler
-        else:
-            self._batch_algorithms.pop((scenario, name), None)
+        if (handler is None) == (batch_handler is None):
+            raise ConfigurationError(
+                f"register_algorithm({scenario!r}, {name!r}) takes exactly one of "
+                "handler= and batch_handler="
+            )
+        self._algorithms.setdefault(scenario, {})[name] = (
+            batch_handler if batch_handler is not None else _looped(handler)
+        )
 
     def algorithms(self, scenario: Optional[str] = None) -> Dict[str, List[str]]:
         """Registered algorithm names, optionally for one scenario."""
@@ -219,24 +234,31 @@ class OpenEI:
             return {scenario: sorted(self._algorithms.get(scenario, {}))}
         return {s: sorted(handlers) for s, handlers in self._algorithms.items()}
 
-    def call_algorithm(
-        self, scenario: str, name: str, args: Optional[Dict[str, object]] = None
-    ) -> Dict[str, object]:
-        """Dispatch an /ei_algorithms call to its registered handler."""
-        handlers = self._algorithms.get(scenario)
-        if handlers is None or name not in handlers:
+    def _invoke(
+        self, scenario: str, name: str, args_list: Sequence[Optional[Dict[str, object]]]
+    ) -> List[Dict[str, object]]:
+        """The one path to a handler: look up, copy each call's args, call, count."""
+        handler = self._algorithms.get(scenario, {}).get(name)
+        if handler is None:
             raise ResourceNotFoundError(
                 f"no algorithm {name!r} registered for scenario {scenario!r}"
             )
-        if self.telemetry is None:
-            return handlers[name](self, dict(args or {}))
-        start = time.perf_counter()
-        result = handlers[name](self, dict(args or {}))
-        self.telemetry.record_result(
-            scenario, name, self.device.name, result,
-            wall_latency_s=time.perf_counter() - start,
-        )
-        return result
+        if not args_list:
+            return []
+        calls = [dict(args or {}) for args in args_list]
+        results = list(handler(self, calls))
+        if len(results) != len(calls):
+            raise BatchContractError(
+                f"handler for {scenario}/{name} returned {len(results)} "
+                f"results for {len(calls)} requests"
+            )
+        return results
+
+    def call_algorithm(
+        self, scenario: str, name: str, args: Optional[Dict[str, object]] = None
+    ) -> Dict[str, object]:
+        """Serve one ``/ei_algorithms`` request: a batch of one."""
+        return self._invoke(scenario, name, [args])[0]
 
     def call_algorithm_batch(
         self,
@@ -246,28 +268,11 @@ class OpenEI:
     ) -> List[Dict[str, object]]:
         """Serve many ``/ei_algorithms`` requests for one algorithm in one call.
 
-        With a registered batch handler the whole list is answered by a
-        single invocation (a vectorized ``predict`` over stacked inputs);
-        otherwise the per-request handler runs in a loop, so batching is
-        always correct and merely faster when the algorithm opts in.
+        The handler sees the whole list at once (a vectorized ``predict``
+        over stacked inputs when it was written for lists) and answers
+        one result per request, in request order.
         """
-        handlers = self._algorithms.get(scenario)
-        if handlers is None or name not in handlers:
-            raise ResourceNotFoundError(
-                f"no algorithm {name!r} registered for scenario {scenario!r}"
-            )
-        calls = [dict(args or {}) for args in args_list]
-        batch_handler = self._batch_algorithms.get((scenario, name))
-        if batch_handler is None:
-            handler = handlers[name]
-            return [handler(self, args) for args in calls]
-        results = list(batch_handler(self, calls))
-        if len(results) != len(calls):
-            raise BatchContractError(
-                f"batch handler for {scenario}/{name} returned {len(results)} "
-                f"results for {len(calls)} requests"
-            )
-        return results
+        return self._invoke(scenario, name, args_list)
 
     # -- data access (libei's /ei_data) ---------------------------------------------------
     def get_realtime_data(self, sensor_id: str) -> Dict[str, object]:

@@ -11,8 +11,8 @@ driven.  This package provides the three pieces:
 * :mod:`repro.loadgen.harness` — :class:`OpenLoopHarness` fires each
   request at its trace offset regardless of response lag (queueing
   delay lands in the tail, not in generator backpressure) and
-  aggregates per-scenario p50/p95/p99, RPS and error counts into the
-  repo-root ``BENCH_serving_tail.json`` trajectory artifact;
+  aggregates per-scenario p50/p95/p99, RPS and error counts into a
+  ``BENCH_serving_tail.json`` report;
 * :mod:`repro.loadgen.faults` — :class:`FaultInjector` executes a
   trace's fault plan against the live stack: gateway kills/restarts
   (through :class:`~repro.serving.supervisor.GatewaySupervisor`),

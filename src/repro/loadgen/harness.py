@@ -19,8 +19,8 @@ stall the arrival schedule.
 
 The resulting :class:`TailLatencyReport` aggregates per-scenario
 p50/p95/p99, RPS and error counts, and :func:`write_bench_report`
-serializes it to the repo-root ``BENCH_serving_tail.json`` artifact that
-tracks the fleet's tail across PRs.
+serializes it as a ``BENCH_serving_tail.json`` report wherever the
+caller says (the tail-latency bench writes under pytest's ``tmp_path``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.loadgen.trace import TimedRequest, Trace
 #: Report-file schema version (see docs/BENCHMARKS.md).
 REPORT_SCHEMA_VERSION = 1
 
-#: Default repo-root artifact name for the serving tail trajectory.
+#: File name of the serving tail report.
 BENCH_REPORT_NAME = "BENCH_serving_tail.json"
 
 

@@ -10,24 +10,18 @@ a discrete-virtual-time simulator:
 * :mod:`repro.runtime.scheduler` — a priority scheduler with the
   *real-time machine-learning* boost the package manager invokes for
   urgent inferences;
-* :mod:`repro.runtime.executor` — a thread-pool executor running the same
-  tasks with real wall-clock concurrency, strict-priority admission and
-  memory-reservation backpressure;
 * :mod:`repro.runtime.edgeos` — the EdgeRuntime facade OpenEI deploys onto;
 * :mod:`repro.runtime.migration` — computation migration between edges.
 """
 
 from repro.runtime.edgeos import EdgeRuntime
-from repro.runtime.executor import ConcurrentExecutor, ExecutionHandle
 from repro.runtime.migration import MigrationPlanner
 from repro.runtime.resources import ResourceAccountant, ResourceUsage
 from repro.runtime.scheduler import PriorityScheduler, ScheduleEntry
 from repro.runtime.tasks import Task, TaskPriority, TaskState
 
 __all__ = [
-    "ConcurrentExecutor",
     "EdgeRuntime",
-    "ExecutionHandle",
     "MigrationPlanner",
     "PriorityScheduler",
     "ResourceAccountant",

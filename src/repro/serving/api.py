@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
 from urllib.parse import parse_qsl, unquote, urlparse
 
 from repro.exceptions import APIError, ResourceNotFoundError
@@ -25,7 +25,10 @@ class LibEITarget(Protocol):
     a whole :class:`~repro.serving.fleet.EdgeFleet` implement this
     surface, which is what lets one dispatcher/server code path serve
     either — the gateway is just a :class:`LibEIServer` whose target
-    happens to route.
+    happens to route.  So does
+    :class:`~repro.serving.batching.BatchingDispatcher`, which turns
+    concurrent ``call_algorithm`` calls into one ``call_algorithm_batch``
+    on the target it wraps.
     """
 
     def describe(self) -> Dict[str, object]:
@@ -35,6 +38,11 @@ class LibEITarget(Protocol):
         self, scenario: str, name: str, args: Optional[Dict[str, object]] = None
     ) -> Dict[str, object]:
         """Run ``/ei_algorithms/<scenario>/<name>``."""
+
+    def call_algorithm_batch(
+        self, scenario: str, name: str, args_list: Sequence[Optional[Dict[str, object]]]
+    ) -> List[Dict[str, object]]:
+        """Run one algorithm over many calls: one result per call, in call order."""
 
     def get_realtime_data(self, sensor_id: str) -> Dict[str, object]:
         """Serve ``/ei_data/realtime/<sensor_id>``."""

@@ -5,9 +5,9 @@ same ``(scenario, algorithm)`` within a few milliseconds of each other.
 :class:`BatchingDispatcher` wraps any
 :class:`~repro.serving.api.LibEITarget` and coalesces those concurrent
 calls into one ``call_algorithm_batch`` invocation — a single vectorized
-``predict`` over stacked inputs when the algorithm registered a batch
-handler (see :meth:`repro.core.openei.OpenEI.register_algorithm`), a
-plain loop otherwise, so responses are identical either way.
+``predict`` over stacked inputs when the algorithm's handler was written
+for lists (see :meth:`repro.core.openei.OpenEI.register_algorithm`), a
+plain loop when it was registered one request at a time.
 
 The mechanism is leader election per ``(scenario, algorithm)`` queue:
 the first caller to arrive becomes the *leader* and waits up to
@@ -147,18 +147,6 @@ class BatchingDispatcher:
                 queue = self._queues[key] = _AlgorithmQueue()
             return queue
 
-    def _execute_batch(
-        self,
-        scenario: str,
-        name: str,
-        args_list: Sequence[Optional[Dict[str, object]]],
-    ) -> List[Dict[str, object]]:
-        """One invocation for the whole batch; loop when the target can't batch."""
-        batch_call = getattr(self.target, "call_algorithm_batch", None)
-        if batch_call is not None:
-            return batch_call(scenario, name, args_list)
-        return [self.target.call_algorithm(scenario, name, args) for args in args_list]
-
     def call_algorithm_batch(
         self,
         scenario: str,
@@ -166,14 +154,14 @@ class BatchingDispatcher:
         args_list: Sequence[Optional[Dict[str, object]]],
     ) -> List[Dict[str, object]]:
         """Already-batched calls skip the coalescing queue entirely."""
-        return self._execute_batch(scenario, name, args_list)
+        return self.target.call_algorithm_batch(scenario, name, args_list)
 
     def call_algorithm(
         self, scenario: str, name: str, args: Optional[Dict[str, object]] = None
     ) -> Dict[str, object]:
         """Coalesce this call with concurrent same-algorithm calls, then answer it."""
         if self.config.max_batch_size <= 1:
-            return self._execute_batch(scenario, name, [args])[0]
+            return self.target.call_algorithm(scenario, name, args)
         queue = self._queue_for((scenario, name))
         entry = _PendingCall(args)
         batch: Optional[List[_PendingCall]] = None
@@ -220,7 +208,7 @@ class BatchingDispatcher:
         # still being filled in
         outcomes: List[Tuple[Optional[Dict[str, object]], Optional[BaseException]]]
         try:
-            results = self._execute_batch(
+            results = self.target.call_algorithm_batch(
                 scenario, name, [pending.args for pending in batch]
             )
             if len(results) != len(batch):

@@ -27,7 +27,6 @@ import json
 import threading
 import time
 import urllib.parse
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import APIError, ConfigurationError
@@ -58,11 +57,10 @@ class LibEIClient:
     connection to itself for the whole exchange (taken from the idle
     stack or freshly opened, given back only once the response is fully
     read), and ``_primary`` (the sticky last-good replica index) is a
-    single atomic int.  For open-loop load generation,
-    :meth:`submit` / :meth:`submit_algorithm` dispatch without blocking
-    the caller, on a lazily-built client-owned worker pool sized by
-    ``max_workers``; :meth:`close` (or the context-manager exit) tears
-    the pool down and closes the idle connections.
+    single atomic int.  The client owns no threads — a load generator
+    that must not block on a response brings its own pool and calls
+    :meth:`get` from it; :meth:`close` (or the context-manager exit)
+    closes the idle connections.
     """
 
     def __init__(
@@ -71,20 +69,14 @@ class LibEIClient:
         timeout_s: float = 10.0,
         retries: int = 0,
         backoff_s: float = 0.0,
-        max_workers: int = 16,
     ) -> None:
         if retries < 0 or backoff_s < 0:
             raise ConfigurationError("retries and backoff_s must be non-negative")
-        if max_workers <= 0:
-            raise ConfigurationError("max_workers must be positive")
         self.addresses = _normalize_addresses(address)
         self.timeout_s = float(timeout_s)
         self.retries = int(retries)
         self.backoff_s = float(backoff_s)
-        self.max_workers = int(max_workers)
         self._primary = 0  # index of the replica that last answered
-        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _pool_lock
-        self._pool_lock = threading.Lock()
         # one stack of idle keep-alive connections per address; the lock is
         # a leaf held for the push/pop only, never across socket I/O
         self._idle: List[List[http.client.HTTPConnection]] = [  # guarded-by: _idle_lock
@@ -183,35 +175,8 @@ class LibEIClient:
         body = self.get(path)
         return body, time.perf_counter() - start
 
-    # -- non-blocking dispatch ----------------------------------------------------
-    def submit(self, path: str) -> "Future[Dict[str, object]]":
-        """Non-blocking :meth:`get`: dispatch on the worker pool, return a future.
-
-        The open-loop firing primitive for HTTP load generation — the
-        caller's schedule thread never waits on a response.  Failover
-        semantics are identical to :meth:`get` (the future raises
-        :class:`~repro.exceptions.APIError` when every replica fails).
-        """
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="libei-client"
-                )
-            pool = self._pool
-        return pool.submit(self.get, path)
-
-    def submit_algorithm(
-        self, scenario: str, algorithm: str, args: Optional[Dict[str, object]] = None
-    ) -> "Future[Dict[str, object]]":
-        """Non-blocking :meth:`call_algorithm` (see :meth:`submit`)."""
-        return self.submit(_algorithm_path(scenario, algorithm, args))
-
-    def close(self, wait: bool = True) -> None:
-        """Tear down the :meth:`submit` pool and close idle connections (idempotent)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
+    def close(self) -> None:
+        """Close the idle connections (idempotent; the client stays usable)."""
         with self._idle_lock:
             stacks, self._idle = self._idle, [[] for _ in self.addresses]
         for stack in stacks:

@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.alem import ALEM
-from repro.core.openei import AlgorithmHandler, OpenEI
+from repro.core.openei import BatchAlgorithmHandler, OpenEI
 from repro.core.registry import ModelVersion
 from repro.exceptions import ResourceNotFoundError
 from repro.nn.model import Sequential
@@ -167,7 +167,7 @@ class DeploymentTable:
             "the OpenEI instance handling this request is not part of the table's fleet"
         )
 
-    def _handler(self, scenario: str, algorithm: str) -> AlgorithmHandler:
+    def _handler(self, scenario: str, algorithm: str) -> BatchAlgorithmHandler:
         """The libei handler serving whatever the table holds for the replica.
 
         It reports simulation-aware ``observed_alem``: the record's
@@ -177,11 +177,11 @@ class DeploymentTable:
         in the telemetry windows both controllers judge.  A ``payload``
         argument is run through the deployed model — the replica's
         private copy of a registry version, else the zoo entry (which
-        also stands in for cloud-hosted weights).
+        also stands in for cloud-hosted weights).  Every call of a list
+        is answered from the one record resolved when the list arrived.
         """
 
-        def handle(ei: OpenEI, args: Dict[str, object]) -> Dict[str, object]:
-            record = self.get(scenario, algorithm, self._instance_id(ei))
+        def answer(ei: OpenEI, record: Deployment, args: Dict[str, object]) -> Dict[str, object]:
             latency = record.expected.latency_s
             if record.mode != "cloud":
                 latency *= ei.runtime.slowdown
@@ -211,8 +211,14 @@ class DeploymentTable:
             result["label"] = int(np.argmax(model.predict(inputs)[0]))
             return result
 
+        def handle(ei: OpenEI, calls: List[Dict[str, object]]) -> List[Dict[str, object]]:
+            record = self.get(scenario, algorithm, self._instance_id(ei))
+            return [answer(ei, record, args) for args in calls]
+
         return handle
 
     def serve(self, scenario: str, algorithm: str) -> None:
         """Register the table's libei handler for the key on every replica."""
-        self._fleet.register_algorithm(scenario, algorithm, self._handler(scenario, algorithm))
+        self._fleet.register_algorithm(
+            scenario, algorithm, batch_handler=self._handler(scenario, algorithm)
+        )

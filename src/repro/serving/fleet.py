@@ -177,10 +177,14 @@ class EdgeFleet:
         self,
         scenario: str,
         name: str,
-        handler: AlgorithmHandler,
+        handler: Optional[AlgorithmHandler] = None,
         batch_handler: Optional[BatchAlgorithmHandler] = None,
     ) -> None:
-        """Expose a handler on every instance (any replica can then serve it)."""
+        """Expose one handler on every instance (any replica can then serve it).
+
+        Exactly one of ``handler`` / ``batch_handler``, as on
+        :meth:`OpenEI.register_algorithm <repro.core.openei.OpenEI.register_algorithm>`.
+        """
         for instance in self._instances:
             instance.openei.register_algorithm(scenario, name, handler, batch_handler)
 
@@ -214,26 +218,47 @@ class EdgeFleet:
             "instances": [instance.describe() for instance in self._instances],
         }
 
+    def _route_call(
+        self, scenario: str, name: str, args: Optional[Dict[str, object]]
+    ) -> FleetInstance:
+        """The instance the policy picks for an algorithm call with ``args``."""
+        return self.route(ParsedRequest(
+            resource_type="ei_algorithms", scenario=scenario, algorithm=name,
+            args=dict(args or {}),
+        ))
+
+    def _finish(
+        self, scenario: str, name: str, instance: FleetInstance,
+        results: Sequence[Dict[str, object]], start: float,
+    ) -> List[Dict[str, object]]:
+        """Copy, record and tag what ``instance`` answered since ``start``.
+
+        Each result's wall clock is its amortized share: the calls ran as
+        one invocation.
+        """
+        per_request_s = (time.perf_counter() - start) / max(1, len(results))
+        tagged = []
+        for result in results:
+            # copy before tagging: a handler may return a shared/cached dict
+            result = dict(result)
+            if self.telemetry is not None:
+                self.telemetry.record_result(
+                    scenario, name, instance.instance_id, result,
+                    wall_latency_s=per_request_s,
+                )
+            result.setdefault("served_by", instance.instance_id)
+            tagged.append(result)
+        return tagged
+
     def call_algorithm(
         self, scenario: str, name: str, args: Optional[Dict[str, object]] = None
     ) -> Dict[str, object]:
         """Route an algorithm call to the policy's chosen instance."""
-        request = ParsedRequest(
-            resource_type="ei_algorithms", scenario=scenario, algorithm=name,
-            args=dict(args or {}),
-        )
-        instance = self.route(request)
+        instance = self._route_call(scenario, name, args)
         self._count_request(instance)
         start = time.perf_counter()
-        # copy before tagging: a handler may return a shared/cached dict
-        result = dict(instance.openei.call_algorithm(scenario, name, args))
-        if self.telemetry is not None:
-            self.telemetry.record_result(
-                scenario, name, instance.instance_id, result,
-                wall_latency_s=time.perf_counter() - start,
-            )
-        result.setdefault("served_by", instance.instance_id)
-        return result
+        result = instance.openei.call_algorithm(scenario, name, args)
+        return self._finish(scenario, name, instance, [result], start)[0]
 
     def call_algorithm_batch(
         self,
@@ -243,32 +268,17 @@ class EdgeFleet:
     ) -> List[Dict[str, object]]:
         """Route one micro-batch of same-algorithm calls to a single instance.
 
-        The whole batch lands on the policy's chosen replica so its
-        batch handler can answer it with one vectorized invocation.
+        The whole batch lands on the policy's chosen replica (routed on
+        its first call's arguments) so the handler can answer it with one
+        vectorized invocation.
         """
-        request = ParsedRequest(
-            resource_type="ei_algorithms", scenario=scenario, algorithm=name,
-            args=dict(args_list[0] or {}) if args_list else {},
-        )
-        instance = self.route(request)
+        instance = self._route_call(scenario, name, args_list[0] if args_list else None)
         start = time.perf_counter()
         results = instance.openei.call_algorithm_batch(scenario, name, args_list)
         # count only after success: a failed batch is retried per request by
         # the batching dispatcher, and those retries count themselves
         self._count_request(instance, count=len(args_list))
-        # amortized per-request wall clock: the batch ran as one invocation
-        per_request_s = (time.perf_counter() - start) / max(1, len(results))
-        tagged = []
-        for result in results:
-            if self.telemetry is not None:
-                self.telemetry.record_result(
-                    scenario, name, instance.instance_id, result,
-                    wall_latency_s=per_request_s,
-                )
-            result = dict(result)
-            result.setdefault("served_by", instance.instance_id)
-            tagged.append(result)
-        return tagged
+        return self._finish(scenario, name, instance, results, start)
 
     def get_realtime_data(self, sensor_id: str) -> Dict[str, object]:
         """Serve a realtime data call from an instance owning the sensor."""

@@ -71,13 +71,13 @@ def test_deployment_table_leaked_by_reference_is_caught(tmp_path):
 
 
 def test_urlopen_under_lock_is_caught(tmp_path):
-    # block the client's pool lock on a network round-trip
+    # block the client's idle-stack lock on a network round-trip
     mutant = _mutate(
         client_module,
-        "        with self._pool_lock:\n            if self._pool is None:",
-        "        with self._pool_lock:\n"
+        "        with self._idle_lock:\n            idle = self._idle[replica_index]",
+        "        with self._idle_lock:\n"
         '            urllib.request.urlopen("http://localhost/", timeout=0.1)\n'
-        "            if self._pool is None:",
+        "            idle = self._idle[replica_index]",
         tmp_path,
     )
     assert "blocking-under-lock" in _rules_for(run_lint([str(mutant)]), mutant)
@@ -144,13 +144,13 @@ def test_transitive_blocking_mutation_needs_the_interproc_pass(tmp_path):
     lock: the PR-7 intraprocedural rule goes blind, the call-graph pass
     still reports it with a chain witness."""
     source = Path(client_module.__file__).read_text()
-    anchor = "        with self._pool_lock:\n            if self._pool is None:"
+    anchor = "        with self._idle_lock:\n            idle = self._idle[replica_index]"
     assert anchor in source, "mutation anchor drifted — update this test"
     mutated = source.replace(
         anchor,
-        "        with self._pool_lock:\n"
+        "        with self._idle_lock:\n"
         "            _warm_connection()\n"
-        "            if self._pool is None:",
+        "            idle = self._idle[replica_index]",
     ) + (
         "\n\n"
         "def _dial():\n"
@@ -172,7 +172,7 @@ def test_transitive_blocking_mutation_needs_the_interproc_pass(tmp_path):
         f for f in full.findings if f.rule == "transitive-blocking-under-lock"
     )
     assert "_warm_connection" in finding.message
-    assert "_pool_lock" in finding.message
+    assert "_idle_lock" in finding.message
     assert len(finding.chain) == 3  # call site -> _warm_connection -> _dial
 
 

@@ -1,11 +1,11 @@
-"""Batch-handler contract tests for the four scenario apps.
+"""Handler contract tests for the four scenario apps.
 
-Each app now registers a true ``batch_handler`` alongside its per-request
-handler (see :meth:`repro.core.openei.OpenEI.register_algorithm`): the
-micro-batch's inputs are stacked into a single engine / vectorized call.
-The contract under test is result parity — a batch of N requests must
-produce the same answers, request by request, as N per-request calls
-against an identically-seeded deployment.
+Each app registers ONE handler per algorithm, over a list of calls (see
+:meth:`repro.core.openei.OpenEI.register_algorithm`): the list's inputs
+are stacked into a single engine / vectorized call, and a single request
+is a list of one.  The contract under test is stacked-vs-unstacked
+parity — a list of N requests must produce the same answers, request by
+request, as N single calls against an identically-seeded deployment.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ from repro.apps import (
     register_public_safety,
     register_smart_home,
 )
-from repro.apps.connected_vehicles import ObjectTracker
+from repro.apps import register_all
+from repro.apps.connected_vehicles import MAX_FRAMES_PER_CALL, ObjectTracker
 from repro.core import OpenEI
+from repro.exceptions import APIError
+from repro.serving import LibEIClient, LibEIDispatcher, LibEIServer
 
 
 def _deploy(register, **kwargs):
@@ -139,3 +142,56 @@ def test_measure_batch_matches_measure():
     batch = ObjectTracker.measure_batch(frames)
     for i, frame in enumerate(frames):
         np.testing.assert_allclose(batch[i], ObjectTracker.measure(frame), atol=1e-9)
+
+
+# -- the edges of a call list, and the one argument the apps convert ---------------
+
+@pytest.fixture(scope="module")
+def stock_openei():
+    openei = OpenEI.deploy("raspberry-pi-4")
+    register_all(openei, seed=0)
+    return openei
+
+
+@pytest.mark.parametrize("scenario,name", [
+    ("safety", "detection"),
+    ("safety", "firearm_detection"),
+    ("vehicles", "tracking"),
+    ("home", "power_monitor"),
+    ("health", "activity_recognition"),
+])
+def test_an_empty_call_list_answers_empty(stock_openei, scenario, name):
+    assert stock_openei.call_algorithm_batch(scenario, name, []) == []
+
+
+@pytest.mark.parametrize("segment", [
+    "?frames=abc",                    # not a number at all
+    "?frames=1.5",                    # a number, not an integer
+    "%7B%22frames%22:[1]%7D",         # the JSON-brace form: {"frames":[1]}
+    f"?frames={MAX_FRAMES_PER_CALL + 1}",
+    "?frames=100000",
+])
+def test_bad_frames_argument_is_a_400_and_consumes_no_reading(stock_openei, segment):
+    dispatcher = LibEIDispatcher(stock_openei)
+    assert dispatcher.safe_handle_path("/ei_algorithms/vehicles/tracking/")[0] == 200
+    captured = len(stock_openei.data_store.historical("vehiclecam1", 0.0))
+    status, body = dispatcher.safe_handle_path(f"/ei_algorithms/vehicles/tracking/{segment}")
+    assert status == 400, body
+    assert "frames" in body["error"]
+    assert len(stock_openei.data_store.historical("vehiclecam1", 0.0)) == captured
+
+
+def test_frames_bounds_clamp_low_and_admit_the_maximum(stock_openei):
+    for frames, expected in ((-3, 1), (0, 1), (2, 2), (MAX_FRAMES_PER_CALL, MAX_FRAMES_PER_CALL)):
+        result = stock_openei.call_algorithm("vehicles", "tracking", {"frames": frames})
+        assert len(result["track"]) == expected
+
+
+def test_bad_frames_argument_over_http(stock_openei):
+    with LibEIServer(stock_openei) as server, LibEIClient(server.address) as client:
+        for frames in ("abc", 100000):
+            with pytest.raises(APIError, match=r"\(400\).*frames"):
+                client.call_algorithm("vehicles", "tracking", {"frames": frames})
+        # the server is unharmed and a good value still answers
+        body = client.call_algorithm("vehicles", "tracking", {"frames": 2})
+        assert len(body["result"]["track"]) == 2

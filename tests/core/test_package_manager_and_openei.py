@@ -6,6 +6,7 @@ import pytest
 from repro.core import ALEMRequirement, ModelZoo, OpenEI, OptimizationTarget, PackageManager
 from repro.eialgorithms import build_mlp, build_vgg_lite
 from repro.exceptions import (
+    BatchContractError,
     ConfigurationError,
     DeploymentError,
     ModelSelectionError,
@@ -142,6 +143,48 @@ def test_openei_algorithm_registry_and_dispatch(deployed_openei):
         deployed_openei.call_algorithm("home", "missing")
     with pytest.raises(ResourceNotFoundError):
         deployed_openei.call_algorithm("unknown-scenario", "echo")
+
+
+def test_register_algorithm_takes_exactly_one_of_handler_and_batch_handler():
+    def one(ei, args):
+        return {}
+
+    def many(ei, calls):
+        return [{} for _ in calls]
+
+    openei = OpenEI(device_name="raspberry-pi-4")
+    with pytest.raises(ConfigurationError):
+        openei.register_algorithm("home", "both", one, batch_handler=many)
+    with pytest.raises(ConfigurationError):
+        openei.register_algorithm("home", "neither")
+    assert openei.algorithms("home") == {"home": []}
+
+
+def test_one_registered_handler_answers_singles_and_lists():
+    """Whichever signature was registered, both public calls reach it."""
+    openei = OpenEI(device_name="raspberry-pi-4")
+    openei.register_algorithm("home", "one", lambda ei, args: {"x": args.get("x")})
+    openei.register_algorithm(
+        "home", "many", batch_handler=lambda ei, calls: [{"x": a.get("x")} for a in calls]
+    )
+    for name in ("one", "many"):
+        assert openei.call_algorithm("home", name, {"x": 3}) == {"x": 3}
+        assert openei.call_algorithm("home", name) == {"x": None}
+        batch = openei.call_algorithm_batch("home", name, [{"x": 1}, None, {"x": 2}])
+        assert [r["x"] for r in batch] == [1, None, 2]
+
+
+def test_result_count_is_checked_for_a_single_call_too():
+    openei = OpenEI(device_name="raspberry-pi-4")
+    openei.register_algorithm("home", "short", batch_handler=lambda ei, calls: [])
+    openei.register_algorithm(
+        "home", "long", batch_handler=lambda ei, calls: [{}] * (len(calls) + 1)
+    )
+    for name in ("short", "long"):
+        with pytest.raises(BatchContractError):
+            openei.call_algorithm("home", name, {})
+        with pytest.raises(BatchContractError):
+            openei.call_algorithm_batch("home", name, [{}, {}])
 
 
 def test_openei_data_endpoints(deployed_openei):

@@ -20,15 +20,10 @@ from repro.serving import (
 class RecordingTarget:
     """A LibEITarget stub that records how its algorithm surface is called."""
 
-    def __init__(self, batch_capable: bool = True) -> None:
+    def __init__(self) -> None:
         self.single_calls = 0
         self.batch_sizes = []
         self.lock = threading.Lock()
-        if not batch_capable:
-            # hide the batch path so the dispatcher must fall back to a loop
-            self.call_algorithm_batch = None
-        else:
-            self.call_algorithm_batch = self._call_algorithm_batch
 
     def describe(self):
         return {"target": "recording"}
@@ -38,7 +33,7 @@ class RecordingTarget:
             self.single_calls += 1
         return {"scenario": scenario, "name": name, "x": (args or {}).get("x")}
 
-    def _call_algorithm_batch(self, scenario, name, args_list):
+    def call_algorithm_batch(self, scenario, name, args_list):
         with self.lock:
             self.batch_sizes.append(len(args_list))
         return [
@@ -137,19 +132,9 @@ def test_batch_size_one_passes_straight_through():
     assert time.monotonic() - start < 0.25, "pass-through must not wait for a window"
 
 
-def test_fallback_loop_when_target_cannot_batch():
-    target = RecordingTarget(batch_capable=False)
-    dispatcher = BatchingDispatcher(
-        target, BatchingConfig(max_batch_size=8, flush_window_s=0.02)
-    )
-    results = _fanout(dispatcher, 12)
-    assert [r["x"] for r in results] == list(range(12))
-    assert target.single_calls == 12
-
-
 def test_errors_propagate_to_every_caller_when_isolation_also_fails():
     class FailingTarget(RecordingTarget):
-        def _call_algorithm_batch(self, scenario, name, args_list):
+        def call_algorithm_batch(self, scenario, name, args_list):
             raise ResourceNotFoundError("no such algorithm")
 
         def call_algorithm(self, scenario, name, args=None):
@@ -177,7 +162,7 @@ def test_one_poisoned_request_does_not_fail_its_batch_neighbors():
                 raise ResourceNotFoundError("bad request")
             return super().call_algorithm(scenario, name, args)
 
-        def _call_algorithm_batch(self, scenario, name, args_list):
+        def call_algorithm_batch(self, scenario, name, args_list):
             with self.lock:
                 self.batch_sizes.append(len(args_list))
             return [self.call_algorithm(scenario, name, args) for args in args_list]
@@ -203,7 +188,7 @@ def test_one_poisoned_request_does_not_fail_its_batch_neighbors():
 
 def test_wrong_length_batch_results_surface_as_api_error():
     class ShortTarget(RecordingTarget):
-        def _call_algorithm_batch(self, scenario, name, args_list):
+        def call_algorithm_batch(self, scenario, name, args_list):
             return []
 
     dispatcher = BatchingDispatcher(
@@ -219,7 +204,7 @@ def test_broken_batch_handler_fails_loudly_instead_of_being_retried():
     from repro.exceptions import BatchContractError
 
     class ShortTarget(RecordingTarget):
-        def _call_algorithm_batch(self, scenario, name, args_list):
+        def call_algorithm_batch(self, scenario, name, args_list):
             return [{"x": 0}] * (len(args_list) - 1)
 
     target = ShortTarget()
@@ -249,7 +234,7 @@ def test_fleet_request_counters_stay_exact_when_a_batch_fails():
     def flaky_batch(ei, calls):
         return [flaky(ei, args) for args in calls]
 
-    fleet.register_algorithm("home", "flaky", flaky, batch_handler=flaky_batch)
+    fleet.register_algorithm("home", "flaky", batch_handler=flaky_batch)
     dispatcher = BatchingDispatcher(
         fleet, BatchingConfig(max_batch_size=8, flush_window_s=0.05)
     )
@@ -303,7 +288,7 @@ def test_openei_call_algorithm_batch_uses_batch_handler():
         invocations.append(len(calls))
         return _echo_batch(ei, calls)
 
-    openei.register_algorithm("home", "echo", _echo, batch_handler=batch)
+    openei.register_algorithm("home", "echo", batch_handler=batch)
     results = openei.call_algorithm_batch("home", "echo", [{"x": 1}, {"x": 2}, None])
     assert [r["x"] for r in results] == [1, 2, None]
     assert invocations == [3]
@@ -320,9 +305,7 @@ def test_openei_call_algorithm_batch_falls_back_to_loop():
 
 def test_openei_batch_handler_length_mismatch_raises():
     openei = OpenEI(device_name="raspberry-pi-4")
-    openei.register_algorithm(
-        "home", "echo", _echo, batch_handler=lambda ei, calls: [{}]
-    )
+    openei.register_algorithm("home", "echo", batch_handler=lambda ei, calls: [{}])
     with pytest.raises(APIError):
         openei.call_algorithm_batch("home", "echo", [{"x": 1}, {"x": 2}])
 
@@ -333,9 +316,94 @@ def test_openei_batch_unknown_algorithm_raises():
         openei.call_algorithm_batch("home", "missing", [{}])
 
 
+def test_fleet_register_algorithm_takes_exactly_one_handler():
+    fleet = EdgeFleet.deploy(["raspberry-pi-4", "jetson-tx2"])
+    with pytest.raises(ConfigurationError):
+        fleet.register_algorithm("home", "echo", _echo, batch_handler=_echo_batch)
+    with pytest.raises(ConfigurationError):
+        fleet.register_algorithm("home", "echo")
+    # one positional handler still works, and serves lists too
+    fleet.register_algorithm("home", "echo", _echo)
+    assert fleet.call_algorithm("home", "echo", {"x": 4})["x"] == 4
+    assert [r["x"] for r in fleet.call_algorithm_batch("home", "echo", [{"x": 1}, {"x": 2}])] == [1, 2]
+
+
+class _Counting:
+    """Overrides both public calls the way ``bench/servebench/traced.py`` does."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = []
+
+    def call_algorithm(self, scenario, name, args=None):
+        self.seen.append("single")
+        return super().call_algorithm(scenario, name, args)
+
+    def call_algorithm_batch(self, scenario, name, args_list):
+        self.seen.append(f"batch{len(args_list)}")
+        return super().call_algorithm_batch(scenario, name, args_list)
+
+
+class _CountingOpenEI(_Counting, OpenEI):
+    pass
+
+
+class _CountingFleet(_Counting, EdgeFleet):
+    pass
+
+
+@pytest.mark.parametrize("registration", [
+    {"handler": _echo}, {"batch_handler": _echo_batch},
+])
+def test_neither_public_call_reaches_the_handler_through_the_other(registration):
+    """A subclass that wraps both methods (spans, counters) must see exactly
+    one of them per call, on the fleet and on the replica it enters."""
+    fleet = _CountingFleet()
+    replica = _CountingOpenEI(device_name="raspberry-pi-4")
+    fleet.add_instance(replica)
+    fleet.register_algorithm("home", "echo", **registration)
+
+    assert fleet.call_algorithm("home", "echo", {"x": 1})["x"] == 1
+    assert (fleet.seen, replica.seen) == (["single"], ["single"])
+
+    results = fleet.call_algorithm_batch("home", "echo", [{"x": 1}, {"x": 2}, {"x": 3}])
+    assert [r["x"] for r in results] == [1, 2, 3]
+    assert (fleet.seen, replica.seen) == (["single", "batch3"], ["single", "batch3"])
+
+    # a list of one is still a list call, a single still a single
+    fleet.call_algorithm_batch("home", "echo", [{"x": 9}])
+    assert (fleet.seen[-1], replica.seen[-1]) == ("batch1", "batch1")
+
+
+def test_a_bad_frames_argument_fails_only_its_own_request_in_a_batch():
+    """``frames`` is validated before any reading is consumed, so the
+    isolation retry answers the neighbours and 400s only the offender."""
+    from repro.apps import register_connected_vehicles
+
+    openei = OpenEI(device_name="raspberry-pi-4")
+    register_connected_vehicles(openei)
+    dispatcher = BatchingDispatcher(
+        openei, BatchingConfig(max_batch_size=4, flush_window_s=2.0)
+    )
+    frames = [1, "abc", 2, 100000]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [
+            pool.submit(dispatcher.call_algorithm, "vehicles", "tracking", {"frames": f})
+            for f in frames
+        ]
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(len(future.result(timeout=10.0)["track"]))
+            except APIError as exc:
+                outcomes.append(type(exc))
+    assert outcomes == [1, APIError, 2, APIError]
+    assert dispatcher.stats.max_batch == 4, "the four calls were meant to coalesce"
+
+
 def test_fleet_routes_whole_batch_to_one_instance():
     fleet = EdgeFleet.deploy(["raspberry-pi-4", "jetson-tx2", "edge-server"])
-    fleet.register_algorithm("home", "echo", _echo, batch_handler=_echo_batch)
+    fleet.register_algorithm("home", "echo", batch_handler=_echo_batch)
     results = fleet.call_algorithm_batch("home", "echo", [{"x": i} for i in range(5)])
     assert [r["x"] for r in results] == list(range(5))
     served_by = {r["served_by"] for r in results}
@@ -347,7 +415,7 @@ def test_fleet_routes_whole_batch_to_one_instance():
 
 def test_server_with_batching_round_trip():
     openei = OpenEI(device_name="raspberry-pi-4")
-    openei.register_algorithm("home", "echo", _echo, batch_handler=_echo_batch)
+    openei.register_algorithm("home", "echo", batch_handler=_echo_batch)
     with LibEIServer(
         openei, batching=BatchingConfig(max_batch_size=4, flush_window_s=0.01)
     ) as server:

@@ -43,6 +43,9 @@ class _EchoTarget:
             time.sleep(self.delay_s)
         return {"scenario": scenario, "name": name, "args": dict(args or {})}
 
+    def call_algorithm_batch(self, scenario, name, args_list):
+        return [self.call_algorithm(scenario, name, args) for args in args_list]
+
 
 def test_dispatch_paths_have_no_blocking_under_lock_findings():
     """The satellite-b audit, kept machine-checked: batching and fleet
