@@ -32,8 +32,8 @@ depends on:
     generators.
 ``repro.loadgen``
     Open-loop, arrival-time-driven load generation: replayable traces
-    (diurnal curves, Poisson bursts), the tail-latency harness behind
-    ``BENCH_serving_tail.json``, and trace-scheduled fault injection.
+    (diurnal curves, Poisson bursts), the replay harness the chaos suite
+    drives, and trace-scheduled fault injection.
 ``repro.apps``
     The four application scenarios: public safety, connected vehicles,
     smart home and connected health.

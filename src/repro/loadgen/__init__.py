@@ -11,26 +11,25 @@ driven.  This package provides the three pieces:
 * :mod:`repro.loadgen.harness` — :class:`OpenLoopHarness` fires each
   request at its trace offset regardless of response lag (queueing
   delay lands in the tail, not in generator backpressure) and
-  aggregates per-scenario p50/p95/p99, RPS and error counts into a
-  ``BENCH_serving_tail.json`` report;
+  collects per-scenario latencies and errors into a
+  :class:`TailLatencyReport`;
 * :mod:`repro.loadgen.faults` — :class:`FaultInjector` executes a
   trace's fault plan against the live stack: gateway kills/restarts
   (through :class:`~repro.serving.supervisor.GatewaySupervisor`),
   emulated device slowdowns and malformed-request injection.
 
-See docs/BENCHMARKS.md for the trace and report file formats.
+The chaos suite (``tests/serving/test_chaos.py``) drives all three;
+``bench/`` pins its open-loop workload to :func:`poisson_trace`.  See
+docs/BENCHMARKS.md for the trace file format.
 """
 
 from repro.loadgen.faults import MALFORMED_PATH, FaultInjector
 from repro.loadgen.harness import (
-    BENCH_REPORT_NAME,
     OpenLoopHarness,
     ScenarioStats,
     TailLatencyReport,
     client_sender,
     dispatcher_sender,
-    fleet_sender,
-    write_bench_report,
 )
 from repro.loadgen.trace import (
     FAULT_ACTIONS,
@@ -45,7 +44,6 @@ from repro.loadgen.trace import (
 )
 
 __all__ = [
-    "BENCH_REPORT_NAME",
     "FAULT_ACTIONS",
     "FaultInjector",
     "FaultSpec",
@@ -60,8 +58,6 @@ __all__ = [
     "constant_trace",
     "dispatcher_sender",
     "diurnal_trace",
-    "fleet_sender",
     "poisson_trace",
     "trace_from_stream",
-    "write_bench_report",
 ]

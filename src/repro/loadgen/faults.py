@@ -20,8 +20,8 @@ concrete objects under test:
   injected errors from real failures.
 
 Every applied fault is appended to :attr:`FaultInjector.applied` with
-its outcome, which the harness folds into ``BENCH_serving_tail.json`` —
-a tail-latency number without its fault history is not reproducible.
+its outcome, which the harness hands back as ``TailLatencyReport.faults``
+— a replay's result without its fault history is not reproducible.
 """
 
 from __future__ import annotations

@@ -17,33 +17,25 @@ dedicated thread through a
 :class:`~repro.loadgen.faults.FaultInjector`, so a gateway kill cannot
 stall the arrival schedule.
 
-The resulting :class:`TailLatencyReport` aggregates per-scenario
-p50/p95/p99, RPS and error counts, and :func:`write_bench_report`
-serializes it as a ``BENCH_serving_tail.json`` report wherever the
-caller says (the tail-latency bench writes under pytest's ``tmp_path``).
+The resulting :class:`TailLatencyReport` holds per-scenario latencies,
+error messages and the applied-fault records for the chaos suite to
+assert on.  Serving *speed* is measured by ``bench/`` (see
+docs/BENCHMARKS.md), not here.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.loadgen.faults import FaultInjector
 from repro.loadgen.trace import TimedRequest, Trace
-
-#: Report-file schema version (see docs/BENCHMARKS.md).
-REPORT_SCHEMA_VERSION = 1
-
-#: File name of the serving tail report.
-BENCH_REPORT_NAME = "BENCH_serving_tail.json"
 
 
 @dataclass
@@ -66,31 +58,12 @@ class ScenarioStats:
             return None
         return float(np.percentile(np.asarray(self.latencies_s), q) * 1e3)
 
-    def as_dict(self, wall_s: float) -> Dict[str, object]:
-        latencies = np.asarray(self.latencies_s) if self.latencies_s else None
-        return {
-            "requests": self.requests,
-            "completed": self.completed,
-            "errors": len(self.errors),
-            "rps": self.completed / wall_s if wall_s > 0 else 0.0,
-            "p50_ms": self.percentile_ms(50),
-            "p95_ms": self.percentile_ms(95),
-            "p99_ms": self.percentile_ms(99),
-            "mean_ms": float(latencies.mean() * 1e3) if latencies is not None else None,
-            "max_ms": float(latencies.max() * 1e3) if latencies is not None else None,
-        }
-
 
 @dataclass
 class TailLatencyReport:
-    """One replay's aggregated results, ready for ``BENCH_serving_tail.json``."""
+    """One replay's aggregated results."""
 
-    trace_name: str
-    trace_fingerprint: str
-    trace_meta: Dict[str, object]
     time_scale: float
-    max_workers: int
-    wall_s: float
     overall: ScenarioStats
     scenarios: Dict[str, ScenarioStats]
     faults: List[Dict[str, object]] = field(default_factory=list)
@@ -98,28 +71,6 @@ class TailLatencyReport:
     @property
     def error_count(self) -> int:
         return len(self.overall.errors)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "benchmark": "serving_tail",
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "trace": {
-                "name": self.trace_name,
-                "fingerprint": self.trace_fingerprint,
-                "meta": dict(self.trace_meta),
-            },
-            "replay": {
-                "time_scale": self.time_scale,
-                "max_workers": self.max_workers,
-                "wall_s": self.wall_s,
-            },
-            "overall": self.overall.as_dict(self.wall_s),
-            "scenarios": {
-                name: stats.as_dict(self.wall_s)
-                for name, stats in sorted(self.scenarios.items())
-            },
-            "faults": [dict(f) for f in self.faults],
-        }
 
 
 class _Recorder:
@@ -156,13 +107,13 @@ class OpenLoopHarness:
     """Arrival-time-driven trace replay with bounded worker concurrency.
 
     ``send`` carries one request (see :func:`client_sender` /
-    :func:`fleet_sender` / :func:`dispatcher_sender` for the three
-    stock carriers).  ``time_scale`` compresses the trace clock — a 60 s
-    trace replays in 0.6 s wall time at ``time_scale=0.01`` with every
-    inter-arrival gap shrunk proportionally.  ``max_workers`` bounds
-    in-flight requests; arrivals beyond it queue, and their queueing
-    delay is *measured* (latency runs from the scheduled arrival, not
-    from the moment a worker picked the request up).
+    :func:`dispatcher_sender` for the two stock carriers).  ``time_scale``
+    compresses the trace clock — a 60 s trace replays in 0.6 s wall time
+    at ``time_scale=0.01`` with every inter-arrival gap shrunk
+    proportionally.  ``max_workers`` bounds in-flight requests; arrivals
+    beyond it queue, and their queueing delay is *measured* (latency runs
+    from the scheduled arrival, not from the moment a worker picked the
+    request up).
 
     ``on_response(request, result)`` runs on the worker thread after
     each successful response — the hook chaos tests use to pump adaptive
@@ -223,7 +174,6 @@ class OpenLoopHarness:
                     # must not delay the arrivals behind it
                     futures.append(fault_pool.submit(self.fault_injector.apply, event))
             wait(futures)
-        wall_s = self.clock() - start
         # surface fault-application bugs (request errors are already in the
         # recorder; only injector exceptions re-raise here)
         for future in futures:
@@ -231,12 +181,7 @@ class OpenLoopHarness:
             if exc is not None:
                 raise exc
         return TailLatencyReport(
-            trace_name=trace.name,
-            trace_fingerprint=trace.fingerprint(),
-            trace_meta=dict(trace.meta),
             time_scale=self.time_scale,
-            max_workers=self.max_workers,
-            wall_s=wall_s,
             overall=recorder.overall,
             scenarios=recorder.scenarios,
             faults=self.fault_injector.records() if self.fault_injector else [],
@@ -272,15 +217,6 @@ def client_sender(client) -> Sender:
     return send
 
 
-def fleet_sender(fleet) -> Sender:
-    """Carry requests in-process through :meth:`EdgeFleet.call_algorithm`."""
-
-    def send(request: TimedRequest) -> Dict[str, object]:
-        return fleet.call_algorithm(request.scenario, request.algorithm, dict(request.args))
-
-    return send
-
-
 def dispatcher_sender(dispatcher) -> Sender:
     """Carry requests through a :class:`~repro.serving.api.LibEIDispatcher` path."""
 
@@ -288,24 +224,3 @@ def dispatcher_sender(dispatcher) -> Sender:
         return dispatcher.handle_path(request.path)
 
     return send
-
-
-# -- the BENCH artifact -----------------------------------------------------------
-
-def write_bench_report(
-    report: TailLatencyReport,
-    path: Union[str, Path],
-    extra: Optional[Dict[str, object]] = None,
-) -> Path:
-    """Serialize a tail report to its JSON artifact; returns the path.
-
-    ``extra`` merges additional top-level keys (e.g. fleet shape, git
-    metadata) into the document without touching the measured sections.
-    """
-    path = Path(path)
-    document = report.as_dict()
-    if extra:
-        document.update(extra)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path

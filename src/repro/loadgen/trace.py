@@ -16,9 +16,9 @@ bodies from the byte-identical
 :func:`~repro.data.workloads.scenario_request_stream` contract.  Two
 calls with the same arguments produce equal traces (compare with
 :meth:`Trace.fingerprint`), and a trace saved with :meth:`Trace.save`
-replays identically after :meth:`Trace.load` — which is what lets a
-``BENCH_*.json`` number from one PR be re-measured under the exact same
-traffic on the next.
+replays identically after :meth:`Trace.load` — which is what lets
+``bench/`` pin its ``mixed_open`` workload to :func:`poisson_trace` and
+re-measure one PR's number under the exact same traffic on the next.
 
 Arrival processes:
 
@@ -136,8 +136,7 @@ class Trace:
     """An ordered, timestamped request schedule plus its fault plan.
 
     ``meta`` records how the trace was generated (kind, seed, rates) so a
-    trace file is self-describing; it travels into the
-    ``BENCH_serving_tail.json`` report verbatim.
+    trace file is self-describing.
     """
 
     name: str

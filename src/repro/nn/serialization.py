@@ -1,20 +1,15 @@
 """Full-model serialization: one artifact carries the whole model.
 
 OpenEI downloads models from the cloud simulator and uploads retrained
-edge models back; both paths go through this module.  Two formats exist:
-
-* **Full-model artifacts** (:func:`serialize_model` / :func:`save_model`)
-  round-trip the *entire* model through a single ``.npz``: architecture
-  (layer classes + constructor configs), parameters, non-parameter layer
-  state (BatchNorm running statistics), the model name and its metadata
-  (including compression markers like ``bytes_per_param``).  This is the
-  format the versioned :class:`~repro.core.registry.ModelRegistry`
-  stores and the fleet rollout path transfers — no caller-side
-  reconstruction, no way to pair weights with the wrong architecture.
-* **Weights-only archives** (:func:`save_weights` / :func:`load_weights`)
-  remain for edge deployments that keep the architecture in code and
-  ship only parameters; they now also carry layer state so a
-  BatchNorm-bearing model round-trips exactly.
+edge models back; both paths go through this module.  A full-model
+artifact (:func:`serialize_model` / :func:`save_model`) round-trips the
+*entire* model through a single ``.npz``: architecture (layer classes +
+constructor configs), parameters, non-parameter layer state (BatchNorm
+running statistics), the model name and its metadata (including
+compression markers like ``bytes_per_param``).  This is the format the
+versioned :class:`~repro.core.registry.ModelRegistry` stores and the
+fleet rollout path transfers — no caller-side reconstruction, no way to
+pair weights with the wrong architecture.
 
 Layer classes participate through :meth:`~repro.nn.layers.base.Layer.get_config`
 / ``from_config`` / ``get_state`` / ``set_state``; custom layers register
@@ -59,7 +54,6 @@ from repro.nn.model import Sequential
 
 PathLike = Union[str, Path]
 
-_METADATA_KEY = "__metadata_json__"
 _MODEL_KEY = "__model_json__"
 _STATE_PREFIX = "__state__:"
 _PARAM_PREFIX = "param:"
@@ -172,8 +166,8 @@ def deserialize_model(data: bytes) -> Sequential:
         raise SerializationError(f"not a model artifact: {exc}") from exc
     if _MODEL_KEY not in arrays:
         raise SerializationError(
-            "archive has no architecture header; was it written by save_weights? "
-            "Use load_weights(model, path) for weights-only archives"
+            "archive has no architecture header; it is not a full-model artifact "
+            "written by serialize_model / save_model"
         )
     try:
         header = json.loads(bytes(arrays.pop(_MODEL_KEY)).decode("utf-8"))
@@ -291,63 +285,6 @@ def _set_param(layer: Layer, key: str, value: np.ndarray) -> None:
             f"artifact carries parameter {key!r} for parameterless layer {layer.name!r}"
         )
     setter(key, value)
-
-
-# -- weights-only archives ---------------------------------------------------------
-def save_weights(model: Sequential, path: PathLike) -> Path:
-    """Persist the model's weights, layer state and metadata to an ``.npz`` file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    weights = model.get_weights()
-    try:
-        metadata = json.dumps({"name": model.name, **_jsonable(model.metadata)})
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"model metadata is not JSON-serializable: {exc}") from exc
-    arrays = dict(weights)
-    for idx, layer in enumerate(model.layers):
-        for key, value in layer.get_state().items():
-            arrays[f"{_STATE_PREFIX}{idx}:{key}"] = value
-    arrays[_METADATA_KEY] = np.frombuffer(metadata.encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
-    return path
-
-
-def load_weights(model: Sequential, path: PathLike) -> Sequential:
-    """Load weights saved by :func:`save_weights` into ``model`` (in place).
-
-    Also restores non-parameter layer state (e.g. BatchNorm running
-    statistics) when the archive carries it; archives written before
-    state was serialized still load, they simply leave state untouched.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise SerializationError(f"weight file not found: {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        weights: Dict[str, np.ndarray] = {}
-        states: Dict[int, Dict[str, np.ndarray]] = {}
-        for key in archive.files:
-            if key == _METADATA_KEY:
-                metadata = json.loads(bytes(archive[key]).decode("utf-8"))
-                model.metadata.update({k: v for k, v in metadata.items() if k != "name"})
-            elif key.startswith(_STATE_PREFIX):
-                idx_str, _, state_key = key[len(_STATE_PREFIX):].partition(":")
-                states.setdefault(int(idx_str), {})[state_key] = archive[key]
-            else:
-                weights[key] = archive[key]
-    try:
-        model.set_weights(weights)
-        for idx, state in states.items():
-            model.layers[idx].set_state(state)
-    except (KeyError, IndexError, ValueError, ReproError) as exc:
-        raise SerializationError(
-            f"weights in {path} do not match the model architecture"
-        ) from exc
-    return model
-
-
-def weights_nbytes(model: Sequential) -> int:
-    """Exact in-memory byte count of the model's float64 parameters."""
-    return int(sum(value.nbytes for value in model.get_weights().values()))
 
 
 def _jsonable(metadata: Dict[str, object]) -> Dict[str, object]:

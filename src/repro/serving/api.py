@@ -10,6 +10,7 @@ query string, so the exact example URLs from the paper parse unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
 from urllib.parse import parse_qsl, unquote, urlparse
@@ -148,12 +149,17 @@ def _numeric_arg(args: Dict[str, object], key: str, default: Optional[float]) ->
         # an explicit JSON null means "not provided", same as an absent key
         return default
     try:
-        return float(value)  # type: ignore[arg-type]
+        number = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        # nan / inf / 1e999 parse as floats but json.dumps would echo them
+        # as bare NaN / Infinity, which is not JSON
         raise APIError(
-            f"argument {key!r} must be a number, got {value!r} "
+            f"argument {key!r} must be a finite number, got {value!r} "
             f"(e.g. /ei_data/historical/<sensor>/?start=0&end=10)"
-        ) from None
+        )
+    return number
 
 
 class LibEIDispatcher:

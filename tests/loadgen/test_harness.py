@@ -14,9 +14,7 @@ from repro.loadgen import (
     ScenarioStats,
     TimedRequest,
     Trace,
-    constant_trace,
     dispatcher_sender,
-    write_bench_report,
 )
 
 
@@ -159,7 +157,7 @@ def test_dispatcher_sender_carries_the_request_path(image_zoo):
     assert report.error_count == 0
 
 
-# -- the report and its artifact ---------------------------------------------------
+# -- the report -------------------------------------------------------------------
 
 def test_scenario_stats_percentiles_and_empty_bucket():
     stats = ScenarioStats(latencies_s=[0.001, 0.002, 0.010])
@@ -167,26 +165,6 @@ def test_scenario_stats_percentiles_and_empty_bucket():
     assert stats.percentile_ms(99) <= 10.0
     empty = ScenarioStats()
     assert empty.percentile_ms(99) is None
-    assert empty.as_dict(wall_s=1.0)["p50_ms"] is None
-
-
-def test_report_dict_schema_and_write_with_extra(tmp_path):
-    import json
-
-    trace = constant_trace(duration_s=0.5, rps=10.0, seed=0,
-                           scenario_mix={"safety": 1.0})
-    harness = OpenLoopHarness(lambda r: {}, time_scale=0.01)
-    report = harness.run(trace)
-    document = report.as_dict()
-    assert document["benchmark"] == "serving_tail"
-    assert document["trace"]["fingerprint"] == trace.fingerprint()
-    assert set(document["replay"]) == {"time_scale", "max_workers", "wall_s"}
-    assert document["overall"]["errors"] == 0
-
-    out = write_bench_report(report, tmp_path / "bench.json", extra={"smoke": True})
-    written = json.loads(out.read_text(encoding="utf-8"))
-    assert written["smoke"] is True
-    assert written["scenarios"].keys() == {"safety"}
 
 
 # -- FaultInjector bindings --------------------------------------------------------

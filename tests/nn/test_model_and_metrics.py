@@ -1,10 +1,10 @@
-"""Tests for the Sequential container, metrics, datasets, flops and serialization."""
+"""Tests for the Sequential container, metrics, datasets and flops."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.nn import metrics, serialization
+from repro.nn import metrics
 from repro.nn.datasets import make_blobs, make_images, make_personalized_shift, make_sequences, one_hot
 from repro.nn.flops import activation_bytes, model_cost
 from repro.nn.layers import Dense, ReLU, Softmax
@@ -191,37 +191,3 @@ def test_activation_bytes_tracks_widest_layer():
     wide = Sequential([Dense(4, 100, seed=0), ReLU(), Dense(100, 2, seed=1)])
     narrow = Sequential([Dense(4, 8, seed=0), ReLU(), Dense(8, 2, seed=1)])
     assert activation_bytes(wide, (4,)) > activation_bytes(narrow, (4,))
-
-
-# -- serialization ----------------------------------------------------------------
-
-def test_save_load_weights_roundtrip(tmp_path):
-    model = _small_classifier(seed=4)
-    model.metadata["bytes_per_param"] = 2.0
-    path = serialization.save_weights(model, tmp_path / "model.npz")
-    fresh = _small_classifier(seed=8)
-    serialization.load_weights(fresh, path)
-    x = np.random.default_rng(2).normal(size=(3, 10))
-    np.testing.assert_allclose(model.predict(x), fresh.predict(x))
-    assert fresh.metadata["bytes_per_param"] == 2.0
-
-
-def test_load_weights_missing_file_raises(tmp_path):
-    from repro.exceptions import SerializationError
-
-    with pytest.raises(SerializationError):
-        serialization.load_weights(_small_classifier(), tmp_path / "missing.npz")
-
-
-def test_load_weights_architecture_mismatch_raises(tmp_path):
-    from repro.exceptions import SerializationError
-
-    model = _small_classifier()
-    path = serialization.save_weights(model, tmp_path / "model.npz")
-    different = Sequential([Dense(10, 4, seed=0), Softmax()])
-    with pytest.raises(SerializationError):
-        serialization.load_weights(different, path)
-
-
-def test_weights_nbytes_positive():
-    assert serialization.weights_nbytes(_small_classifier()) > 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import register_all
 from repro.core import OpenEI
+from repro.core.alem import ALEMRequirement, OptimizationTarget
 from repro.core.model_zoo import ModelZoo
 from repro.exceptions import APIError, ConfigurationError, ResourceNotFoundError
 from repro.runtime.tasks import Task
@@ -35,14 +36,28 @@ def make_fleet(policy="round-robin", zoo=None, devices=HETEROGENEOUS_DEVICES):
 
 # -- registry ---------------------------------------------------------------------
 
-def test_deploy_builds_heterogeneous_instances_with_shared_cache():
-    fleet = EdgeFleet.deploy(HETEROGENEOUS_DEVICES)
-    assert len(fleet) == 4
-    assert [i.device_name for i in fleet] == HETEROGENEOUS_DEVICES
+def test_deploy_builds_heterogeneous_instances_with_shared_cache(image_zoo):
+    devices = HETEROGENEOUS_DEVICES + HETEROGENEOUS_DEVICES[:2]
+    fleet = EdgeFleet.deploy(devices, zoo=image_zoo)
+    assert len(fleet) == 6
+    assert [i.device_name for i in fleet] == devices
     caches = {id(i.openei.selection_cache) for i in fleet}
     assert len(caches) == 1 and fleet.selection_cache is not None
     zoos = {id(i.openei.zoo) for i in fleet}
     assert len(zoos) == 1
+
+    # the same (requirement, target) asked of every replica, three times
+    # over: one cold miss per distinct device name, everything else a hit
+    requirement = ALEMRequirement(max_memory_mb=4096.0)
+    for _ in range(3):
+        for instance in fleet:
+            instance.openei.select_model(
+                task="image-classification", requirement=requirement,
+                target=OptimizationTarget.LATENCY,
+            )
+    stats = fleet.selection_cache.stats
+    assert stats.misses == len(set(devices))
+    assert stats.hits == 3 * len(devices) - stats.misses
 
 
 def test_deploy_rejects_empty_fleet_and_duplicate_ids():
@@ -103,7 +118,6 @@ def test_capability_router_falls_back_to_load_without_models():
 
 
 def test_capability_scores_refresh_after_accuracy_injection(image_zoo):
-    from repro.core.alem import OptimizationTarget
     from repro.serving import CapabilityAwareRouter
 
     fleet = make_fleet(zoo=image_zoo, devices=["raspberry-pi-3", "edge-server"])

@@ -1,11 +1,12 @@
 """Tests for the libei URL grammar, dispatcher, HTTP server and client."""
 
+import http.client
 import json
 import socket
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -297,10 +298,19 @@ def test_historical_non_numeric_args_map_to_400(served_openei):
         "/ei_data/historical/camera1/?start=abc",
         "/ei_data/historical/camera1/?start=0&end=never",
         "/ei_data/historical/camera1/{start=[1]}",
+        # parse as floats, but echoed back they would not be JSON
+        "/ei_data/historical/camera1/?start=nan",
+        "/ei_data/historical/camera1/?start=inf",
+        "/ei_data/historical/camera1/?start=-inf",
+        "/ei_data/historical/camera1/?start=1e999",
+        "/ei_data/historical/camera1/?start=0&end=NaN",
+        "/ei_data/historical/camera1/?start=0&end=Infinity",
+        "/ei_data/historical/camera1/?start=0&end=-inf",
+        "/ei_data/historical/camera1/?start=0&end=1e999",
     ):
         status, body = dispatcher.safe_handle_path(path)
         assert status == 400, path
-        assert "must be a number" in body["error"]
+        assert "must be a finite number" in body["error"]
     with pytest.raises(APIError):
         dispatcher.handle_path("/ei_data/historical/camera1/?start=abc")
     # numeric strings and plain numbers still work
@@ -311,6 +321,33 @@ def test_historical_non_numeric_args_map_to_400(served_openei):
         '/ei_data/historical/camera1/{"start": null, "end": null}'
     )
     assert status == 200 and body["data"]["start"] == 0.0 and body["data"]["end"] is None
+
+
+def test_historical_bodies_are_strict_json_over_http(served_openei):
+    """``?start=nan`` used to answer 200 with a bare ``NaN`` in the body."""
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in a response body is not JSON")
+
+    with LibEIServer(served_openei) as server, closing(
+        http.client.HTTPConnection(*server.address, timeout=5.0)
+    ) as connection:
+
+        def get(path):
+            connection.request("GET", path)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read(), parse_constant=reject)
+
+        assert get("/ei_data/realtime/camera1/")[0] == 200  # record one reading
+        for query in ("start=nan", "start=inf", "start=-inf", "start=1e999",
+                      "start=0&end=nan", "start=0&end=inf", "start=0&end=1e999"):
+            status, body = get(f"/ei_data/historical/camera1/?{query}")
+            assert status == 400, query
+            assert body["status"] == "error" and "finite number" in body["error"]
+        status, body = get("/ei_data/historical/camera1/?start=0")
+        assert status == 200 and body["data"]["end"] is None
+        status, body = get("/ei_data/historical/camera1/?start=0&end=1e3")
+        assert status == 200 and body["data"]["end"] == 1000.0
 
 
 class _ResettingHandler(BaseHTTPRequestHandler):
