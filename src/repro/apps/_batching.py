@@ -2,19 +2,36 @@
 
 Every app registers one handler over a list of calls (see
 ``docs/API.md``, "App `batch_handler` contract"; a single request is a
-list of one): gather one reading per call, answer the whole list with
-one stacked call when the inputs are shape-homogeneous, and report each
-call's *amortized* share of the wall clock as its observed ALEM latency.
-The two subtle pieces of that contract live here so the four apps cannot
-drift apart.
+list of one): capture every call's readings in one all-or-nothing store
+call, answer the whole list with one stacked call when the inputs are
+shape-homogeneous, and report each call's *amortized* share of the wall
+clock as its observed ALEM latency.  The three subtle pieces of that
+contract live here so the four apps cannot drift apart.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+
+from repro.data.sensors import SensorReading
+
+
+def capture_readings(
+    ei, calls: Sequence[Dict[str, object]], argument: str, default_id: str
+) -> List[SensorReading]:
+    """One reading per call, from the sensor its ``argument`` names (else ``default_id``).
+
+    Every id is resolved before the first reading is pulled, so an
+    unknown sensor anywhere in the list raises with no reading consumed
+    and the dispatcher's per-request retry gives each good caller the
+    reading it would have held alone.
+    """
+    return ei.data_store.realtime_batch(
+        [str(args.get(argument, default_id)) for args in calls]
+    )
 
 
 def amortized_batch_latency(start: float, ei, count: int) -> float:

@@ -13,7 +13,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.apps._batching import amortized_batch_latency, stack_if_homogeneous
+from repro.apps._batching import (
+    amortized_batch_latency,
+    capture_readings,
+    stack_if_homogeneous,
+)
 from repro.core.openei import OpenEI
 from repro.data.sensors import WearableIMUSensor
 from repro.data.workloads import activity_recognition_workload
@@ -71,19 +75,15 @@ class ActivityRecognizer:
         if not self._trained:
             raise ConfigurationError("train must be called before recognize")
         probs = self.classifier.model.predict_batch(windows)
-        results: List[Dict[str, object]] = []
-        for row in probs:
-            activity = int(np.argmax(row))
-            results.append(
-                {
-                    "activity": activity,
-                    "activity_name": self.activity_names[activity],
-                    "probabilities": {
-                        name: float(p) for name, p in zip(self.activity_names, row)
-                    },
-                }
-            )
-        return results
+        names = self.activity_names
+        return [
+            {
+                "activity": activity,
+                "activity_name": names[activity],
+                "probabilities": dict(zip(names, row)),
+            }
+            for activity, row in zip(probs.argmax(axis=1).tolist(), probs.tolist())
+        ]
 
     def score(self, windows: np.ndarray, labels: np.ndarray) -> float:
         """Accuracy on labelled windows."""
@@ -125,9 +125,7 @@ def register_connected_health(
     ) -> List[Dict[str, object]]:
         """Stack the calls' IMU windows into one fused engine forward."""
         start = time.perf_counter()
-        readings = [
-            ei.data_store.realtime(str(args.get("sensor", sensor_id))) for args in calls
-        ]
+        readings = capture_readings(ei, calls, "sensor", sensor_id)
         windows = stack_if_homogeneous([reading.payload for reading in readings])
         if windows is not None:
             results = recognizer.recognize_batch(windows)

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.apps._batching import amortized_batch_latency, stack_if_homogeneous
+from repro.apps._batching import (
+    amortized_batch_latency,
+    capture_readings,
+    stack_if_homogeneous,
+)
 from repro.core.openei import OpenEI
 from repro.data.sensors import VehicleCameraSensor
 from repro.exceptions import APIError, ConfigurationError
@@ -28,7 +33,7 @@ MAX_FRAMES_PER_CALL = 256
 def _frame_count(args: Dict[str, object]) -> int:
     """The call's validated ``frames`` argument (default 1, values below 1 mean 1)."""
     frames = args.get("frames", 1)
-    if not isinstance(frames, int) or frames > MAX_FRAMES_PER_CALL:
+    if isinstance(frames, bool) or not isinstance(frames, int) or frames > MAX_FRAMES_PER_CALL:
         raise APIError(
             f"argument 'frames' must be an integer of at most {MAX_FRAMES_PER_CALL}, "
             f"got {frames!r}"
@@ -98,16 +103,33 @@ class ObjectTracker:
         cy = weighted.sum(axis=2) @ ys / totals
         return np.stack([cx, cy], axis=1)
 
+    def fold(self, measurements: np.ndarray) -> List[List[float]]:
+        """Fold ``(n, 2)`` centroid measurements into the track, in order.
+
+        Returns the ``n`` smoothed positions.  The filter runs on Python
+        floats: the same IEEE arithmetic as 2-element arrays, without a
+        NumPy dispatch per operation.
+        """
+        positions: List[List[float]] = []
+        px = py = vx = vy = None
+        if self.state is not None:
+            (px, py), (vx, vy) = self.state.position.tolist(), self.state.velocity.tolist()
+        for mx, my in np.asarray(measurements, dtype=np.float64).tolist():
+            if px is None:
+                px, py, vx, vy = mx, my, 0.0, 0.0
+            else:
+                px, py = px + vx, py + vy                    # constant-velocity prediction
+                rx, ry = mx - px, my - py
+                px, py = px + self.alpha * rx, py + self.alpha * ry
+                vx, vy = vx + self.beta * rx, vy + self.beta * ry
+            positions.append([px, py])
+        if positions:
+            self.state = TrackState(position=np.array([px, py]), velocity=np.array([vx, vy]))
+        return positions
+
     def update_with_measurement(self, measurement: np.ndarray) -> TrackState:
         """Fold one precomputed centroid measurement into the track."""
-        if self.state is None:
-            self.state = TrackState(position=measurement, velocity=np.zeros(2))
-            return self.state
-        predicted = self.state.position + self.state.velocity
-        residual = measurement - predicted
-        position = predicted + self.alpha * residual
-        velocity = self.state.velocity + self.beta * residual
-        self.state = TrackState(position=position, velocity=velocity)
+        self.fold([measurement])
         return self.state
 
     def update(self, frame: np.ndarray) -> TrackState:
@@ -142,27 +164,6 @@ def register_connected_vehicles(
     camera = VehicleCameraSensor(sensor_id=camera_id, seed=seed)
     openei.data_store.register_sensor(camera)
 
-    def _fold_track(readings, measurements) -> Dict[str, object]:
-        """Fold per-frame measurements into the (stateful) track, in order.
-
-        Returns the result payload without ``observed_alem``: latency is
-        attached by the caller *after* folding, so the reported wall
-        clock covers the state updates too.
-        """
-        positions: List[List[float]] = []
-        truths: List[List[float]] = []
-        for reading, measurement in zip(readings, measurements):
-            state = tracker.update_with_measurement(measurement)
-            positions.append([float(state.position[0]), float(state.position[1])])
-            truths.append(list(reading.annotations["position"]))
-        prediction = tracker.state.predict(1) if tracker.state is not None else np.zeros(2)
-        return {
-            "sensor_id": camera_id,
-            "track": positions,
-            "ground_truth": truths,
-            "predicted_next": [float(prediction[0]), float(prediction[1])],
-        }
-
     def tracking_batch_handler(
         ei: OpenEI, calls: List[Dict[str, object]]
     ) -> List[Dict[str, object]]:
@@ -174,33 +175,40 @@ def register_connected_vehicles(
         over the stacked frames of *all* requests.
         """
         start = time.perf_counter()
-        # every call's ``frames`` is checked before any reading is consumed:
-        # a raise after capture() would make the dispatcher's per-request
-        # retry re-consume readings
+        # every call's ``frames`` is checked, then every camera id resolved,
+        # before any reading is consumed: a raise after that would make the
+        # dispatcher's per-request retry re-consume readings
         counts = [_frame_count(args) for args in calls]
-        per_call_readings = [
-            ei.data_store.capture(str(args.get("video", camera_id)), count=count)
-            for args, count in zip(calls, counts)
-        ]
-        flat_readings = [r for readings in per_call_readings for r in readings]
-        stacked = stack_if_homogeneous([reading.payload for reading in flat_readings])
+        readings = capture_readings(
+            ei, [args for args, count in zip(calls, counts) for _ in range(count)],
+            "video", camera_id,
+        )
+        bounds = [0, *accumulate(counts)]
+        spans = list(zip(bounds, bounds[1:]))     # call i owns readings[lo:hi]
+        stacked = stack_if_homogeneous([reading.payload for reading in readings])
         if stacked is not None:
-            all_measurements = tracker.measure_batch(stacked)
+            measurements = tracker.measure_batch(stacked)
         else:
             # mixed camera sizes: frames are homogeneous within a call,
             # so vectorize per call instead of across the whole batch
-            all_measurements = np.concatenate(
-                [tracker.measure_batch(np.stack([r.payload for r in readings]))
-                 for readings in per_call_readings]
+            measurements = np.concatenate(
+                [tracker.measure_batch(np.stack([r.payload for r in readings[lo:hi]]))
+                 for lo, hi in spans]
             )
-        results: List[Dict[str, object]] = []
-        offset = 0
-        for readings in per_call_readings:
-            measurements = all_measurements[offset : offset + len(readings)]
-            offset += len(readings)
-            results.append(_fold_track(readings, measurements))
+        results: List[Dict[str, object]] = [
+            {
+                "sensor_id": camera_id,
+                # the (stateful) fold runs in call order; ``predicted_next``
+                # reads the state it leaves behind
+                "track": tracker.fold(measurements[lo:hi]),
+                "ground_truth": [list(r.annotations["position"]) for r in readings[lo:hi]],
+                "predicted_next": tracker.state.predict(1).tolist(),
+            }
+            for lo, hi in spans
+        ]
         # per-request latency observation for the adaptive control plane
-        # (wall clock scaled by the emulated device slowdown)
+        # (wall clock scaled by the emulated device slowdown), attached
+        # after folding so it covers the state updates too
         latency = amortized_batch_latency(start, ei, len(calls))
         for result in results:
             result["observed_alem"] = {"latency_s": latency}

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps._batching import amortized_batch_latency
+from repro.apps._batching import amortized_batch_latency, capture_readings
 from repro.core.openei import OpenEI
 from repro.data.sensors import PowerMeterSensor
 from repro.exceptions import ConfigurationError
@@ -134,45 +134,35 @@ def register_smart_home(
     meter = PowerMeterSensor(sensor_id=meter_id, seed=seed)
     openei.data_store.register_sensor(meter)
 
-    def _result(reading, states, latency_s: float) -> Dict[str, object]:
-        total = float(reading.payload[0])
-        truth = tuple(bool(s) for s in reading.annotations["appliance_states"])
-        return {
-            # per-request ALEM observation for the adaptive control plane:
-            # wall-clock compute scaled by the runtime's emulated slowdown,
-            # plus per-appliance state accuracy against the ground truth
-            "observed_alem": {
-                "latency_s": latency_s,
-                "accuracy": float(np.mean([p == t for p, t in zip(states, truth)])),
-            },
-            "sensor_id": reading.sensor_id,
-            "timestamp": reading.timestamp,
-            "total_watts": total,
-            "appliances": {
-                name: bool(state) for name, state in zip(monitor.appliance_names, states)
-            },
-            "ground_truth": {
-                name: bool(state)
-                for name, state in zip(
-                    monitor.appliance_names, reading.annotations["appliance_states"]
-                )
-            },
-        }
-
     def power_monitor_batch_handler(
         ei: OpenEI, calls: List[Dict[str, object]]
     ) -> List[Dict[str, object]]:
         """Resolve every call's reading with one vectorized nearest-sum lookup."""
         start = time.perf_counter()
-        readings = [
-            ei.data_store.realtime(str(args.get("meter", meter_id))) for args in calls
-        ]
-        totals = np.array([float(reading.payload[0]) for reading in readings])
+        readings = capture_readings(ei, calls, "meter", meter_id)
+        totals = np.array([reading.payload[0] for reading in readings], dtype=np.float64)
+        truth = np.array(
+            [reading.annotations["appliance_states"] for reading in readings], dtype=bool
+        )
         batch_states = monitor.infer_batch(totals)
+        accuracy = (batch_states == truth).mean(axis=1).tolist()
         latency = amortized_batch_latency(start, ei, len(calls))
+        names = monitor.appliance_names
         return [
-            _result(reading, tuple(bool(s) for s in states), latency)
-            for reading, states in zip(readings, batch_states)
+            {
+                # per-request ALEM observation for the adaptive control plane:
+                # wall-clock compute scaled by the runtime's emulated slowdown,
+                # plus per-appliance state accuracy against the ground truth
+                "observed_alem": {"latency_s": latency, "accuracy": correct},
+                "sensor_id": reading.sensor_id,
+                "timestamp": reading.timestamp,
+                "total_watts": total,
+                "appliances": dict(zip(names, states)),
+                "ground_truth": dict(zip(names, actual)),
+            }
+            for reading, total, states, actual, correct in zip(
+                readings, totals.tolist(), batch_states.tolist(), truth.tolist(), accuracy
+            )
         ]
 
     openei.register_algorithm("home", "power_monitor", batch_handler=power_monitor_batch_handler)

@@ -117,15 +117,15 @@ class WearableIMUSensor(_BaseSensor):
         super().__init__(sensor_id, period_s, seed)
         self.steps = int(steps)
         self.channels = int(channels)
+        self._time = np.linspace(0, 2 * np.pi, self.steps)[:, None]
 
     def read(self) -> SensorReading:
         timestamp = self._tick()
         activity = int(self._rng.integers(0, len(self.ACTIVITIES)))
-        time = np.linspace(0, 2 * np.pi, self.steps)
         frequency = 1.0 + activity
         phases = self._rng.uniform(0, 2 * np.pi, size=self.channels)
-        window = np.stack([np.sin(frequency * time + phase) for phase in phases], axis=1)
-        window = window + self._rng.normal(0, 0.25, size=window.shape)
+        window = np.sin(frequency * self._time + phases)
+        window += self._rng.normal(0, 0.25, size=window.shape)
         return SensorReading(
             sensor_id=self.sensor_id,
             timestamp=timestamp,
@@ -154,6 +154,7 @@ class PowerMeterSensor(_BaseSensor):
     ) -> None:
         super().__init__(sensor_id, period_s, seed)
         self.base_load_w = float(base_load_w)
+        self._watts = np.array(self.APPLIANCE_WATTS)
         self._states = np.zeros(len(self.APPLIANCES), dtype=bool)
 
     def read(self) -> SensorReading:
@@ -161,13 +162,13 @@ class PowerMeterSensor(_BaseSensor):
         toggles = self._rng.random(len(self.APPLIANCES)) < 0.15
         self._states = np.logical_xor(self._states, toggles)
         total = self.base_load_w + float(
-            np.sum(np.array(self.APPLIANCE_WATTS) * self._states)
+            (self._watts * self._states).sum()
         ) + float(self._rng.normal(0, 5.0))
         return SensorReading(
             sensor_id=self.sensor_id,
             timestamp=timestamp,
             payload=np.array([max(0.0, total)]),
-            annotations={"appliance_states": self._states.copy().tolist()},
+            annotations={"appliance_states": self._states.tolist()},
         )
 
 
@@ -196,9 +197,10 @@ class VehicleCameraSensor(_BaseSensor):
     def read(self) -> SensorReading:
         timestamp = self._tick()
         self._velocity += self._rng.normal(0, 0.2, size=2)
-        self._velocity = np.clip(self._velocity, -2.0, 2.0)
-        self._position = np.clip(
-            self._position + self._velocity, 4.0, self.frame_size - 5.0
+        # np.clip spelled out: on a 2-vector its dispatch costs more than the work
+        self._velocity = np.minimum(np.maximum(self._velocity, -2.0), 2.0)
+        self._position = np.minimum(
+            np.maximum(self._position + self._velocity, 4.0), self.frame_size - 5.0
         )
         frame = self._rng.normal(0.1, 0.05, size=(self.frame_size, self.frame_size, 1))
         x, y = int(self._position[0]), int(self._position[1])
@@ -207,5 +209,5 @@ class VehicleCameraSensor(_BaseSensor):
             sensor_id=self.sensor_id,
             timestamp=timestamp,
             payload=frame,
-            annotations={"position": self._position.copy().tolist()},
+            annotations={"position": self._position.tolist()},
         )

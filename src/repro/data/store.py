@@ -1,9 +1,17 @@
-"""Realtime/historical data store behind libei's ``/ei_data`` URLs."""
+"""Realtime/historical data store behind libei's ``/ei_data`` URLs.
+
+Each sensor's series is a ``deque(maxlen=retention)``: recording is an
+O(1) append that drops the oldest reading once the series is full, and
+readers iterate over a snapshot so a handler thread recording beside
+them cannot disturb the walk.  ``realtime_batch`` is the capture path
+of the scenario apps' list handlers: every id is resolved before the
+first reading is pulled.
+"""
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional
+from collections import defaultdict, deque
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.exceptions import ResourceNotFoundError
 from repro.data.sensors import SensorReading, _BaseSensor
@@ -20,9 +28,11 @@ class EdgeDataStore:
     """
 
     def __init__(self, retention: int = 10000) -> None:
-        self._readings: Dict[str, List[SensorReading]] = defaultdict(list)
-        self._sensors: Dict[str, _BaseSensor] = {}
         self.retention = int(retention)
+        self._readings: Dict[str, Deque[SensorReading]] = defaultdict(
+            lambda: deque(maxlen=self.retention)
+        )
+        self._sensors: Dict[str, _BaseSensor] = {}
 
     # -- registration ------------------------------------------------------
     def register_sensor(self, sensor: _BaseSensor) -> None:
@@ -36,31 +46,40 @@ class EdgeDataStore:
 
     # -- ingestion ------------------------------------------------------------
     def record(self, reading: SensorReading) -> None:
-        """Store one reading, evicting the oldest when over retention."""
-        series = self._readings[reading.sensor_id]
-        series.append(reading)
-        if len(series) > self.retention:
-            del series[: len(series) - self.retention]
+        """Store one reading; a full series drops its oldest."""
+        self._readings[reading.sensor_id].append(reading)
 
     def capture(self, sensor_id: str, count: int = 1) -> List[SensorReading]:
         """Pull ``count`` fresh readings from a registered live sensor and record them."""
-        sensor = self._sensors.get(sensor_id)
-        if sensor is None:
+        if sensor_id not in self._sensors:
             raise ResourceNotFoundError(f"no live sensor registered as {sensor_id!r}")
-        readings = [sensor.read() for _ in range(count)]
-        for reading in readings:
-            self.record(reading)
-        return readings
+        return self.realtime_batch([sensor_id] * count)
 
     # -- queries -----------------------------------------------------------------
     def realtime(self, sensor_id: str) -> SensorReading:
         """Newest reading for a sensor, pulling from the live sensor when attached."""
-        if sensor_id in self._sensors:
-            return self.capture(sensor_id, count=1)[0]
-        series = self._readings.get(sensor_id)
-        if not series:
-            raise ResourceNotFoundError(f"no data recorded for sensor {sensor_id!r}")
-        return series[-1]
+        return self.realtime_batch([sensor_id])[0]
+
+    def realtime_batch(self, sensor_ids: Sequence[str]) -> List[SensorReading]:
+        """:meth:`realtime` for each id in order (an id named twice is read twice).
+
+        All or nothing: every id is resolved before the first live
+        ``read()``, so an unknown one raises with no reading consumed.
+        """
+        sensors = [self._sensors.get(sensor_id) for sensor_id in sensor_ids]
+        for sensor_id, sensor in zip(sensor_ids, sensors):
+            if sensor is None and not self._readings.get(sensor_id):
+                raise ResourceNotFoundError(f"no data recorded for sensor {sensor_id!r}")
+        newest: List[SensorReading] = []
+        for sensor_id, sensor in zip(sensor_ids, sensors):
+            series = self._readings[sensor_id]
+            if sensor is None:
+                newest.append(series[-1])
+            else:
+                reading = sensor.read()
+                series.append(reading)
+                newest.append(reading)
+        return newest
 
     def historical(
         self, sensor_id: str, start: float, end: Optional[float] = None
@@ -70,14 +89,14 @@ class EdgeDataStore:
         if series is None:
             raise ResourceNotFoundError(f"no data recorded for sensor {sensor_id!r}")
         end = float("inf") if end is None else end
-        return [r for r in series if start <= r.timestamp <= end]
+        return [r for r in list(series) if start <= r.timestamp <= end]
 
     def count(self, sensor_id: str) -> int:
         """Number of stored readings for a sensor."""
-        return len(self._readings.get(sensor_id, []))
+        return len(self._readings.get(sensor_id, ()))
 
     def total_bytes(self, sensor_id: Optional[str] = None) -> int:
         """Stored payload bytes, for one sensor or all of them."""
         if sensor_id is not None:
-            return sum(r.nbytes for r in self._readings.get(sensor_id, []))
-        return sum(r.nbytes for series in self._readings.values() for r in series)
+            return sum(r.nbytes for r in list(self._readings.get(sensor_id, ())))
+        return sum(r.nbytes for series in list(self._readings.values()) for r in list(series))

@@ -10,6 +10,9 @@ request, as N single calls against an identically-seeded deployment.
 
 from __future__ import annotations
 
+import json
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -23,8 +26,14 @@ from repro.apps import (
 from repro.apps import register_all
 from repro.apps.connected_vehicles import MAX_FRAMES_PER_CALL, ObjectTracker
 from repro.core import OpenEI
-from repro.exceptions import APIError
-from repro.serving import LibEIClient, LibEIDispatcher, LibEIServer
+from repro.exceptions import APIError, ResourceNotFoundError
+from repro.serving import (
+    BatchingConfig,
+    BatchingDispatcher,
+    LibEIClient,
+    LibEIDispatcher,
+    LibEIServer,
+)
 
 
 def _deploy(register, **kwargs):
@@ -195,3 +204,105 @@ def test_bad_frames_argument_over_http(stock_openei):
         # the server is unharmed and a good value still answers
         body = client.call_algorithm("vehicles", "tracking", {"frames": 2})
         assert len(body["result"]["track"]) == 2
+
+
+# -- capture is all-or-nothing; results are plain JSON ---------------------------------
+
+#: (scenario, algorithm, register helper, the argument naming its sensor, stock sensor id, a good call)
+STOCK_ALGORITHMS = [
+    ("safety", "detection", register_public_safety, "video", "camera1", {}),
+    ("safety", "firearm_detection", register_public_safety, "video", "camera1", {}),
+    ("vehicles", "tracking", register_connected_vehicles, "video", "vehiclecam1", {"frames": 2}),
+    ("home", "power_monitor", register_smart_home, "meter", "powermeter1", {}),
+    ("health", "activity_recognition", register_connected_health, "sensor", "wearable1", {}),
+]
+STOCK_IDS = [f"{scenario}-{name}" for scenario, name, *_ in STOCK_ALGORITHMS]
+
+
+@pytest.fixture(scope="module")
+def quick_recognizer():
+    recognizer = ActivityRecognizer(seed=0)
+    recognizer.train(samples=120, epochs=4, seed=0)
+    return recognizer
+
+
+def _deploy_one(register, recognizer):
+    if register is register_connected_health:
+        return _deploy(register, recognizer=recognizer)
+    return _deploy(register)
+
+
+@pytest.mark.parametrize("scenario,name,register,argument,sensor_id,good", STOCK_ALGORITHMS, ids=STOCK_IDS)
+def test_unknown_sensor_in_a_call_list_consumes_no_reading(
+    scenario, name, register, argument, sensor_id, good, quick_recognizer
+):
+    """An unknown sensor id in call k used to raise after calls 0..k-1 had
+    pulled (and recorded) readings nobody was then served."""
+    openei = _deploy_one(register, quick_recognizer)
+    untouched = _deploy_one(register, quick_recognizer)
+    with pytest.raises(ResourceNotFoundError, match="nope"):
+        openei.call_algorithm_batch(scenario, name, [good, good, {**good, argument: "nope"}])
+    assert openei.data_store.count(sensor_id) == 0
+    # the next good caller holds the reading it would have held had the bad list never come
+    _assert_results_match(
+        [openei.call_algorithm(scenario, name, good)],
+        [untouched.call_algorithm(scenario, name, good)],
+    )
+    assert openei.data_store.count(sensor_id) == untouched.data_store.count(sensor_id) > 0
+
+
+@pytest.mark.parametrize("scenario,name,register,argument,sensor_id,good", STOCK_ALGORITHMS, ids=STOCK_IDS)
+def test_unknown_sensor_in_a_coalesced_batch_costs_its_neighbour_nothing(
+    scenario, name, register, argument, sensor_id, good, quick_recognizer
+):
+    """Two threads coalesce into one batch; it raises on the unknown sensor
+    and the dispatcher retries each call alone.  The good caller's retry must
+    read the first reading, not one after those the failed batch threw away."""
+    openei = _deploy_one(register, quick_recognizer)
+    alone = _deploy_one(register, quick_recognizer)
+    dispatcher = BatchingDispatcher(openei, BatchingConfig(max_batch_size=2, flush_window_s=5.0))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        served = pool.submit(dispatcher.call_algorithm, scenario, name, good)
+        refused = pool.submit(dispatcher.call_algorithm, scenario, name, {**good, argument: "nope"})
+        with pytest.raises(ResourceNotFoundError, match="nope"):
+            refused.result(timeout=10.0)
+        result = served.result(timeout=10.0)
+    assert dispatcher.stats.max_batch == 2, "the two calls were meant to coalesce"
+    _assert_results_match([result], [alone.call_algorithm(scenario, name, good)])
+    # the store grew by exactly the readings served
+    assert openei.data_store.count(sensor_id) == alone.data_store.count(sensor_id) > 0
+
+
+def _assert_plain_json(value, path="result"):
+    """No numpy scalar or array may reach a result: ``np.float64`` passes an
+    ``isinstance(…, float)`` check and ``np.bool_`` breaks ``json.dumps``."""
+    assert type(value) in (float, int, bool, str, list, dict, type(None)), f"{path}: {type(value)}"
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            _assert_plain_json(item, f"{path}.{key}")
+    elif type(value) is list:
+        for index, item in enumerate(value):
+            _assert_plain_json(item, f"{path}[{index}]")
+
+
+@pytest.mark.parametrize("scenario,name,register,argument,sensor_id,good", STOCK_ALGORITHMS, ids=STOCK_IDS)
+def test_stock_results_are_plain_json_types(
+    stock_openei, scenario, name, register, argument, sensor_id, good
+):
+    single = stock_openei.call_algorithm(scenario, name, good)
+    batch = stock_openei.call_algorithm_batch(scenario, name, [good] * 8)
+    for result in [single, *batch]:
+        _assert_plain_json(result)
+    assert json.loads(json.dumps(batch)) == batch
+
+
+def test_frames_true_is_a_400_like_any_other_non_integer(stock_openei):
+    """``isinstance(True, int)`` holds; ``?frames=true`` is still not a frame count."""
+    dispatcher = LibEIDispatcher(stock_openei)
+    captured = stock_openei.data_store.count("vehiclecam1")
+    for spelling in ("true", "false", "True"):
+        status, body = dispatcher.safe_handle_path(f"/ei_algorithms/vehicles/tracking/?frames={spelling}")
+        assert status == 400, body
+        assert "frames" in body["error"]
+    assert stock_openei.data_store.count("vehiclecam1") == captured

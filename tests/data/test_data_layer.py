@@ -1,5 +1,7 @@
 """Tests for sensor simulators, the data store and workload generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,37 @@ def test_vehicle_camera_positions_smooth():
     assert np.all((positions >= 0) & (positions <= 32))
 
 
+#: sha256 of the first 64 readings of each simulator, taken at the commit
+#: before ``sensors.py`` stopped rebuilding its constants per reading.  The
+#: simulators may get cheaper; the streams the apps, the benchmark's
+#: ``data_read`` pin and every seeded test consume may not move by a byte.
+SENSOR_STREAM_DIGESTS = {
+    (CameraSensor, 0): "aa038e42f1ec1b99fc77ef0ff04b2cca00daebc2c3e10e4628db370e9387116e",
+    (CameraSensor, 3): "25e8035bcdad23951433048dfca6e5bcb9dbe50df0949b7156909f4d5df0923b",
+    (WearableIMUSensor, 0): "b91d40378933b7266eab6346a0668651fe20d50c9ba25f4d9513cf5a2e88f98b",
+    (WearableIMUSensor, 3): "093d5b505207559ae7fdc0d10df8f91a705534c7532618ad8ce5b280d186da60",
+    (PowerMeterSensor, 0): "535254017bff3610a5e92f221d8bc38728c132ecbccd8dbe0eb15936d52cd410",
+    (PowerMeterSensor, 3): "58215f009f3dbf91656accd7a86eeb533be14e75e5c1b58b235ce071f01e32c9",
+    (VehicleCameraSensor, 0): "b12939ed0c0e1cb1835b1b89418c95668ca03e2a2aeeb56122f38513648245fa",
+    (VehicleCameraSensor, 3): "6ab39be141c85108994820b8d6e17ebf693c8223121287454539772487203e8b",
+}
+
+
+@pytest.mark.parametrize(
+    "sensor_class,seed", list(SENSOR_STREAM_DIGESTS),
+    ids=[f"{cls.__name__}-seed{seed}" for cls, seed in SENSOR_STREAM_DIGESTS],
+)
+def test_sensor_streams_are_byte_identical_to_the_pinned_digests(sensor_class, seed):
+    digest = hashlib.sha256()
+    for reading in sensor_class(seed=seed).stream(64):
+        digest.update(repr(reading.timestamp).encode())
+        digest.update(reading.payload.tobytes())
+        digest.update(str(reading.payload.dtype).encode())
+        digest.update(repr(reading.payload.shape).encode())
+        digest.update(repr(reading.annotations).encode())
+    assert digest.hexdigest() == SENSOR_STREAM_DIGESTS[(sensor_class, seed)]
+
+
 def test_sensor_invalid_period():
     with pytest.raises(ConfigurationError):
         CameraSensor(period_s=0.0)
@@ -100,6 +133,60 @@ def test_store_retention_evicts_oldest():
         store.record(reading)
     assert store.count("cam") == 5
     assert store.historical("cam", start=0.0)[0].timestamp > 0
+
+
+def test_store_series_is_a_bounded_deque_and_capture_respects_retention():
+    store = EdgeDataStore(retention=4)
+    store.register_sensor(PowerMeterSensor(sensor_id="meter", seed=0))
+    captured = store.capture("meter", count=7)
+    assert store.count("meter") == 4
+    assert store.historical("meter", start=0.0) == captured[-4:]
+    assert store.realtime("meter").timestamp == captured[-1].timestamp + 60.0
+    assert store.total_bytes("meter") == 4 * captured[0].nbytes
+
+
+def test_realtime_batch_reads_in_order_and_is_all_or_nothing():
+    store = EdgeDataStore()
+    store.register_sensor(PowerMeterSensor(sensor_id="live", seed=0))
+    recorded = next(PowerMeterSensor(sensor_id="recorded", seed=1).stream(1))
+    store.record(recorded)
+    with pytest.raises(ResourceNotFoundError, match="ghost"):
+        store.realtime_batch(["live", "recorded", "live", "ghost"])
+    assert store.count("live") == 0            # nothing was pulled before the raise
+    first, kept, second = store.realtime_batch(["live", "recorded", "live"])
+    assert (first.timestamp, second.timestamp) == (0.0, 60.0)
+    assert kept is recorded                     # no live sensor: the newest recorded reading
+    assert store.count("live") == 2 and store.count("recorded") == 1
+    assert store.realtime_batch([]) == []
+
+
+def test_store_readers_walk_a_snapshot_of_the_series():
+    """A handler thread records beside ``/ei_data/historical`` readers, and a
+    deque refuses to be iterated while it changes.  The interleaving is made
+    deterministic here: one stored reading records another when it is looked at."""
+    store = EdgeDataStore()
+    meter = PowerMeterSensor(sensor_id="meter", seed=0)
+
+    class RecordsWhenRead:
+        sensor_id = "meter"
+
+        @property
+        def timestamp(self):
+            store.record(meter.read())
+            return -1.0
+
+        @property
+        def nbytes(self):
+            store.record(meter.read())
+            return 8
+
+    store.record(RecordsWhenRead())
+    store.register_sensor(meter)
+    store.capture("meter", count=3)
+    assert len(store.historical("meter", start=0.0)) == 3
+    assert store.total_bytes("meter") == 5 * 8
+    assert store.total_bytes() == 6 * 8
+    assert store.count("meter") == 7
 
 
 def test_store_unknown_sensor_raises():
