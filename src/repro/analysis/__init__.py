@@ -10,9 +10,10 @@ Four parts (full docs: docs/STATIC_ANALYSIS.md):
   a project-wide symbol table / call graph and the interprocedural
   rules that run over it (transitive blocking-under-lock, requires-lock
   propagation, guarded-container escape analysis).
-* :mod:`repro.analysis.shapes` — an abstract interpreter over layer
-  configs that infers output shapes/dtypes through a ``Sequential``;
-  wired into ``ModelRegistry.publish`` and rollout deploys as a gate.
+* :mod:`repro.analysis.shapes` — walks a declared input shape through
+  the layers' own ``output_shape`` contracts of a ``Sequential`` and
+  checks parameter dtypes; wired into ``ModelRegistry.publish`` and
+  rollout deploys as a gate.
 * :mod:`repro.analysis.lockwatch` — instrumented lock factories that
   build a runtime lock-order graph and fail tests on cycles or
   over-budget hold spans (enable with ``REPRO_LOCKWATCH=1``).

@@ -1,29 +1,26 @@
 """Static shape/dtype checking for :class:`~repro.nn.model.Sequential`.
 
-An abstract interpreter over layer *configs*: starting from a declared
-input shape (excluding the batch axis) it pushes a symbolic
-:class:`TensorSpec` through every layer, validating the contract each
-layer's ``forward`` would enforce — and several it would not:
+Not an independent interpreter: every layer kind declares its input
+contract once, in ``Layer.output_shape`` (the call ``forward`` and the
+compiled plan's native steps validate with at run time), and
+:func:`check_model` walks a declared input shape (excluding the batch
+axis) through those same methods before any request exists.  A layer
+that rejects its input raises its named ``ShapeError`` /
+``ConfigurationError``; the message becomes the finding at that layer
+index, verbatim — rank, Dense fan-in, conv channels, a kernel that
+collapses the map, pool divisibility, BatchNorm width, features per
+recurrent step.  One finding per violated layer, and the walk stops
+there: what flows out of a layer that refused its input is unknowable.
+An ``output_shape`` that raises anything else (a layer from outside the
+library unpacking the wrong rank) is a finding too.
 
-* **Dense fan-in** — ``in_features`` must match the incoming feature
-  count (``forward`` checks this, but only when a request arrives);
-* **Conv/Depthwise/Separable channels** — the incoming channel count
-  must match ``in_channels``, and the spatial output must stay positive
-  for the configured kernel/stride/padding;
-* **pool divisibility** — ``MaxPool2D``/``AvgPool2D`` require spatial
-  dims divisible by ``pool_size`` (a runtime ``ShapeError`` otherwise);
-* **recurrent feature width** — ``SimpleRNN``/``GRU``/``LSTM``/
-  ``FastGRNN`` never validate that the sequence's feature axis matches
-  ``input_size``; a mismatch surfaces as a bare numpy matmul error deep
-  inside a serving replica.  Here it is a named finding;
-* **parameter dtype** — every parameter array must be float64 (the
-  engine's GEMM kernels assume it); a stale or hand-edited artifact
-  with integer weights is rejected before it reaches a replica.
+Independently of shapes, every layer's parameters must be float64 (the
+engine's GEMM kernels assume it); a stale or hand-edited artifact with
+integer weights is rejected before it reaches a replica.
 
-On top of the per-layer walk the checker validates the compiled plan's
-fusability assumptions by invoking the real
-:func:`repro.nn.engine._compile_steps` translation (structure only — no
-buffers are allocated) and recording which layers went native, which
+On top of the walk the report carries the compiled plan's summary, from
+the real :func:`repro.nn.engine._compile_steps` translation (structure
+only — no buffers are allocated): which layers went native, which
 fused, and which fell back to ``layer.forward``.
 
 :func:`check_model` returns a :class:`ShapeReport`; :func:`validate_model`
@@ -43,25 +40,24 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, ReproError
 
-Shape = Tuple[Optional[int], ...]
+Shape = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class TensorSpec:
-    """Abstract value flowing between layers: shape (no batch axis, with
-    ``None`` for axes unknown statically, e.g. sequence length) + dtype."""
+    """What flows between layers: a concrete per-sample shape (no batch axis) + dtype."""
 
     shape: Shape
     dtype: str = "float64"
 
     def render(self) -> str:
-        dims = ", ".join("?" if d is None else str(d) for d in self.shape)
+        dims = ", ".join(str(d) for d in self.shape)
         return f"({dims}):{self.dtype}"
 
 
@@ -137,217 +133,7 @@ class ShapeReport:
         }
 
 
-def _describe(layer: object) -> str:
-    name = getattr(layer, "name", None)
-    return f"{type(layer).__name__} {name!r}" if name else type(layer).__name__
-
-
-def _conv_out(size: Optional[int], kernel: int, stride: int, pad: int) -> Optional[int]:
-    if size is None:
-        return None
-    return (size + 2 * pad - kernel) // stride + 1
-
-
-class _LayerChecker:
-    """Transfer function + validation for one layer class.
-
-    Dispatch is duck-typed on layer attributes rather than imported
-    classes so the checker keeps working for layers registered from
-    outside :mod:`repro.nn.layers` (``FastGRNNLayer`` lives in
-    ``eialgorithms``) without import cycles.
-    """
-
-    def __init__(self) -> None:
-        self._dispatch: List[Tuple[Callable[[object], bool], Callable]] = [
-            (self._is_separable, self._separable),
-            (self._is_depthwise, self._depthwise),
-            (self._is_conv, self._conv),
-            (self._is_dense, self._dense),
-            (self._is_global_pool, self._global_pool),
-            (self._is_pool, self._pool),
-            (self._is_flatten, self._flatten),
-            (self._is_batchnorm, self._batchnorm),
-            (self._is_recurrent, self._recurrent),
-        ]
-
-    # ---------------------------------------------------------- dispatch
-
-    def transfer(
-        self, layer: object, spec: TensorSpec, emit: Callable[[str], None]
-    ) -> TensorSpec:
-        for predicate, handler in self._dispatch:
-            if predicate(layer):
-                return handler(layer, spec, emit)
-        kind = getattr(layer, "kind", "layer")
-        if kind in ("activation", "regularization"):
-            return spec
-        # unknown layer: trust its own output_shape, flag if even that fails
-        try:
-            known = tuple(spec.shape)
-            if any(d is None for d in known):
-                return TensorSpec(spec.shape, spec.dtype)
-            out = tuple(int(d) for d in layer.output_shape(known))  # type: ignore[attr-defined]
-            return TensorSpec(out, spec.dtype)
-        except Exception as exc:
-            emit(f"output_shape({spec.render()}) failed: {exc}")
-            return spec
-
-    # -------------------------------------------------------- predicates
-
-    @staticmethod
-    def _is_dense(layer: object) -> bool:
-        return hasattr(layer, "in_features") and hasattr(layer, "out_features")
-
-    @staticmethod
-    def _is_separable(layer: object) -> bool:
-        return hasattr(layer, "depthwise") and hasattr(layer, "pointwise")
-
-    @staticmethod
-    def _is_depthwise(layer: object) -> bool:
-        return (
-            hasattr(layer, "kernel_size")
-            and hasattr(layer, "in_channels")
-            and not hasattr(layer, "out_channels")
-        )
-
-    @staticmethod
-    def _is_conv(layer: object) -> bool:
-        return hasattr(layer, "kernel_size") and hasattr(layer, "out_channels")
-
-    @staticmethod
-    def _is_pool(layer: object) -> bool:
-        return hasattr(layer, "pool_size")
-
-    @staticmethod
-    def _is_global_pool(layer: object) -> bool:
-        return type(layer).__name__ == "GlobalAvgPool2D"
-
-    @staticmethod
-    def _is_flatten(layer: object) -> bool:
-        return type(layer).__name__ == "Flatten"
-
-    @staticmethod
-    def _is_batchnorm(layer: object) -> bool:
-        return hasattr(layer, "num_features") and hasattr(layer, "momentum")
-
-    @staticmethod
-    def _is_recurrent(layer: object) -> bool:
-        return getattr(layer, "kind", "") == "recurrent" and hasattr(
-            layer, "input_size"
-        )
-
-    # ---------------------------------------------------------- transfers
-
-    def _dense(self, layer, spec: TensorSpec, emit) -> TensorSpec:
-        if len(spec.shape) != 1:
-            emit(f"expects a flat feature vector, got {spec.render()}")
-        else:
-            features = spec.shape[0]
-            if features is not None and features != layer.in_features:
-                emit(
-                    f"expects {layer.in_features} input features, got {features}"
-                )
-        return TensorSpec((int(layer.out_features),), spec.dtype)
-
-    def _image_in(self, layer, spec: TensorSpec, emit) -> Optional[Shape]:
-        if len(spec.shape) != 3:
-            emit(f"expects (height, width, channels) input, got {spec.render()}")
-            return None
-        return spec.shape
-
-    def _conv_common(
-        self, layer, spec: TensorSpec, emit, out_channels: int
-    ) -> TensorSpec:
-        shape = self._image_in(layer, spec, emit)
-        if shape is None:
-            return TensorSpec((None, None, out_channels), spec.dtype)
-        height, width, channels = shape
-        if channels is not None and channels != layer.in_channels:
-            emit(f"expects {layer.in_channels} channels, got {channels}")
-        pad = int(getattr(layer, "pad", 0))
-        kernel = int(layer.kernel_size)
-        stride = int(layer.stride)
-        out_h = _conv_out(height, kernel, stride, pad)
-        out_w = _conv_out(width, kernel, stride, pad)
-        for axis, size in (("height", out_h), ("width", out_w)):
-            if size is not None and size <= 0:
-                emit(
-                    f"kernel {kernel} stride {stride} padding "
-                    f"'{getattr(layer, 'padding', '?')}' collapses the "
-                    f"{axis} axis of {spec.render()} to {size}"
-                )
-        return TensorSpec((out_h, out_w, out_channels), spec.dtype)
-
-    def _conv(self, layer, spec: TensorSpec, emit) -> TensorSpec:
-        return self._conv_common(layer, spec, emit, int(layer.out_channels))
-
-    def _depthwise(self, layer, spec: TensorSpec, emit) -> TensorSpec:
-        return self._conv_common(layer, spec, emit, int(layer.in_channels))
-
-    def _separable(self, layer, spec: TensorSpec, emit) -> TensorSpec:
-        mid = self._conv_common(layer.depthwise, spec, emit, int(layer.in_channels))
-        return self._conv_common(layer.pointwise, mid, emit, int(layer.out_channels))
-
-    def _pool(self, layer, spec: TensorSpec, emit) -> TensorSpec:
-        shape = self._image_in(layer, spec, emit)
-        pool = int(layer.pool_size)
-        if shape is None:
-            return spec
-        height, width, channels = shape
-        for axis, size in (("height", height), ("width", width)):
-            if size is not None and size % pool != 0:
-                emit(
-                    f"pool_size {pool} does not divide the {axis} {size} "
-                    f"(runtime ShapeError)"
-                )
-        out_h = None if height is None else height // pool
-        out_w = None if width is None else width // pool
-        return TensorSpec((out_h, out_w, channels), spec.dtype)
-
-    def _global_pool(self, layer, spec: TensorSpec, emit) -> TensorSpec:
-        shape = self._image_in(layer, spec, emit)
-        if shape is None:
-            return TensorSpec((None,), spec.dtype)
-        return TensorSpec((shape[2],), spec.dtype)
-
-    def _flatten(self, layer, spec: TensorSpec, emit) -> TensorSpec:
-        if any(d is None for d in spec.shape):
-            return TensorSpec((None,), spec.dtype)
-        flat = 1
-        for d in spec.shape:
-            flat *= int(d)  # type: ignore[arg-type]
-        return TensorSpec((flat,), spec.dtype)
-
-    def _batchnorm(self, layer, spec: TensorSpec, emit) -> TensorSpec:
-        if not spec.shape:
-            emit(f"expects at least one axis, got {spec.render()}")
-            return spec
-        features = spec.shape[-1]
-        if features is not None and features != layer.num_features:
-            emit(
-                f"normalizes {layer.num_features} features but the incoming "
-                f"tensor has {features} on its channel axis"
-            )
-        return spec
-
-    def _recurrent(self, layer, spec: TensorSpec, emit) -> TensorSpec:
-        if len(spec.shape) != 2:
-            emit(f"expects (steps, features) sequences, got {spec.render()}")
-            return TensorSpec((int(layer.hidden_size),), spec.dtype)
-        features = spec.shape[1]
-        if features is not None and features != layer.input_size:
-            emit(
-                f"consumes {layer.input_size}-feature steps but the sequence "
-                f"carries {features} features (forward would fail inside a "
-                f"bare matmul, not a named check)"
-            )
-        return TensorSpec((int(layer.hidden_size),), spec.dtype)
-
-
-_checker = _LayerChecker()
-
-
-def _param_dtype_findings(index: int, layer: object) -> List[str]:
+def _param_dtype_findings(layer: object) -> List[str]:
     problems = []
     for key, value in getattr(layer, "_params", {}).items():
         if isinstance(value, np.ndarray) and value.dtype != np.float64:
@@ -359,10 +145,10 @@ def _param_dtype_findings(index: int, layer: object) -> List[str]:
 
 
 def check_model(
-    model, input_shape: Sequence[Optional[int]], dtype: str = "float64"
+    model, input_shape: Sequence[int], dtype: str = "float64"
 ) -> ShapeReport:
-    """Push an abstract tensor through ``model`` and report every
-    violated layer contract plus the compiled-plan summary."""
+    """Walk ``input_shape`` through the layers' own ``output_shape``
+    contracts and report every violation plus the compiled-plan summary."""
     spec = TensorSpec(tuple(input_shape), dtype)
     name = getattr(model, "name", None) or type(model).__name__
     report = ShapeReport(model=str(name), input=spec)
@@ -374,25 +160,40 @@ def check_model(
                 message=f"input dtype {dtype} is not floating point",
             )
         )
+    # the shape walk stops at the first layer that rejects its input (what
+    # flows out of it is unknowable); the parameter check does not depend on
+    # shapes and still visits every layer
+    walking = True
     for index, layer in enumerate(getattr(model, "layers", [])):
-        label = _describe(layer)
+        label = getattr(layer, "label", type(layer).__name__)
         messages: List[str] = []
-        out = _checker.transfer(layer, spec, messages.append)
-        messages.extend(_param_dtype_findings(index, layer))
+        if walking:
+            try:
+                out = TensorSpec(tuple(int(d) for d in layer.output_shape(spec.shape)), dtype)
+            except ReproError as exc:
+                walking = False
+                messages.append(str(exc))
+            except Exception as exc:
+                # a layer from outside the library whose output_shape trips
+                # over the shape (unpacking the wrong rank, say) rejected it
+                walking = False
+                messages.append(f"output_shape({spec.render()}) failed: {exc}")
+            else:
+                report.traces.append(
+                    LayerTrace(
+                        index=index,
+                        layer=label,
+                        kind=getattr(layer, "kind", "layer"),
+                        input=spec,
+                        output=out,
+                    )
+                )
+                spec = out
+        messages.extend(_param_dtype_findings(layer))
         for message in messages:
             report.findings.append(
                 ShapeFinding(index=index, layer=label, message=message)
             )
-        report.traces.append(
-            LayerTrace(
-                index=index,
-                layer=label,
-                kind=getattr(layer, "kind", "layer"),
-                input=spec,
-                output=out,
-            )
-        )
-        spec = out
     _summarize_plan(model, report)
     return report
 
@@ -428,7 +229,7 @@ def _summarize_plan(model, report: ShapeReport) -> None:
 
 def validate_model(
     model,
-    input_shape: Sequence[Optional[int]],
+    input_shape: Sequence[int],
     dtype: str = "float64",
     context: str = "publish",
 ) -> ShapeReport:

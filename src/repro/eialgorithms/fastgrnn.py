@@ -23,8 +23,9 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.nn import initializers
+from repro.nn.engine import FastGRNNStep, plan_step
 from repro.nn.layers import Dense, Softmax
-from repro.nn.layers.base import ParametricLayer
+from repro.nn.layers.base import RecurrentLayer
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam
@@ -32,10 +33,8 @@ from repro.nn.serialization import register_layer
 
 
 @register_layer
-class FastGRNNLayer(ParametricLayer):
+class FastGRNNLayer(RecurrentLayer):
     """The FastGRNN recurrent cell applied over a full sequence."""
-
-    kind = "recurrent"
 
     def __init__(
         self,
@@ -68,7 +67,7 @@ class FastGRNNLayer(ParametricLayer):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 3, "FastGRNNLayer")
+        self.output_shape(inputs.shape[1:])
         batch, steps, _ = inputs.shape
         hidden = np.zeros((batch, self.hidden_size))
         # gate caches exist only for backprop; inference must not hold
@@ -136,9 +135,8 @@ class FastGRNNLayer(ParametricLayer):
         per_step = self.input_size * self.hidden_size + self.hidden_size * self.hidden_size
         return int(steps * per_step)
 
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        del input_shape
-        return (self.hidden_size,)
+
+plan_step(FastGRNNLayer)(FastGRNNStep)
 
 
 class FastGRNNClassifier:

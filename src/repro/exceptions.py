@@ -67,10 +67,10 @@ class LockContractError(ReproError):
 
 
 class AnalysisError(ReproError):
-    """A static model check failed: the shape/dtype interpreter in
+    """A static model check failed: the shape/dtype walk in
     :mod:`repro.analysis.shapes` rejected an architecture at publish or
-    deploy time.  The message names the offending layer index and what
-    the abstract interpreter expected there."""
+    deploy time.  The message names the offending layer index and
+    carries that layer's own contract error."""
 
 
 class StorageError(ReproError):

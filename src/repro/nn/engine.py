@@ -36,22 +36,33 @@ layer list itself changes the plan's structural fingerprint, which
 :meth:`Sequential.predict` checks on every call and recompiles on
 mismatch.
 
-Layers the compiler does not know natively fall back to their ordinary
-``forward(training=False)``, so a plan exists for *every* model and is
-exactly as correct as the naive path — merely faster where it matters.
+Which step a layer kind compiles to is declared on the step itself:
+``@plan_step(Dense)`` files the step class under the *exact* layer class
+(a subclass is a different kind).  A layer that lives outside
+:mod:`repro.nn` files its own — ``eialgorithms/fastgrnn.py`` does so on
+import — so this module imports no layer it does not own.  Layers with no
+entry fall back to their ordinary ``forward(training=False)``, so a plan
+exists for *every* model and is exactly as correct as the naive path —
+merely faster where it matters.
+
+What a kind accepts is declared once too, in ``Layer.output_shape``: a
+native step opens with ``self.layer.output_shape(x.shape[1:])`` on the
+array it actually receives and so raises the same named error as the
+layer's own ``forward``.  Fallback, flatten, identity and standalone
+activation steps check nothing (a fallback layer's ``forward`` speaks for
+itself; the others accept any shape).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers.activations import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
 from repro.nn.layers.base import Layer
-from repro.nn.layers.conv import Conv2D, DepthwiseConv2D, SeparableConv2D, _conv_output_size
+from repro.nn.layers.conv import Conv2D, DepthwiseConv2D, SeparableConv2D
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.lstm import LSTMLayer
 from repro.nn.layers.normalization import BatchNorm
@@ -159,33 +170,36 @@ def _make_leaky_inplace(alpha: float) -> Callable[[np.ndarray, WorkspaceArena, i
     return _leaky_inplace
 
 
+_ACTIVATION_KERNELS: Dict[type, Callable[[np.ndarray, WorkspaceArena, int], None]] = {
+    ReLU: _relu_inplace,
+    Tanh: _tanh_inplace,
+    Sigmoid: _sigmoid_inplace,
+    Softmax: _softmax_inplace,
+}
+
+
 def _activation_kernel(layer: Layer) -> Optional[Callable[[np.ndarray, WorkspaceArena, int], None]]:
     """The in-place kernel for an activation layer, or None if unknown."""
-    if type(layer) is ReLU:
-        return _relu_inplace
-    if type(layer) is Tanh:
-        return _tanh_inplace
-    if type(layer) is Sigmoid:
-        return _sigmoid_inplace
-    if type(layer) is Softmax:
-        return _softmax_inplace
     if type(layer) is LeakyReLU and 0.0 <= layer.alpha <= 1.0:
         return _make_leaky_inplace(layer.alpha)
-    return None
+    return _ACTIVATION_KERNELS.get(type(layer))
 
 
 def _im2col_into(
     inputs: np.ndarray,
-    kernel: int,
-    stride: int,
-    pad: int,
+    layer: Layer,
+    out_h: int,
+    out_w: int,
     arena: WorkspaceArena,
     step: int,
-) -> Tuple[np.ndarray, int, int]:
-    """Arena-backed :func:`repro.nn.layers.conv.im2col`: no fresh allocations."""
+) -> np.ndarray:
+    """Arena-backed :func:`repro.nn.layers.conv.im2col`: no fresh allocations.
+
+    ``out_h`` / ``out_w`` are what the conv layer's ``output_shape``
+    declared for ``inputs``.
+    """
     batch, height, width, channels = inputs.shape
-    out_h = _conv_output_size(height, kernel, stride, pad)
-    out_w = _conv_output_size(width, kernel, stride, pad)
+    kernel, stride, pad = layer.kernel_size, layer.stride, layer.pad
     if pad:
         padded = arena.get(step, "pad", (batch, height + 2 * pad, width + 2 * pad, channels))
         padded.fill(0.0)
@@ -198,13 +212,15 @@ def _im2col_into(
         for j in range(kernel):
             j_end = j + stride * out_w
             cols[:, :, :, i, j, :] = padded[:, i:i_end:stride, j:j_end:stride, :]
-    return cols.reshape(batch * out_h * out_w, kernel * kernel * channels), out_h, out_w
+    return cols.reshape(batch * out_h * out_w, kernel * kernel * channels)
 
 
 # ---------------------------------------------------------------------------
 # Plan steps.  Each step consumes ``(x, owned)`` and produces the same pair;
 # ``owned`` marks arrays the plan may mutate in place (arena buffers), as
-# opposed to the caller's input or a view of it.
+# opposed to the caller's input or a view of it.  A native step opens with
+# ``self.layer.output_shape(x.shape[1:])``: the layer's own input contract,
+# checked against the array this step actually receives.
 # ---------------------------------------------------------------------------
 
 class _Step:
@@ -212,6 +228,8 @@ class _Step:
 
     #: short human-readable label used by :meth:`InferencePlan.describe`.
     label = "step"
+    #: whether a following elementwise activation may be absorbed into this step.
+    fuses = True
 
     def __init__(self, layer: Layer, step: int) -> None:
         self.layer = layer
@@ -238,10 +256,27 @@ class _Step:
         return base
 
 
+#: exact layer class -> its native step (a subclass that overrides
+#: ``forward`` is a different class, so it falls back instead of running
+#: its parent's kernel)
+_NATIVE_STEPS: Dict[type, Type[_Step]] = {}
+
+
+def plan_step(layer_cls: type) -> Callable[[Type[_Step]], Type[_Step]]:
+    """Class decorator: compile ``layer_cls`` layers to the decorated step."""
+
+    def register(step_cls: Type[_Step]) -> Type[_Step]:
+        _NATIVE_STEPS[layer_cls] = step_cls
+        return step_cls
+
+    return register
+
+
 class _FallbackStep(_Step):
     """Unknown layer: delegate to its ordinary inference forward."""
 
     label = "fallback"
+    fuses = False
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         out = self.layer.forward(x, training=False)
@@ -253,17 +288,13 @@ class _FallbackStep(_Step):
         return out, True
 
 
+@plan_step(Dense)
 class _DenseStep(_Step):
     label = "dense"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         layer = self.layer
-        if x.ndim != 2:
-            raise ShapeError(f"Dense expects 2-D input (including batch); got shape {x.shape}")
-        if x.shape[1] != layer.in_features:
-            raise ConfigurationError(
-                f"Dense {layer.name!r} expects {layer.in_features} features, got {x.shape[1]}"
-            )
+        layer.output_shape(x.shape[1:])
         params = layer.params
         weight = params["W"]
         out = arena.get(self.step, "out", (x.shape[0], weight.shape[1]))
@@ -275,21 +306,15 @@ class _DenseStep(_Step):
         return out, True
 
 
+@plan_step(Conv2D)
 class _Conv2DStep(_Step):
     label = "conv"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         layer = self.layer
-        if x.ndim != 4:
-            raise ShapeError(f"Conv2D expects 4-D input (including batch); got shape {x.shape}")
-        if x.shape[3] != layer.in_channels:
-            raise ConfigurationError(
-                f"Conv2D {layer.name!r} expects {layer.in_channels} channels, got {x.shape[3]}"
-            )
+        out_h, out_w, _ = layer.output_shape(x.shape[1:])
         params = layer.params
-        cols, out_h, out_w = _im2col_into(
-            x, layer.kernel_size, layer.stride, layer.pad, arena, self.step
-        )
+        cols = _im2col_into(x, layer, out_h, out_w, arena, self.step)
         w_mat = params["W"].reshape(-1, layer.out_channels)
         flat = arena.get(self.step, "out", (cols.shape[0], layer.out_channels))
         np.matmul(cols, w_mat, out=flat)
@@ -300,25 +325,16 @@ class _Conv2DStep(_Step):
         return flat.reshape(x.shape[0], out_h, out_w, layer.out_channels), True
 
 
+@plan_step(DepthwiseConv2D)
 class _DepthwiseConv2DStep(_Step):
     label = "dwconv"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         layer = self.layer
-        if x.ndim != 4:
-            raise ShapeError(
-                f"DepthwiseConv2D expects 4-D input (including batch); got shape {x.shape}"
-            )
-        if x.shape[3] != layer.in_channels:
-            raise ConfigurationError(
-                f"DepthwiseConv2D {layer.name!r} expects {layer.in_channels} channels, "
-                f"got {x.shape[3]}"
-            )
+        out_h, out_w, _ = layer.output_shape(x.shape[1:])
         params = layer.params
         k2 = layer.kernel_size * layer.kernel_size
-        cols, out_h, out_w = _im2col_into(
-            x, layer.kernel_size, layer.stride, layer.pad, arena, self.step
-        )
+        cols = _im2col_into(x, layer, out_h, out_w, arena, self.step)
         cols3 = cols.reshape(-1, k2, layer.in_channels)
         w3 = params["W"].reshape(k2, layer.in_channels)
         out = arena.get(self.step, "out", (cols3.shape[0], layer.in_channels))
@@ -330,6 +346,7 @@ class _DepthwiseConv2DStep(_Step):
         return out.reshape(x.shape[0], out_h, out_w, layer.in_channels), True
 
 
+@plan_step(BatchNorm)
 class _BatchNormStep(_Step):
     """Inference batch norm as one scale-and-shift pass.
 
@@ -343,11 +360,7 @@ class _BatchNormStep(_Step):
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         layer = self.layer
-        if x.shape[-1] != layer.num_features:
-            raise ConfigurationError(
-                f"BatchNorm {layer.name!r} expects {layer.num_features} features, "
-                f"got {x.shape[-1]}"
-            )
+        layer.output_shape(x.shape[1:])
         params = layer.params
         scale = params["gamma"] / np.sqrt(layer.running_var + layer.epsilon)
         shift = params["beta"] - layer.running_mean * scale
@@ -367,6 +380,7 @@ class _ActivationStep(_Step):
     """A standalone elementwise activation (nothing upstream to fuse into)."""
 
     label = "activation"
+    fuses = False
 
     def __init__(self, layer: Layer, step: int,
                  kernel: Callable[[np.ndarray, WorkspaceArena, int], None]) -> None:
@@ -382,65 +396,52 @@ class _ActivationStep(_Step):
         return x, True
 
 
+@plan_step(MaxPool2D)
 class _MaxPoolStep(_Step):
     label = "maxpool"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
-        layer = self.layer
-        if x.ndim != 4:
-            raise ShapeError(f"MaxPool2D expects 4-D input (including batch); got shape {x.shape}")
-        batch, height, width, channels = x.shape
-        p = layer.pool_size
-        if height % p or width % p:
-            raise ShapeError(
-                f"MaxPool2D requires spatial dims divisible by {p}; got {(height, width)}"
-            )
-        windows = x.reshape(batch, height // p, p, width // p, p, channels)
-        out = arena.get(self.step, "out", (batch, height // p, width // p, channels))
+        out_h, out_w, channels = self.layer.output_shape(x.shape[1:])
+        p = self.layer.pool_size
+        windows = x.reshape(x.shape[0], out_h, p, out_w, p, channels)
+        out = arena.get(self.step, "out", (x.shape[0], out_h, out_w, channels))
         windows.max(axis=(2, 4), out=out)
         if self.activation is not None:
             self.activation(out, arena, self.step)
         return out, True
 
 
+@plan_step(AvgPool2D)
 class _AvgPoolStep(_Step):
     label = "avgpool"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
-        layer = self.layer
-        if x.ndim != 4:
-            raise ShapeError(f"AvgPool2D expects 4-D input (including batch); got shape {x.shape}")
-        batch, height, width, channels = x.shape
-        p = layer.pool_size
-        if height % p or width % p:
-            raise ShapeError(
-                f"AvgPool2D requires spatial dims divisible by {p}; got {(height, width)}"
-            )
-        windows = x.reshape(batch, height // p, p, width // p, p, channels)
-        out = arena.get(self.step, "out", (batch, height // p, width // p, channels))
+        out_h, out_w, channels = self.layer.output_shape(x.shape[1:])
+        p = self.layer.pool_size
+        windows = x.reshape(x.shape[0], out_h, p, out_w, p, channels)
+        out = arena.get(self.step, "out", (x.shape[0], out_h, out_w, channels))
         windows.mean(axis=(2, 4), out=out)
         if self.activation is not None:
             self.activation(out, arena, self.step)
         return out, True
 
 
+@plan_step(GlobalAvgPool2D)
 class _GlobalAvgPoolStep(_Step):
     label = "gap"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
-        if x.ndim != 4:
-            raise ShapeError(
-                f"GlobalAvgPool2D expects 4-D input (including batch); got shape {x.shape}"
-            )
-        out = arena.get(self.step, "out", (x.shape[0], x.shape[3]))
+        out = arena.get(self.step, "out", (x.shape[0], *self.layer.output_shape(x.shape[1:])))
         x.mean(axis=(1, 2), out=out)
         if self.activation is not None:
             self.activation(out, arena, self.step)
         return out, True
 
 
+@plan_step(Flatten)
 class _FlattenStep(_Step):
     label = "flatten"
+    fuses = False
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         flat = x.reshape(x.shape[0], -1)
@@ -449,10 +450,12 @@ class _FlattenStep(_Step):
         return flat, owned or flat.base is None
 
 
+@plan_step(Dropout)
 class _IdentityStep(_Step):
     """Inference-mode no-op (Dropout)."""
 
     label = "identity"
+    fuses = False
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         return x, owned
@@ -494,13 +497,13 @@ def _projected(
     return out.reshape(steps, batch, weight.shape[1])
 
 
+@plan_step(SimpleRNN)
 class _SimpleRNNStep(_Step):
     label = "rnn"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         layer = self.layer
-        if x.ndim != 3:
-            raise ShapeError(f"SimpleRNN expects 3-D input (including batch); got shape {x.shape}")
+        layer.output_shape(x.shape[1:])
         params = layer.params
         batch, steps, _ = x.shape
         x_tm = _time_major(x, arena, self.step)
@@ -518,15 +521,13 @@ class _SimpleRNNStep(_Step):
         return hidden, True
 
 
+@plan_step(GRUCellLayer)
 class _GRUStep(_Step):
     label = "gru"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         layer = self.layer
-        if x.ndim != 3:
-            raise ShapeError(
-                f"GRUCellLayer expects 3-D input (including batch); got shape {x.shape}"
-            )
+        layer.output_shape(x.shape[1:])
         params = layer.params
         batch, steps, _ = x.shape
         shape = (batch, layer.hidden_size)
@@ -566,15 +567,13 @@ class _GRUStep(_Step):
         return hidden, True
 
 
+@plan_step(LSTMLayer)
 class _LSTMStep(_Step):
     label = "lstm"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         layer = self.layer
-        if x.ndim != 3:
-            raise ShapeError(
-                f"LSTMLayer expects 3-D input (including batch); got shape {x.shape}"
-            )
+        layer.output_shape(x.shape[1:])
         params = layer.params
         batch, steps, _ = x.shape
         shape = (batch, layer.hidden_size)
@@ -611,15 +610,16 @@ class _LSTMStep(_Step):
         return hidden, True
 
 
-class _FastGRNNStep(_Step):
+class FastGRNNStep(_Step):
+    """Native step for ``FastGRNNLayer``, which lives outside :mod:`repro.nn`:
+    :mod:`repro.eialgorithms.fastgrnn` registers it with :func:`plan_step`
+    on import, so this module never imports the layer class."""
+
     label = "fastgrnn"
 
     def run(self, x: np.ndarray, owned: bool, arena: WorkspaceArena) -> Tuple[np.ndarray, bool]:
         layer = self.layer
-        if x.ndim != 3:
-            raise ShapeError(
-                f"FastGRNNLayer expects 3-D input (including batch); got shape {x.shape}"
-            )
+        layer.output_shape(x.shape[1:])
         params = layer.params
         batch, steps, _ = x.shape
         shape = (batch, layer.hidden_size)
@@ -657,13 +657,6 @@ class _FastGRNNStep(_Step):
         return hidden, True
 
 
-def _fastgrnn_layer_cls():
-    """Lazy import: eialgorithms imports repro.nn, so avoid a module cycle."""
-    from repro.eialgorithms.fastgrnn import FastGRNNLayer
-
-    return FastGRNNLayer
-
-
 # ---------------------------------------------------------------------------
 # Compilation.
 # ---------------------------------------------------------------------------
@@ -689,55 +682,28 @@ def model_fingerprint(model) -> Tuple:
 
 def _compile_steps(model) -> Tuple[List[_Step], int]:
     """Translate the layer list into plan steps, fusing trailing activations."""
-    fastgrnn_cls = _fastgrnn_layer_cls()
     steps: List[_Step] = []
     fused = 0
-    index = 0
     layers = list(model.layers)
     position = 0
     while position < len(layers):
         layer = layers[position]
         step: _Step
-        if type(layer) is Dense:
-            step = _DenseStep(layer, index)
-        elif type(layer) is Conv2D:
-            step = _Conv2DStep(layer, index)
-        elif type(layer) is DepthwiseConv2D:
-            step = _DepthwiseConv2DStep(layer, index)
-        elif type(layer) is SeparableConv2D:
+        if type(layer) is SeparableConv2D:
             # two native sub-steps; the trailing activation fuses into the
             # pointwise GEMM below
-            steps.append(_DepthwiseConv2DStep(layer.depthwise, index))
-            index += 1
-            step = _Conv2DStep(layer.pointwise, index)
-        elif type(layer) is BatchNorm:
-            step = _BatchNormStep(layer, index)
-        elif type(layer) is MaxPool2D:
-            step = _MaxPoolStep(layer, index)
-        elif type(layer) is AvgPool2D:
-            step = _AvgPoolStep(layer, index)
-        elif type(layer) is GlobalAvgPool2D:
-            step = _GlobalAvgPoolStep(layer, index)
-        elif type(layer) is Flatten:
-            step = _FlattenStep(layer, index)
-        elif type(layer) is Dropout:
-            step = _IdentityStep(layer, index)
-        elif type(layer) is SimpleRNN:
-            step = _SimpleRNNStep(layer, index)
-        elif type(layer) is GRUCellLayer:
-            step = _GRUStep(layer, index)
-        elif type(layer) is LSTMLayer:
-            step = _LSTMStep(layer, index)
-        elif type(layer) is fastgrnn_cls:
-            step = _FastGRNNStep(layer, index)
+            steps.append(_DepthwiseConv2DStep(layer.depthwise, len(steps)))
+            step = _Conv2DStep(layer.pointwise, len(steps))
+        elif type(layer) in _NATIVE_STEPS:
+            step = _NATIVE_STEPS[type(layer)](layer, len(steps))
         else:
             kernel = _activation_kernel(layer)
             if kernel is not None:
-                step = _ActivationStep(layer, index, kernel)
+                step = _ActivationStep(layer, len(steps), kernel)
             else:
-                step = _FallbackStep(layer, index)
+                step = _FallbackStep(layer, len(steps))
         # absorb a following elementwise activation into GEMM-like steps
-        if not isinstance(step, (_FallbackStep, _IdentityStep, _FlattenStep, _ActivationStep)):
+        if step.fuses:
             while position + 1 < len(layers) and step.activation is None:
                 if step.fuse_activation(layers[position + 1]):
                     position += 1
@@ -745,7 +711,6 @@ def _compile_steps(model) -> Tuple[List[_Step], int]:
                 else:
                     break
         steps.append(step)
-        index += 1
         position += 1
     return steps, fused
 

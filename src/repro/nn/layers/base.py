@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ShapeError
+from repro.exceptions import ConfigurationError, ShapeError
 
 
 class Layer:
@@ -97,16 +97,26 @@ class Layer:
         return int(np.prod(input_shape))
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Shape (excluding batch dimension) produced for ``input_shape``."""
+        """Per-sample shape produced for ``input_shape`` — and the kind's input contract.
+
+        This is the one declaration of what a layer kind accepts: it
+        raises the layer's named :class:`ShapeError` /
+        :class:`ConfigurationError` for a per-sample shape (no batch axis)
+        the kind cannot take.  ``forward``, the compiled plan's native
+        steps and :func:`repro.analysis.shapes.check_model` all validate
+        by calling it; none restates it.
+        """
         return input_shape
 
     # -- helpers --------------------------------------------------------
-    @staticmethod
-    def _require_ndim(inputs: np.ndarray, ndim: int, who: str) -> None:
-        if inputs.ndim != ndim:
-            raise ShapeError(
-                f"{who} expects {ndim}-D input (including batch); got shape {inputs.shape}"
-            )
+    def _expect_rank(self, input_shape: Tuple[int, ...], rank: int, what: str) -> None:
+        if len(input_shape) != rank:
+            raise ShapeError(f"{self.label} expects {what}, got shape {tuple(input_shape)}")
+
+    @property
+    def label(self) -> str:
+        """``Class 'name'`` — how error messages and shape findings name this layer."""
+        return f"{type(self).__name__} {self.name!r}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.__class__.__name__} name={self.name!r} params={self.param_count()}>"
@@ -150,3 +160,24 @@ class ParametricLayer(Layer):
         """Reset all accumulated gradients to zero."""
         for key, value in self._params.items():
             self._grads[key] = np.zeros_like(value)
+
+
+class RecurrentLayer(ParametricLayer):
+    """Base for sequence layers: ``(steps, input_size)`` in, last hidden state out.
+
+    Subclasses set ``input_size`` / ``hidden_size``; the contract every
+    sequence kind shares is stated here once.
+    """
+
+    kind = "recurrent"
+    input_size: int
+    hidden_size: int
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        self._expect_rank(input_shape, 2, "(steps, features) sequences")
+        if input_shape[1] != self.input_size:
+            raise ConfigurationError(
+                f"{self.label} consumes {self.input_size}-feature steps but the "
+                f"sequence carries {input_shape[1]} features"
+            )
+        return (self.hidden_size,)

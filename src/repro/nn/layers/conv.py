@@ -12,7 +12,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn import initializers
 from repro.nn.layers.base import Layer, ParametricLayer
 
@@ -25,6 +25,28 @@ def _pad_input(inputs: np.ndarray, pad: int) -> np.ndarray:
 
 def _conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
+
+
+def _conv_contract(layer: ParametricLayer, input_shape: Tuple[int, ...]) -> Tuple[int, int]:
+    """The input contract Conv2D and DepthwiseConv2D share; returns ``(out_h, out_w)``.
+
+    Rank, channel count, and a spatial output the kernel/stride/padding
+    does not collapse to nothing.
+    """
+    layer._expect_rank(input_shape, 3, "(height, width, channels) input")
+    height, width, channels = input_shape
+    if channels != layer.in_channels:
+        raise ConfigurationError(
+            f"{layer.label} expects {layer.in_channels} channels, got {channels}"
+        )
+    out_h = _conv_output_size(height, layer.kernel_size, layer.stride, layer.pad)
+    out_w = _conv_output_size(width, layer.kernel_size, layer.stride, layer.pad)
+    if out_h <= 0 or out_w <= 0:
+        raise ShapeError(
+            f"{layer.label} kernel {layer.kernel_size} stride {layer.stride} padding "
+            f"{layer.padding!r} collapses a {height}x{width} map to {out_h}x{out_w}"
+        )
+    return out_h, out_w
 
 
 def im2col(inputs: np.ndarray, kernel: int, stride: int, pad: int) -> Tuple[np.ndarray, int, int]:
@@ -115,11 +137,7 @@ class Conv2D(ParametricLayer):
         return 0
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 4, "Conv2D")
-        if inputs.shape[3] != self.in_channels:
-            raise ConfigurationError(
-                f"Conv2D {self.name!r} expects {self.in_channels} channels, got {inputs.shape[3]}"
-            )
+        self.output_shape(inputs.shape[1:])
         cols, out_h, out_w = im2col(inputs, self.kernel_size, self.stride, self.pad)
         w_mat = self._params["W"].reshape(-1, self.out_channels)
         out = cols @ w_mat
@@ -156,10 +174,7 @@ class Conv2D(ParametricLayer):
         }
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        height, width, _ = input_shape
-        out_h = _conv_output_size(height, self.kernel_size, self.stride, self.pad)
-        out_w = _conv_output_size(width, self.kernel_size, self.stride, self.pad)
-        return (out_h, out_w, self.out_channels)
+        return (*_conv_contract(self, input_shape), self.out_channels)
 
     def flops(self, input_shape: Tuple[int, ...]) -> int:
         out_h, out_w, _ = self.output_shape(input_shape)
@@ -210,12 +225,7 @@ class DepthwiseConv2D(ParametricLayer):
         return 0
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 4, "DepthwiseConv2D")
-        if inputs.shape[3] != self.in_channels:
-            raise ConfigurationError(
-                f"DepthwiseConv2D {self.name!r} expects {self.in_channels} channels, "
-                f"got {inputs.shape[3]}"
-            )
+        self.output_shape(inputs.shape[1:])
         cols, out_h, out_w = im2col(inputs, self.kernel_size, self.stride, self.pad)
         batch = inputs.shape[0]
         # cols: (batch*oh*ow, k*k*C) -> (positions, k*k, C)
@@ -255,10 +265,7 @@ class DepthwiseConv2D(ParametricLayer):
         }
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        height, width, _ = input_shape
-        out_h = _conv_output_size(height, self.kernel_size, self.stride, self.pad)
-        out_w = _conv_output_size(width, self.kernel_size, self.stride, self.pad)
-        return (out_h, out_w, self.in_channels)
+        return (*_conv_contract(self, input_shape), self.in_channels)
 
     def flops(self, input_shape: Tuple[int, ...]) -> int:
         out_h, out_w, _ = self.output_shape(input_shape)

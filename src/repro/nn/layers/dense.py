@@ -40,11 +40,7 @@ class Dense(ParametricLayer):
         self._cache_inputs: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 2, "Dense")
-        if inputs.shape[1] != self.in_features:
-            raise ConfigurationError(
-                f"Dense {self.name!r} expects {self.in_features} features, got {inputs.shape[1]}"
-            )
+        self.output_shape(inputs.shape[1:])
         if training:
             self._cache_inputs = inputs
         out = inputs @ self._params["W"]
@@ -75,5 +71,9 @@ class Dense(ParametricLayer):
         return self.in_features * self.out_features
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        del input_shape
+        self._expect_rank(input_shape, 1, "a flat feature vector")
+        if input_shape[0] != self.in_features:
+            raise ConfigurationError(
+                f"{self.label} expects {self.in_features} input features, got {input_shape[0]}"
+            )
         return (self.out_features,)

@@ -15,13 +15,11 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.nn import initializers
-from repro.nn.layers.base import ParametricLayer
+from repro.nn.layers.base import RecurrentLayer
 
 
-class LSTMLayer(ParametricLayer):
+class LSTMLayer(RecurrentLayer):
     """A standard LSTM applied over a sequence, returning the final hidden state."""
-
-    kind = "recurrent"
 
     GATES = ("i", "f", "o", "g")
 
@@ -54,7 +52,7 @@ class LSTMLayer(ParametricLayer):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 3, "LSTMLayer")
+        self.output_shape(inputs.shape[1:])
         batch, steps, _ = inputs.shape
         hidden = np.zeros((batch, self.hidden_size))
         cell = np.zeros((batch, self.hidden_size))
@@ -124,10 +122,6 @@ class LSTMLayer(ParametricLayer):
         steps, _ = input_shape
         per_gate = self.input_size * self.hidden_size + self.hidden_size * self.hidden_size
         return int(steps * 4 * per_gate)
-
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        del input_shape
-        return (self.hidden_size,)
 
 
 class LSTMClassifier:

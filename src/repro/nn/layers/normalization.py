@@ -44,11 +44,7 @@ class BatchNorm(ParametricLayer):
         self._cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        if inputs.shape[-1] != self.num_features:
-            raise ConfigurationError(
-                f"BatchNorm {self.name!r} expects {self.num_features} features, "
-                f"got {inputs.shape[-1]}"
-            )
+        self.output_shape(inputs.shape[1:])
         axes = tuple(range(inputs.ndim - 1))
         if training:
             mean = inputs.mean(axis=axes)
@@ -106,3 +102,11 @@ class BatchNorm(ParametricLayer):
 
     def flops(self, input_shape: Tuple[int, ...]) -> int:
         return int(2 * np.prod(input_shape))
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        if len(input_shape) < 1 or input_shape[-1] != self.num_features:
+            raise ConfigurationError(
+                f"{self.label} normalizes {self.num_features} features over the last "
+                f"axis, got shape {tuple(input_shape)}"
+            )
+        return input_shape

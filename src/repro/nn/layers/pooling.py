@@ -10,6 +10,18 @@ from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers.base import Layer
 
 
+def _pool_contract(layer: Layer, input_shape: Tuple[int, ...]) -> Tuple[int, int, int]:
+    """The input contract MaxPool2D and AvgPool2D share: rank and divisibility."""
+    layer._expect_rank(input_shape, 3, "(height, width, channels) input")
+    height, width, channels = input_shape
+    p = layer.pool_size
+    if height % p or width % p:
+        raise ShapeError(
+            f"{layer.label} requires spatial dims divisible by {p}; got {(height, width)}"
+        )
+    return (height // p, width // p, channels)
+
+
 class MaxPool2D(Layer):
     """Non-overlapping max pooling."""
 
@@ -22,18 +34,10 @@ class MaxPool2D(Layer):
         self.pool_size = int(pool_size)
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
 
-    def _window(self, inputs: np.ndarray) -> np.ndarray:
-        batch, height, width, channels = inputs.shape
-        p = self.pool_size
-        if height % p or width % p:
-            raise ShapeError(
-                f"MaxPool2D requires spatial dims divisible by {p}; got {(height, width)}"
-            )
-        return inputs.reshape(batch, height // p, p, width // p, p, channels)
-
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 4, "MaxPool2D")
-        windows = self._window(inputs)
+        out_h, out_w, channels = self.output_shape(inputs.shape[1:])
+        p = self.pool_size
+        windows = inputs.reshape(inputs.shape[0], out_h, p, out_w, p, channels)
         out = windows.max(axis=(2, 4))
         if training:
             mask = windows == out[:, :, None, :, None, :]
@@ -51,8 +55,7 @@ class MaxPool2D(Layer):
         return {**super().get_config(), "pool_size": self.pool_size}
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        height, width, channels = input_shape
-        return (height // self.pool_size, width // self.pool_size, channels)
+        return _pool_contract(self, input_shape)
 
 
 class AvgPool2D(Layer):
@@ -68,16 +71,11 @@ class AvgPool2D(Layer):
         self._input_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 4, "AvgPool2D")
-        batch, height, width, channels = inputs.shape
+        out_h, out_w, channels = self.output_shape(inputs.shape[1:])
         p = self.pool_size
-        if height % p or width % p:
-            raise ShapeError(
-                f"AvgPool2D requires spatial dims divisible by {p}; got {(height, width)}"
-            )
         if training:
             self._input_shape = inputs.shape
-        windows = inputs.reshape(batch, height // p, p, width // p, p, channels)
+        windows = inputs.reshape(inputs.shape[0], out_h, p, out_w, p, channels)
         return windows.mean(axis=(2, 4))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -91,8 +89,7 @@ class AvgPool2D(Layer):
         return {**super().get_config(), "pool_size": self.pool_size}
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        height, width, channels = input_shape
-        return (height // self.pool_size, width // self.pool_size, channels)
+        return _pool_contract(self, input_shape)
 
 
 class GlobalAvgPool2D(Layer):
@@ -105,7 +102,7 @@ class GlobalAvgPool2D(Layer):
         self._input_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 4, "GlobalAvgPool2D")
+        self.output_shape(inputs.shape[1:])
         if training:
             self._input_shape = inputs.shape
         return inputs.mean(axis=(1, 2))
@@ -118,4 +115,5 @@ class GlobalAvgPool2D(Layer):
         return np.broadcast_to(grad, self._input_shape).copy()
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        self._expect_rank(input_shape, 3, "(height, width, channels) input")
         return (input_shape[2],)

@@ -15,13 +15,11 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.nn import initializers
-from repro.nn.layers.base import ParametricLayer
+from repro.nn.layers.base import RecurrentLayer
 
 
-class SimpleRNN(ParametricLayer):
+class SimpleRNN(RecurrentLayer):
     """Elman RNN with tanh activation, returning the last hidden state."""
-
-    kind = "recurrent"
 
     def __init__(
         self,
@@ -43,7 +41,7 @@ class SimpleRNN(ParametricLayer):
         self._cache: Optional[Tuple[np.ndarray, List[np.ndarray]]] = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 3, "SimpleRNN")
+        self.output_shape(inputs.shape[1:])
         batch, steps, _ = inputs.shape
         hidden = np.zeros((batch, self.hidden_size))
         # the per-timestep state list exists only for backprop; inference
@@ -97,19 +95,13 @@ class SimpleRNN(ParametricLayer):
         per_step = self.input_size * self.hidden_size + self.hidden_size * self.hidden_size
         return int(steps * per_step)
 
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        del input_shape
-        return (self.hidden_size,)
 
-
-class GRUCellLayer(ParametricLayer):
+class GRUCellLayer(RecurrentLayer):
     """Gated recurrent unit over a sequence, returning the last hidden state.
 
     The update/reset gating makes it the substrate for the FastGRNN-style
     EI algorithm (which further ties and scales the gate weights).
     """
-
-    kind = "recurrent"
 
     def __init__(
         self,
@@ -136,7 +128,7 @@ class GRUCellLayer(ParametricLayer):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_ndim(inputs, 3, "GRUCellLayer")
+        self.output_shape(inputs.shape[1:])
         batch, steps, _ = inputs.shape
         hidden = np.zeros((batch, self.hidden_size))
         # gate caches exist only for backprop; inference must not hold
@@ -220,7 +212,3 @@ class GRUCellLayer(ParametricLayer):
         steps, _ = input_shape
         per_gate = self.input_size * self.hidden_size + self.hidden_size * self.hidden_size
         return int(steps * 3 * per_gate)
-
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        del input_shape
-        return (self.hidden_size,)

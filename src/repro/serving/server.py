@@ -24,6 +24,12 @@ from repro.serving.batching import BatchingConfig, BatchingDispatcher
 #: redial; see ``LibEIClient``'s stale-connection rule.
 IDLE_TIMEOUT_S = 30.0
 
+#: How often ``serve_forever`` looks for a shutdown request between
+#: accepts.  ``stop()`` — and so every ``GatewaySupervisor.kill()`` /
+#: ``restart()`` and context-manager exit — waits out at most this, not
+#: the stdlib's default half second.
+SHUTDOWN_POLL_S = 0.02
+
 
 class _LibEIRequestHandler(BaseHTTPRequestHandler):
     """Maps GET requests to the libei dispatcher; responses are JSON."""
@@ -194,7 +200,9 @@ class LibEIServer:
         """Start serving in a daemon thread."""
         if self._thread is not None:
             return
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(SHUTDOWN_POLL_S,), daemon=True
+        )
         self._thread.start()
 
     def stop(self) -> None:

@@ -82,8 +82,8 @@ def test_pool_divisibility_is_checked_statically():
         name="bad-pool",
     )
     report = check_model(model, (16, 16, 1))
-    assert len(report.findings) == 2  # height and width both fail
-    assert all("runtime ShapeError" in f.message for f in report.findings)
+    assert len(report.findings) == 1  # one finding per violated layer, naming both axes
+    assert "divisible by 3; got (16, 16)" in report.findings[0].message
     assert {f.index for f in report.findings} == {1}
 
 
