@@ -67,4 +67,3 @@ def test_fig6_paper_example_calls_round_trip(benchmark, safety_stack):
             f"{data_seconds * 1e3:>9.2f} ms",
         ],
     )
-    assert algorithm_seconds < 1.0 and data_seconds < 1.0

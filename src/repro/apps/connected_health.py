@@ -8,6 +8,8 @@ direction the paper describes — keeping the health data on the edge.
 
 from __future__ import annotations
 
+import copy
+import functools
 import time
 from typing import Dict, List, Optional
 
@@ -90,14 +92,32 @@ class ActivityRecognizer:
         return self.classifier.score(windows, labels)
 
 
+@functools.lru_cache(maxsize=None)
+def _trained(seed: int, samples: int, epochs: int) -> ActivityRecognizer:
+    """The stock recognizer, trained once per process; never served, only copied."""
+    # no lock: a concurrent miss trains twice and both get identical weights
+    recognizer = ActivityRecognizer(seed=seed)
+    recognizer.train(samples=samples, epochs=epochs, seed=seed)
+    return recognizer
+
+
 def register_connected_health(
     openei: OpenEI, sensor_id: str = "wearable1", seed: int = 0,
     recognizer: Optional[ActivityRecognizer] = None,
     train_samples: int = 240, train_epochs: int = 10,
 ) -> ActivityRecognizer:
-    """Attach a wearable sensor and register the health algorithm on ``openei``."""
-    recognizer = recognizer or ActivityRecognizer(seed=seed)
-    if not recognizer._trained:  # noqa: SLF001 - module-internal convenience
+    """Attach a wearable sensor and register the health algorithm on ``openei``.
+
+    With no ``recognizer`` the stock model is trained once per process per
+    ``(seed, train_samples, train_epochs)`` — training is deterministic — and
+    each call gets a private deep copy of it: no two registrations share a
+    parameter array, and each copy compiles its own inference plan.  A
+    supplied ``recognizer`` is used as given, trained in place first if it
+    has not been trained.
+    """
+    if recognizer is None:
+        recognizer = copy.deepcopy(_trained(seed, train_samples, train_epochs))
+    elif not recognizer._trained:  # noqa: SLF001 - module-internal convenience
         recognizer.train(samples=train_samples, epochs=train_epochs, seed=seed)
     sensor = WearableIMUSensor(sensor_id=sensor_id, seed=seed)
     openei.data_store.register_sensor(sensor)
