@@ -7,9 +7,9 @@ Four parts (full docs: docs/STATIC_ANALYSIS.md):
   concurrency and serving contracts this codebase has broken before
   (``python -m repro.analysis.lint src --strict`` is the CI gate).
 * :mod:`repro.analysis.callgraph` + :mod:`repro.analysis.interproc` —
-  a project-wide symbol table / call graph and the interprocedural
-  rules that run over it (transitive blocking-under-lock, requires-lock
-  propagation, guarded-container escape analysis).
+  a project-wide symbol table / call graph and the lock-contract rules
+  that run over it (blocking-under-lock at any call depth,
+  requires-lock callers, mutable-return of guarded containers).
 * :mod:`repro.analysis.shapes` — walks a declared input shape through
   the layers' own ``output_shape`` contracts of a ``Sequential`` and
   checks parameter dtypes; wired into ``ModelRegistry.publish`` and
@@ -29,12 +29,12 @@ _EXPORTS = {
     "Finding": "repro.analysis.findings",
     "Severity": "repro.analysis.findings",
     "Suppression": "repro.analysis.findings",
+    "KNOWN_RULE_IDS": "repro.analysis.lint",
     "LintReport": "repro.analysis.lint",
     "load_baseline": "repro.analysis.lint",
     "run_lint": "repro.analysis.lint",
     "write_baseline": "repro.analysis.lint",
     "ProjectIndex": "repro.analysis.callgraph",
-    "build_index": "repro.analysis.callgraph",
     "run_interproc": "repro.analysis.interproc",
     "ShapeReport": "repro.analysis.shapes",
     "TensorSpec": "repro.analysis.shapes",
@@ -45,8 +45,6 @@ _EXPORTS = {
     "enabled_from_env": "repro.analysis.lockwatch",
     "watched": "repro.analysis.lockwatch",
     "ALL_RULES": "repro.analysis.rules",
-    "INTERPROC_RULE_IDS": "repro.analysis.rules",
-    "KNOWN_RULE_IDS": "repro.analysis.rules",
     "LintContext": "repro.analysis.rules",
 }
 

@@ -128,9 +128,3 @@ def _collect_suppressions(result: CommentMap, code_lines) -> None:
             Suppression(line=target, rules=rules, reason=reason, raw=text.strip())
         )
 
-
-def statement_lines(node) -> Tuple[int, int]:
-    """The (first, last) source line of an AST statement."""
-    first = getattr(node, "lineno", 1)
-    last = getattr(node, "end_lineno", first) or first
-    return first, last

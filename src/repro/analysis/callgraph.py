@@ -33,10 +33,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.annotations import CommentMap
 from repro.analysis.rules import (
+    collect_guarded_attrs,
     collect_required_locks,
     map_held_locks,
     terminal_name,
@@ -70,10 +71,6 @@ class FunctionInfo:
     requires: FrozenSet[str] = frozenset()
     calls: List[CallSite] = field(default_factory=list)
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
 
 @dataclass
 class ClassInfo:
@@ -104,6 +101,14 @@ class ModuleInfo:
     #: for defs, the imported qualname for imports.  Later bindings win,
     #: so a ``def helper`` below ``from x import helper`` shadows it.
     bindings: Dict[str, str] = field(default_factory=dict)
+    #: attr name -> lock names from every ``# guarded-by:`` in the module
+    guarded: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: id(node) -> locks statically held there, and -> innermost ``def``
+    held_at: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    func_of: Dict[int, ast.AST] = field(default_factory=dict)
+    #: calls no indexed function owns (module-level code, nested ``def``
+    #: bodies); never resolved, so only depth-0 blocking applies to them
+    loose_calls: List[CallSite] = field(default_factory=list)
 
 
 def module_name_for(path: Path) -> str:
@@ -203,7 +208,13 @@ class ProjectIndex:
             # path so neither is silently dropped (imports cannot reach it,
             # which is the honest answer for an ambiguous name)
             name = f"{name}@{path}"
-        mod = ModuleInfo(name=name, path=path, tree=tree, comments=comments)
+        mod = ModuleInfo(
+            name=name,
+            path=path,
+            tree=tree,
+            comments=comments,
+            guarded=collect_guarded_attrs(tree, comments),
+        )
         self.modules[name] = mod
         self.path_to_module[path] = name
 
@@ -321,7 +332,7 @@ class ProjectIndex:
     def _index_calls(self, module_name: str) -> None:
         mod = self.modules[module_name]
         required_by_id = collect_required_locks(mod.tree, mod.comments)
-        held_at, func_of = map_held_locks(mod.tree, required_by_id)
+        mod.held_at, mod.func_of = map_held_locks(mod.tree, required_by_id)
 
         by_node_id = {
             id(info.node): info
@@ -340,19 +351,14 @@ class ProjectIndex:
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
-            owner_node = func_of.get(id(node))
+            owner_node = mod.func_of.get(id(node))
             owner = by_node_id.get(id(owner_node)) if owner_node is not None else None
+            held = mod.held_at.get(id(node), frozenset())
             if owner is None:
-                continue  # module-level call, or inside a nested function
+                mod.loose_calls.append(CallSite(None, node, node.lineno, held))
+                continue
             callee = self._resolve_call(mod, owner, node, local_names[owner.qualname])
-            owner.calls.append(
-                CallSite(
-                    callee=callee,
-                    node=node,
-                    line=node.lineno,
-                    held=held_at.get(id(node), frozenset()),
-                )
-            )
+            owner.calls.append(CallSite(callee, node, node.lineno, held))
 
     def _resolve_call(
         self,
@@ -449,6 +455,16 @@ class ProjectIndex:
                 return info.methods[method]
         return None
 
+    def call_sites(self) -> Iterator[Tuple[str, str, CallSite]]:
+        """Every call in the project as ``(owner name, path, site)``: the
+        indexed functions' own calls, then each module's loose calls."""
+        for info in self.functions.values():
+            for site in info.calls:
+                yield info.qualname, info.path, site
+        for mod in self.modules.values():
+            for site in mod.loose_calls:
+                yield mod.name, mod.path, site
+
     def guarded_for_class(self, cls_qualname: str) -> Dict[str, Tuple[str, ...]]:
         """Guarded attributes visible to a class: its own plus every
         project base's (subclass declarations win on conflict)."""
@@ -459,9 +475,3 @@ class ProjectIndex:
                 merged.update(info.guarded)
         return merged
 
-
-def build_index(
-    parsed: Sequence[Tuple[str, ast.Module, CommentMap]]
-) -> ProjectIndex:
-    """Convenience wrapper used by the lint engine."""
-    return ProjectIndex.build(parsed)

@@ -41,7 +41,7 @@ class Finding:
     severity: Severity
     message: str
     hint: str = ""
-    #: interprocedural witness: one ``qualname (path:line)`` entry per call
+    #: call-graph witness: one ``qualname (path:line)`` entry per call
     #: frame, outermost first, ending at the offending statement
     chain: Tuple[str, ...] = ()
 

@@ -4,24 +4,22 @@ Run it as a module::
 
     PYTHONPATH=src python -m repro.analysis.lint src --strict
 
-Two passes: pass 1 parses every file (in parallel with ``--jobs N``),
-indexes which classes define ``__len__`` (feeding the
-``or-falsy-default`` rule), and builds the project-wide symbol table and
-call graph; pass 2 runs every intraprocedural rule over every file, then
-the interprocedural rules (:mod:`repro.analysis.interproc`) over the
-call graph, filters findings through ``# lint: ignore[...]``
-suppressions and the optional ``--baseline`` file, and reports what
-survives.  ``--strict`` exits non-zero on any unsuppressed,
-non-baselined finding (the CI gate); without it the run is a report and
-always exits 0.  ``--format json`` emits the full report as one JSON
-object for artifacts and diffing.
+Two passes: pass 1 parses every file, indexes which classes define
+``__len__`` (feeding the ``or-falsy-default`` rule), and builds the
+project-wide symbol table and call graph; pass 2 runs every file rule
+over every file, then the call-graph rules
+(:mod:`repro.analysis.interproc`) over the whole project, filters
+findings through ``# lint: ignore[...]`` suppressions and the optional
+``--baseline`` file, and reports what survives.  ``--strict`` exits
+non-zero on any unsuppressed, non-baselined finding (the CI gate);
+without it the run is a report and always exits 0.  ``--format json``
+emits the full report as one JSON object for artifacts and diffing.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import concurrent.futures
 import json
 import sys
 from collections import Counter
@@ -30,14 +28,27 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.annotations import CommentMap, scan_comments
+from repro.analysis.callgraph import ProjectIndex
 from repro.analysis.findings import Finding, Severity, Suppression
+from repro.analysis.interproc import (
+    RULE_BLOCKING,
+    RULE_MUTABLE_RETURN,
+    RULE_REQUIRES_NOT_HELD,
+    run_interproc,
+)
 from repro.analysis.rules import (
     ALL_RULES,
     DEFAULT_LEN_CLASSES,
-    INTERPROC_RULE_IDS,
-    KNOWN_RULE_IDS,
     LintContext,
     collect_len_classes,
+)
+
+#: Every id a finding or a suppression may name: the file rules, the
+#: call-graph rules, and the two the engine emits itself.
+KNOWN_RULE_IDS = frozenset(
+    [rule.rule_id for rule in ALL_RULES]
+    + [RULE_BLOCKING, RULE_REQUIRES_NOT_HELD, RULE_MUTABLE_RETURN]
+    + ["bad-suppression", "parse-error"]
 )
 
 
@@ -116,14 +127,6 @@ def _parse(path: Path) -> Tuple[Optional[str], Optional[ast.Module], Optional[Fi
     return source, tree, None
 
 
-def _parse_and_scan(
-    path: Path,
-) -> Tuple[Path, Optional[str], Optional[ast.Module], Optional[CommentMap], Optional[Finding]]:
-    source, tree, parse_finding = _parse(path)
-    comments = scan_comments(source) if source is not None and tree is not None else None
-    return path, source, tree, comments, parse_finding
-
-
 def _suppression_findings(path: str, comments: CommentMap) -> List[Finding]:
     """The ``bad-suppression`` meta-rule: every suppression must name at
     least one known rule id and carry a non-empty reason."""
@@ -199,72 +202,41 @@ def run_lint(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     exclude: Sequence[str] = (),
-    jobs: int = 1,
-    interproc: bool = True,
     baseline: Optional[Sequence[Tuple[str, str, str]]] = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` and return the report."""
     report = LintReport()
-    files = discover_files(paths, exclude)
     selected = set(select) if select else None
     ignored = set(ignore) if ignore else set()
 
-    parsed: List[Tuple[Path, str, ast.Module, CommentMap]] = []
-    if jobs > 1 and len(files) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_parse_and_scan, files))
-    else:
-        results = [_parse_and_scan(path) for path in files]
-    for path, source, tree, comments, parse_finding in results:
+    def wanted(rule_id: str) -> bool:
+        return (selected is None or rule_id in selected) and rule_id not in ignored
+
+    parsed: List[Tuple[str, ast.Module, CommentMap]] = []
+    for path in discover_files(paths, exclude):
+        source, tree, parse_finding = _parse(path)
         if parse_finding is not None:
             report.findings.append(parse_finding)
             continue
-        assert source is not None and tree is not None and comments is not None
-        parsed.append((path, source, tree, comments))
+        assert source is not None and tree is not None
+        parsed.append((str(path), tree, scan_comments(source)))
 
-    len_classes = DEFAULT_LEN_CLASSES | collect_len_classes(
-        tree for _, _, tree, _ in parsed
-    )
-
-    suppressions_by_path: Dict[str, List[Suppression]] = {}
-    for path, source, tree, comments in parsed:
+    index = ProjectIndex.build(parsed)
+    len_classes = DEFAULT_LEN_CLASSES | collect_len_classes(tree for _, tree, _ in parsed)
+    for path, tree, comments in parsed:
         report.files_checked += 1
-        suppressions_by_path[str(path)] = comments.suppressions
-        ctx = LintContext(
-            path=str(path),
-            source=source,
-            tree=tree,
-            comments=comments,
-            len_classes=len_classes,
-        )
-        ctx.analyze()
-        raw: List[Finding] = []
+        mod = index.modules[index.path_to_module[path]]
+        ctx = LintContext(path, tree, mod.guarded, mod.held_at, mod.func_of, len_classes)
         for rule in ALL_RULES:
-            if selected is not None and rule.rule_id not in selected:
-                continue
-            if rule.rule_id in ignored:
-                continue
-            raw.extend(rule.check(ctx))
-        _route(report, raw, comments.suppressions)
-        if (selected is None or "bad-suppression" in selected) and (
-            "bad-suppression" not in ignored
-        ):
-            report.findings.extend(_suppression_findings(str(path), comments))
+            if wanted(rule.rule_id):
+                _route(report, rule.check(ctx), comments.suppressions)
+        if wanted("bad-suppression"):
+            report.findings.extend(_suppression_findings(path, comments))
 
-    if interproc and parsed:
-        wanted = INTERPROC_RULE_IDS - ignored
-        if selected is not None:
-            wanted &= selected
-        if wanted:
-            from repro.analysis.callgraph import build_index
-            from repro.analysis.interproc import run_interproc
-
-            index = build_index(
-                [(str(path), tree, comments) for path, _, tree, comments in parsed]
-            )
-            raw = [f for f in run_interproc(index) if f.rule in wanted]
-            for finding in raw:
-                _route(report, [finding], suppressions_by_path.get(finding.path, []))
+    for finding in run_interproc(index):
+        if wanted(finding.rule):
+            mod = index.modules[index.path_to_module[finding.path]]
+            _route(report, [finding], mod.comments.suppressions)
 
     if baseline:
         _apply_baseline(report, baseline)
@@ -274,7 +246,7 @@ def run_lint(
 
 
 def _route(
-    report: LintReport, findings: List[Finding], suppressions: List[Suppression]
+    report: LintReport, findings: Iterable[Finding], suppressions: List[Suppression]
 ) -> None:
     """File findings under ``findings`` or ``suppressed``."""
     for finding in findings:
@@ -322,18 +294,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "object with findings/suppressed/baselined records",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse files with N worker threads (default: 1)",
-    )
-    parser.add_argument(
-        "--no-interproc",
-        action="store_true",
-        help="skip the interprocedural pass (call-graph rules)",
-    )
-    parser.add_argument(
         "--baseline",
         default="",
         metavar="FILE",
@@ -357,8 +317,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         select=select,
         ignore=ignore,
         exclude=args.exclude,
-        jobs=max(1, args.jobs),
-        interproc=not args.no_interproc,
         baseline=baseline,
     )
 

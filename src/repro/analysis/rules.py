@@ -3,14 +3,18 @@
 Every rule here guards against a defect class that a past PR fixed by
 hand (the rule docstrings say which); docs/STATIC_ANALYSIS.md carries
 the full catalog with the war stories.  Rules receive a
-:class:`LintContext` (one parsed file plus its comment annotations and
-the repo-wide ``__len__`` class index) and yield :class:`Finding`s.
+:class:`LintContext` (one parsed file, its guarded-attribute and
+held-lock maps, and the repo-wide ``__len__`` class index) and yield
+:class:`Finding`s.
+The lock-contract rules that follow calls and returns across functions
+(``blocking-under-lock``, ``requires-lock-not-held``, ``mutable-return``)
+run over the call graph in :mod:`repro.analysis.interproc`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.annotations import CommentMap
@@ -42,14 +46,6 @@ MUTATOR_METHODS = frozenset(
 
 #: ``heapq`` functions whose *first argument* is mutated in place.
 HEAPQ_MUTATORS = frozenset({"heappush", "heappop", "heapreplace", "heappushpop"})
-
-#: Calls that park the calling thread (so must never run under a lock).
-#: ``Condition.wait`` is deliberately absent: it releases the lock while
-#: blocked, which is the whole point of a condition variable.
-BLOCKING_TERMINALS = frozenset(
-    {"sleep", "urlopen", "serve_forever", "create_connection", "getresponse"}
-)
-SUBPROCESS_CALLS = frozenset({"check_call", "check_output", "Popen"})
 
 #: Calls in an ``except`` body that count as *handling* the exception.
 LOGGING_NAMES = frozenset(
@@ -86,27 +82,20 @@ DEFAULT_LEN_CLASSES = frozenset(
 
 @dataclass
 class LintContext:
-    """Everything a rule may consult about one file."""
+    """Everything a rule may consult about one file (the maps are the
+    ones the call-graph index computed for the file's module)."""
 
     path: str
-    source: str
     tree: ast.Module
-    comments: CommentMap
     #: attribute name -> lock attribute names (holding any one suffices),
     #: from ``# guarded-by:`` comments
-    guarded: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: repo-wide set of class names defining ``__len__``
-    len_classes: FrozenSet[str] = DEFAULT_LEN_CLASSES
+    guarded: Dict[str, Tuple[str, ...]]
     #: id(node) -> frozenset of lock names held at that node
-    held_at: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    held_at: Dict[int, FrozenSet[str]]
     #: id(node) -> innermost enclosing function
-    func_of: Dict[int, ast.AST] = field(default_factory=dict)
-
-    def analyze(self) -> None:
-        """Precompute the guarded-attribute map and lock-held map."""
-        self.guarded = collect_guarded_attrs(self.tree, self.comments)
-        requires = collect_required_locks(self.tree, self.comments)
-        self.held_at, self.func_of = map_held_locks(self.tree, requires)
+    func_of: Dict[int, ast.AST]
+    #: repo-wide set of class names defining ``__len__``
+    len_classes: FrozenSet[str]
 
     def held(self, node: ast.AST) -> FrozenSet[str]:
         return self.held_at.get(id(node), frozenset())
@@ -332,56 +321,6 @@ class GuardedByRule(Rule):
             yield name, node
 
 
-class BlockingUnderLockRule(Rule):
-    """No blocking call (sleep, urlopen, ``getresponse``, subprocess,
-    thread join, ``serve_forever``, zero-arg ``Future.result``) while
-    holding a lock.
-
-    History: the gateway supervisor held its registry lock across
-    ``LibEIServer.stop()`` (which joins the server thread) and across
-    socket binds, stalling every health probe behind a restart.
-    """
-
-    rule_id = "blocking-under-lock"
-    severity = Severity.ERROR
-    description = "blocking call while holding a lock"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) or not ctx.held(node):
-                continue
-            reason = self._blocking_reason(node)
-            if reason is None:
-                continue
-            locks = ", ".join(sorted(ctx.held(node)))
-            yield self.finding(
-                ctx,
-                node,
-                f"{reason} while holding {locks}",
-                hint="move the blocking work outside the lock; snapshot state "
-                "under the lock, act on the snapshot after releasing it",
-            )
-
-    def _blocking_reason(self, node: ast.Call) -> Optional[str]:
-        func = node.func
-        name = terminal_name(func)
-        if name in BLOCKING_TERMINALS:
-            return f"blocking call '{name}'"
-        if name in SUBPROCESS_CALLS:
-            return f"subprocess call '{name}'"
-        if name in ("run", "call") and isinstance(func, ast.Attribute):
-            base = terminal_name(func.value)
-            if base == "subprocess":
-                return f"subprocess call '{name}'"
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("join", "result")
-            and not node.args
-        ):
-            return f"blocking '.{func.attr}()'"
-        return None
-
-
 class SwallowedExceptionRule(Rule):
     """A bare/broad ``except`` must re-raise, log, record, or return —
     not silently drop the exception.
@@ -498,44 +437,6 @@ class MissingTimeoutRule(Rule):
             )
 
 
-class MutableReturnRule(Rule):
-    """Lock-guarded containers must not be returned by reference.
-
-    History: PR 3's SelectionCache handed its cached ``SelectionResult``
-    out by reference; callers mutated it and poisoned every later hit.
-    """
-
-    rule_id = "mutable-return"
-    severity = Severity.ERROR
-    description = "guarded container returned by reference"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if not ctx.guarded:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Return) or node.value is None:
-                continue
-            value = node.value
-            # only the *terminal* attribute matters: ``return self.stats``
-            # and ``return self._entries[key]`` leak the guarded object,
-            # but ``return self.stats.hit_rate`` returns a plain value
-            if isinstance(value, ast.Subscript):
-                attr = terminal_name(value.value)
-            elif isinstance(value, ast.Attribute):
-                attr = value.attr
-            else:
-                continue
-            if attr in ctx.guarded:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"returns guarded container '{attr}' by reference",
-                    hint="return a copy (dict(...), list(...), "
-                    "dataclasses.replace(...)) so callers cannot mutate "
-                    "shared state",
-                )
-
-
 class OrFalsyDefaultRule(Rule):
     """``x or Cls()`` is wrong when ``Cls`` defines ``__len__``: an
     *empty* instance is falsy, so the caller's object is silently
@@ -569,32 +470,11 @@ class OrFalsyDefaultRule(Rule):
 
 ALL_RULES: List[Rule] = [
     GuardedByRule(),
-    BlockingUnderLockRule(),
     SwallowedExceptionRule(),
     MutableDefaultRule(),
     MissingTimeoutRule(),
-    MutableReturnRule(),
     OrFalsyDefaultRule(),
 ]
-
-#: Rule ids emitted by the interprocedural pass (:mod:`repro.analysis.interproc`).
-#: Declared here (rather than there) so suppression validation does not
-#: need to import the interprocedural machinery.
-INTERPROC_RULE_IDS = frozenset(
-    {
-        "transitive-blocking-under-lock",
-        "requires-lock-not-held",
-        "guarded-escape",
-    }
-)
-
-#: ``bad-suppression`` and ``parse-error`` are emitted by the engine
-#: itself, not a rule class.
-KNOWN_RULE_IDS = (
-    frozenset(rule.rule_id for rule in ALL_RULES)
-    | INTERPROC_RULE_IDS
-    | {"bad-suppression", "parse-error"}
-)
 
 
 def collect_len_classes(trees: Iterable[ast.Module]) -> FrozenSet[str]:

@@ -74,11 +74,6 @@ class CloudSimulator:
         self._registry[record.name] = record
 
     # -- serving ------------------------------------------------------------
-    @property
-    def available_models(self) -> List[str]:
-        """Names of models edges may download."""
-        return sorted(self._registry)
-
     def download(self, name: str) -> TrainedModelRecord:
         """Fetch a trained model record (the edge copies the weights locally)."""
         try:

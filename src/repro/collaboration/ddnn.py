@@ -32,13 +32,6 @@ class DDNNResult:
     edge_only_accuracy: float
     cloud_only_latency_s: float
 
-    @property
-    def latency_saving(self) -> float:
-        """Fraction of the cloud-only latency avoided."""
-        if self.cloud_only_latency_s <= 0:
-            return 0.0
-        return 1.0 - self.total_latency_s / self.cloud_only_latency_s
-
 
 class DDNNInference:
     """Early-exit inference split between an edge model and a cloud model."""

@@ -104,7 +104,3 @@ class EdgeCluster:
             executed.append(task)
             previous_runtime = runtime_name
         return total, executed
-
-    def total_compute_gflops(self) -> float:
-        """Aggregate peak compute of the cluster."""
-        return sum(rt.device.peak_gflops for rt in self.runtimes.values())

@@ -15,7 +15,7 @@ paper sketches, reduced to the tabular case that fits the candidate set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -193,15 +193,3 @@ class RLModelSelector:
         learned = self.best().alem.objective_value(self.target)
         exact = optimum.alem.objective_value(self.target)
         return float(learned - exact)
-
-    @property
-    def arm_statistics(self) -> List[Dict[str, float]]:
-        """Per-arm play counts and value estimates (for diagnostics)."""
-        return [
-            {
-                "model": self.candidates[i].model_name,
-                "plays": float(self._counts[i]),
-                "value": float(self._values[i]),
-            }
-            for i in range(len(self.candidates))
-        ]

@@ -9,9 +9,7 @@ measure Accuracy on, and how they were optimized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.nn.model import Sequential
@@ -96,22 +94,6 @@ class ModelZoo:
             **dict(record.extra),
         )
 
-    def register_builder(
-        self,
-        name: str,
-        builder: Callable[[], Sequential],
-        task: str,
-        input_shape: Tuple[int, ...],
-        scenario: str = "generic",
-        train: Optional[Callable[[Sequential], Sequential]] = None,
-        **extra: object,
-    ) -> ZooEntry:
-        """Build (and optionally train) a model, then register it."""
-        model = builder()
-        if train is not None:
-            model = train(model)
-        return self.register(name, model, task, input_shape, scenario=scenario, **extra)
-
     def get(self, name: str) -> ZooEntry:
         """Look up an entry by name."""
         try:
@@ -148,10 +130,3 @@ class ModelZoo:
                 continue
             results.append(entry)
         return sorted(results, key=lambda e: e.name)
-
-    def evaluate_accuracy(
-        self, name: str, x_test: np.ndarray, y_test: np.ndarray
-    ) -> float:
-        """Convenience: accuracy of a zoo model on held-out data."""
-        entry = self.get(name)
-        return entry.model.evaluate(x_test, y_test)[1]

@@ -167,16 +167,6 @@ class BlobStore:
         )
 
     # -- maintenance --------------------------------------------------------------
-    def delete(self, key: str) -> None:
-        """Remove one blob (e.g. after registry garbage collection)."""
-        path = self._path(key)
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            raise ResourceNotFoundError(
-                f"blob {key[:12]}… is not in the store at {self.root}"
-            ) from None
-
     def verify_all(self) -> int:
         """Re-hash every stored blob; returns how many verified.
 

@@ -57,10 +57,6 @@ class BatchContractError(APIError):
     """A batch handler violated the batching contract (wrong result count)."""
 
 
-class StaticAnalysisError(ReproError):
-    """The repro.analysis linter could not parse or analyze a source file."""
-
-
 class LockContractError(ReproError):
     """The runtime lock watcher detected a lock-order cycle or hold-budget
     violation (see :mod:`repro.analysis.lockwatch`)."""

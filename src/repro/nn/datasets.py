@@ -170,10 +170,3 @@ def make_personalized_shift(
         num_classes=base.num_classes,
         name=f"{base.name}-personalized",
     )
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Convert integer labels to one-hot rows."""
-    onehot = np.zeros((labels.shape[0], num_classes))
-    onehot[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
-    return onehot

@@ -10,7 +10,7 @@ time over the connecting link and relative device speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.exceptions import MigrationError
 from repro.hardware.device import NetworkLink
@@ -44,11 +44,6 @@ class MigrationPlanner:
     def connect(self, runtime: EdgeRuntime, link: NetworkLink) -> None:
         """Register a peer runtime reachable over ``link``."""
         self._peers[runtime.name] = (runtime, link)
-
-    @property
-    def peers(self) -> Sequence[str]:
-        """Names of connected peer runtimes."""
-        return tuple(sorted(self._peers))
 
     def estimate_remote_seconds(
         self, task: Task, payload_bytes: float, peer_name: str

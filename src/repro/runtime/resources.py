@@ -61,10 +61,6 @@ class ResourceAccountant:
         reserved = self._reservations.pop(owner_id, 0.0)
         self._memory_mb = max(0.0, self._memory_mb - reserved)
 
-    def available_memory_mb(self) -> float:
-        """Free RAM in megabytes."""
-        return self.device.memory_mb - self._memory_mb
-
     # -- storage -----------------------------------------------------------
     def store(self, megabytes: float) -> None:
         """Consume local storage (model files, cached sensor data)."""

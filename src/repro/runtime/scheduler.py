@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.exceptions import ResourceExhaustedError, SchedulingError
 from repro.runtime.resources import ResourceAccountant
@@ -152,25 +152,6 @@ class PriorityScheduler:
                     + ", ".join(f"{t.name}#{t.task_id}" for t in failures)
                 )
         return executed
-
-    # -- reporting ----------------------------------------------------------
-    def completion_times(self, kind: Optional[str] = None) -> Dict[str, float]:
-        """Map task name -> completion time for completed tasks (optionally by kind)."""
-        times = {}
-        for task in self.completed:
-            if kind is not None and task.kind != kind:
-                continue
-            if task.completion_time is not None:
-                times[f"{task.name}#{task.task_id}"] = task.completion_time
-        return times
-
-    def deadline_miss_rate(self) -> float:
-        """Fraction of deadline-bearing completed tasks that missed their deadline."""
-        with_deadline = [t for t in self.completed if t.deadline_s is not None]
-        if not with_deadline:
-            return 0.0
-        missed = sum(1 for t in with_deadline if not t.met_deadline)
-        return missed / len(with_deadline)
 
 
 def promote_to_realtime(task: Task) -> Task:

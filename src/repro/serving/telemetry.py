@@ -269,12 +269,6 @@ class ALEMTelemetry:
             return None
         return window.observed_alem()
 
-    def sample_count(self, scenario: str, algorithm: str, replica: str,
-                     axis: str = "latency_s") -> int:
-        """Windowed sample count for one axis of one key."""
-        window = self.window(scenario, algorithm, replica)
-        return window.count(axis) if window is not None else 0
-
     def reset(self, scenario: str, algorithm: str, replica: Optional[str] = None) -> None:
         """Clear windows for one algorithm (all replicas unless one is named)."""
         with self._lock:

@@ -58,7 +58,34 @@ class Poller:
             delay = 0.1
         time.sleep(delay)
 
+    def bad_nested_worker(self):
+        def work():
+            with self._lock:
+                time.sleep(0.1)  # EXPECT[blocking-under-lock]
+
+        return work
+
+    def bad_locked_callback(self):
+        def on_tick():  # requires-lock: _lock
+            time.sleep(0.1)  # EXPECT[blocking-under-lock]
+
+        return on_tick
+
+    def good_deferred_sleep(self):
+        # clean: the nested def runs later, after the lock is released
+        with self._lock:
+            def later():
+                time.sleep(0.1)
+
+        return later
+
     def suppressed_sleep(self):
         with self._lock:
             # lint: ignore[blocking-under-lock] test-only fixture sleeps 1ms to widen a race window
             time.sleep(0.001)
+
+
+_REGISTRY_LOCK = threading.Lock()
+
+with _REGISTRY_LOCK:
+    time.sleep(0.0)  # EXPECT[blocking-under-lock]

@@ -1,9 +1,8 @@
 """Golden fixture: guarded containers escaping a method by reference.
 
-The intraprocedural ``mutable-return`` rule catches the literal
-``return self._entries`` spelling; the interprocedural ``guarded-escape``
-rule catches the laundered forms — a local alias, or another method's
-return value.
+The literal ``return self._entries`` spelling is case_mutable_return.py;
+these are the laundered forms — a local alias, or another method's
+return value — which the same rule follows through the call graph.
 """
 
 import threading
@@ -20,10 +19,10 @@ class EntryStore:
     def bad_alias_escape(self):
         with self._lock:
             entries = self._entries
-        return entries  # EXPECT[guarded-escape]
+        return entries  # EXPECT[mutable-return]
 
     def bad_call_escape(self):
-        return self._entries_ref()  # EXPECT[guarded-escape]
+        return self._entries_ref()  # EXPECT[mutable-return]
 
     def good_copy(self):
         with self._lock:
@@ -43,7 +42,7 @@ class EntryStore:
         return dict(self._entries_ref())
 
     def suppressed_call_escape(self):
-        # lint: ignore[guarded-escape] frozen snapshot; the store is sealed before readers attach
+        # lint: ignore[mutable-return] frozen snapshot; the store is sealed before readers attach
         return self._entries_ref()
 
     def suppressed_ref(self):

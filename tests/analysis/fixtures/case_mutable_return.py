@@ -31,3 +31,8 @@ class Cache:
     def suppressed_view(self):
         # lint: ignore[mutable-return] documented live view, callers must treat it read-only
         return self._entries
+
+
+def peek_stats(cache):
+    # not self: a guarded attribute leaks through any base expression
+    return cache.stats  # EXPECT[mutable-return]

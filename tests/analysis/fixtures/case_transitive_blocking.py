@@ -1,8 +1,8 @@
-"""Golden fixture: blocking reached transitively through the call graph.
+"""Golden fixture: blocking reached through the call graph.
 
-The intraprocedural ``blocking-under-lock`` rule only sees terminals
-written directly inside the ``with`` block; these findings require the
-interprocedural pass to follow module-level helpers.
+Each held call here blocks one or more frames down (depth >= 1), so the
+rule must follow module-level helpers to see it; a call that blocks
+itself (depth 0) is case_blocking_under_lock.py.
 """
 
 import threading
@@ -18,7 +18,7 @@ def _retry_with_backoff():
 
 
 def _quiet_probe():
-    # lint: ignore[transitive-blocking-under-lock] bounded 1ms probe, measured well under every hold budget
+    # lint: ignore[blocking-under-lock] bounded 1ms probe, measured well under every hold budget
     _backoff()
 
 
@@ -29,11 +29,11 @@ class Refresher:
 
     def bad_refresh_one_deep(self):
         with self._lock:
-            _backoff()  # EXPECT[transitive-blocking-under-lock]
+            _backoff()  # EXPECT[blocking-under-lock]
 
     def bad_refresh_two_deep(self):
         with self._lock:
-            _retry_with_backoff()  # EXPECT[transitive-blocking-under-lock]
+            _retry_with_backoff()  # EXPECT[blocking-under-lock]
 
     def good_refresh_unlocked(self):
         _retry_with_backoff()
@@ -51,5 +51,5 @@ class Refresher:
 
     def suppressed_refresh(self):
         with self._lock:
-            # lint: ignore[transitive-blocking-under-lock] startup path; the lock is uncontended before serving begins
+            # lint: ignore[blocking-under-lock] startup path; the lock is uncontended before serving begins
             _retry_with_backoff()

@@ -11,7 +11,7 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.annotations import scan_comments
-from repro.analysis.callgraph import build_index, module_name_for
+from repro.analysis.callgraph import ProjectIndex, module_name_for
 
 
 def _index(tmp_path, files):
@@ -22,7 +22,7 @@ def _index(tmp_path, files):
         source = textwrap.dedent(source)
         path.write_text(source)
         parsed.append((str(path), ast.parse(source), scan_comments(source)))
-    return build_index(parsed)
+    return ProjectIndex.build(parsed)
 
 
 def _callees(index, qualname):

@@ -143,22 +143,6 @@ def test_zoo_register_get_remove():
     assert "tiny" not in zoo
 
 
-def test_zoo_register_builder_with_training(blobs_dataset):
-    zoo = ModelZoo()
-
-    def train(model):
-        model.fit(blobs_dataset.x_train, blobs_dataset.y_train, epochs=2, batch_size=32)
-        return model
-
-    entry = zoo.register_builder(
-        "trained", lambda: build_mlp(10, 3, hidden=(8,), seed=0), task="tabular",
-        input_shape=(10,), train=train,
-    )
-    assert entry.model.param_count() > 0
-    accuracy = zoo.evaluate_accuracy("trained", blobs_dataset.x_test, blobs_dataset.y_test)
-    assert 0.0 <= accuracy <= 1.0
-
-
 def test_zoo_filters_by_task_and_scenario():
     zoo = ModelZoo()
     zoo.register("a", build_mlp(4, 2, seed=0), task="tabular", input_shape=(4,), scenario="home")

@@ -179,9 +179,8 @@ def test_rl_greedy_never_selects_unplayed_arm_over_positive_arm(candidates):
 def test_rl_selector_statistics_and_validation(candidates):
     learner = RLModelSelector(candidates, seed=0)
     learner.train(episodes=30)
-    stats = learner.arm_statistics
-    assert len(stats) == len(candidates)
-    assert sum(s["plays"] for s in stats) == 30
+    assert len(learner._counts) == len(candidates)
+    assert learner._counts.sum() == 30
     with pytest.raises(ModelSelectionError):
         RLModelSelector([], seed=0)
     with pytest.raises(ModelSelectionError):

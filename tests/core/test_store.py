@@ -81,15 +81,6 @@ def test_orphaned_tmp_files_are_swept_and_invisible(tmp_path):
     assert reopened.verify_all() == 1
 
 
-def test_delete_removes_blob(tmp_path):
-    store = BlobStore(tmp_path / "store")
-    key = store.put(b"doomed")
-    store.delete(key)
-    assert key not in store
-    with pytest.raises(ResourceNotFoundError):
-        store.delete(key)
-
-
 def test_describe_reports_counters(tmp_path):
     store = BlobStore(tmp_path / "store")
     key = store.put(b"abc")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.nn import metrics
-from repro.nn.datasets import make_blobs, make_images, make_personalized_shift, make_sequences, one_hot
+from repro.nn.datasets import make_blobs, make_images, make_personalized_shift, make_sequences
 from repro.nn.flops import activation_bytes, model_cost
 from repro.nn.layers import Dense, ReLU, Softmax
 from repro.nn.model import Sequential
@@ -153,12 +153,10 @@ def test_make_sequences_shapes():
     assert ds.x_train.shape[1:] == (12, 3)
 
 
-def test_dataset_subset_and_one_hot():
+def test_dataset_subset():
     ds = make_blobs(samples=100, features=4, classes=2, seed=0)
     small = ds.subset(20)
     assert len(small.x_train) == 20
-    onehot = one_hot(np.array([0, 1, 1]), 2)
-    np.testing.assert_array_equal(onehot, [[1, 0], [0, 1], [0, 1]])
 
 
 def test_personalized_shift_changes_distribution():

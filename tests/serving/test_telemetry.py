@@ -71,8 +71,8 @@ def test_per_replica_windows_and_reset():
     assert telemetry.observed("safety", "detection", "edge-0").latency_s == pytest.approx(0.1)
     telemetry.reset("safety", "detection", "edge-0")
     assert telemetry.observed("safety", "detection", "edge-0") is not None  # key survives
-    assert telemetry.sample_count("safety", "detection", "edge-0") == 0
-    assert telemetry.sample_count("safety", "detection", "edge-1") == 1
+    assert telemetry.window("safety", "detection", "edge-0").count("latency_s") == 0
+    assert telemetry.window("safety", "detection", "edge-1").count("latency_s") == 1
 
 
 def test_describe_is_json_shaped():
@@ -100,7 +100,7 @@ def test_window_reads_are_snapshots():
     telemetry.record("home", "power_monitor", "edge-0", latency_s=9.9)
     assert snapshot.mean("latency_s") == pytest.approx(0.1)
     snapshot.clear()  # mutating the snapshot must not touch the collector
-    assert telemetry.sample_count("home", "power_monitor", "edge-0") == 2
+    assert telemetry.window("home", "power_monitor", "edge-0").count("latency_s") == 2
 
 
 def test_concurrent_read_during_recording_is_safe():
@@ -157,4 +157,4 @@ def test_concurrent_recording_is_safe():
     for thread in threads:
         thread.join()
     assert errors == []
-    assert telemetry.sample_count("home", "power_monitor", "edge-0") == 16
+    assert telemetry.window("home", "power_monitor", "edge-0").count("latency_s") == 16
