@@ -26,7 +26,7 @@ depends on:
     Cloud-edge and edge-edge collaboration: the three EI dataflows,
     transfer learning, federated aggregation and DDNN early-exit inference.
 ``repro.serving``
-    libei: the RESTful API of Fig. 6 on a stdlib HTTP server.
+    libei: the RESTful API of Fig. 6 on a threaded keep-alive HTTP server.
 ``repro.data``
     Sensor simulators, the realtime/historical data store and workload
     generators.

@@ -54,7 +54,8 @@ RULE_MUTABLE_RETURN = "mutable-return"
 #: ``Condition.wait`` is deliberately absent: it releases the lock while
 #: blocked, which is the whole point of a condition variable.
 BLOCKING_TERMINALS = frozenset(
-    {"sleep", "urlopen", "serve_forever", "create_connection", "getresponse"}
+    {"sleep", "urlopen", "serve_forever", "create_connection", "getresponse",
+     "recv", "recv_into", "sendall"}
 )
 SUBPROCESS_CALLS = frozenset({"check_call", "check_output", "Popen"})
 

@@ -83,7 +83,7 @@ class WorkspaceArena:
     serving) x (distinct shapes served).
 
     A libei handler thread lives as long as its keep-alive connection
-    (``ThreadingHTTPServer`` spawns one thread per connection, and
+    (``LibEIServer`` spawns one thread per connection, and
     ``LibEIClient`` reuses connections), so a caller's requests keep
     landing on one thread and reuse its buffer set.  Buffer sets of
     threads that have exited — closed connections — are pruned whenever

@@ -11,10 +11,11 @@ Every resource — algorithms, data, models, the device itself — is a URL:
 
 :mod:`repro.serving.api` parses URLs and dispatches them against any
 :class:`~repro.serving.api.LibEITarget` without any network;
-:mod:`repro.serving.server` exposes a target over a threaded stdlib
+:mod:`repro.serving.server` exposes a target over a threaded
 HTTP/1.1 server with persistent connections, and
-:mod:`repro.serving.client` is a small ``http.client`` client that
-reuses them, with replica failover.
+:mod:`repro.serving.client` is a small keep-alive client that
+reuses them, with replica failover.  Both ends are framed by
+:mod:`repro.serving.http`, the subset of HTTP/1.1 libei speaks.
 
 The fleet layer scales the same grammar to many devices:
 :mod:`repro.serving.fleet` deploys N OpenEI instances behind one

@@ -1,4 +1,4 @@
-"""A small ``http.client``-based client for libei endpoints.
+"""A small client for libei endpoints, framed by :mod:`repro.serving.http`.
 
 This is what "other edges and IoT devices" use to call a peer's
 algorithms and read its data (Section III.D) — and what the Fig. 6
@@ -14,22 +14,25 @@ in between.
 Connections are persistent (HTTP/1.1 keep-alive): the client keeps a
 stack of idle connections per address and a request takes one, reads its
 response fully and gives the connection back, so steady traffic pays TCP
-set-up once.  A pooled connection the peer has since closed (idled out,
-restarted) is told apart from an unreachable replica: the request is
+set-up once.  A connection is a ``TCP_NODELAY`` socket plus the bytes
+read ahead on it (:class:`~repro.serving.http.Connection`).  A pooled
+connection the peer has since closed (idled out, restarted) is told
+apart from an unreachable replica: the request is
 sent once more on a fresh connection to the *same* replica before
 failover is considered.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 import urllib.parse
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import APIError, ConfigurationError
+from repro.serving.http import Connection, FramingError
 
 Address = Tuple[str, int]
 
@@ -79,7 +82,7 @@ class LibEIClient:
         self._primary = 0  # index of the replica that last answered
         # one stack of idle keep-alive connections per address; the lock is
         # a leaf held for the push/pop only, never across socket I/O
-        self._idle: List[List[http.client.HTTPConnection]] = [  # guarded-by: _idle_lock
+        self._idle: List[List[Connection]] = [  # guarded-by: _idle_lock
             [] for _ in self.addresses
         ]
         self._idle_lock = threading.Lock()
@@ -104,26 +107,25 @@ class LibEIClient:
                 # timeout, restart): that says nothing about the replica
                 # yet, so ask once more on a fresh connection
                 pass
-        host, port = self.addresses[replica_index]
-        connection = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+        address = self.addresses[replica_index]
+        connection = Connection(socket.create_connection(address, timeout=self.timeout_s), address)
         return self._exchange(replica_index, connection, path)
 
     def _exchange(
-        self, replica_index: int, connection: http.client.HTTPConnection, path: str
+        self, replica_index: int, connection: Connection, path: str
     ) -> Dict[str, object]:
         """One request/response on a connection this call owns until it is read out."""
         try:
-            connection.request("GET", path)
-            response = connection.getresponse()
-            raw = response.read().decode("utf-8")
+            response = connection.get(path)
         except BaseException:
             connection.close()  # half-used: must never reach the idle stack
             raise
-        if response.will_close:  # HTTP/1.0 peer or "Connection: close"
+        if response.will_close:  # HTTP/1.0 peer, "Connection: close", or read to EOF
             connection.close()
         else:
             with self._idle_lock:
                 self._idle[replica_index].append(connection)
+        raw = response.body.decode("utf-8")
         if not 200 <= response.status < 300:
             try:
                 message = json.loads(raw).get("error", response.reason)
@@ -142,8 +144,12 @@ class LibEIClient:
 
         Unreachable replicas (connection refused, timeout) trigger
         failover to the next address; HTTP error responses and malformed
-        bodies do not, since the endpoint did answer.
+        bodies do not, since the endpoint did answer.  A path that cannot
+        go on a request line (a space, a control character, non-ASCII) is
+        refused before any replica is asked.
         """
+        if " " in path or not path.isprintable() or not path.isascii():
+            raise APIError(f"libei path must be printable ASCII without spaces: {path[:80]!r}")
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             # snapshot once per pass: another thread moving _primary
@@ -155,11 +161,11 @@ class LibEIClient:
                 try:
                     body = self._get_from(index, path)
                 # OSError covers refused connections, timeouts and mid-read
-                # resets (ConnectionResetError); HTTPException covers
-                # truncated responses (IncompleteRead).  APIError — an HTTP
+                # resets (ConnectionResetError); FramingError covers
+                # truncated or garbled responses.  APIError — an HTTP
                 # error status or malformed body — is NOT caught: the replica
                 # answered, so failing over would mask real errors.
-                except (OSError, http.client.HTTPException) as exc:
+                except (OSError, FramingError) as exc:
                     last_error = exc
                     continue
                 self._primary = index

@@ -1,22 +1,25 @@
-"""Threaded HTTP/1.1 server exposing libei over the network (stdlib only).
+"""Threaded HTTP/1.1 server exposing libei over the network.
 
 Connections are persistent: a handler thread lives as long as its
 connection and serves every request the peer sends on it, so a caller
 that reuses connections (:class:`~repro.serving.client.LibEIClient`
-does) pays TCP set-up and thread start once, not per request.
+does) pays TCP set-up and thread start once, not per request.  Requests
+are framed by :mod:`repro.serving.http`, the subset of HTTP/1.1 libei
+speaks.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.serving.api import LibEIDispatcher, LibEITarget
 from repro.serving.batching import BatchingConfig, BatchingDispatcher
+from repro.serving.http import FramingError, read_request, response_head
 
 #: Seconds a connection may sit without a complete request (or a peer
 #: may stall a response write) before the server closes it and the
@@ -31,65 +34,64 @@ IDLE_TIMEOUT_S = 30.0
 SHUTDOWN_POLL_S = 0.02
 
 
-class _LibEIRequestHandler(BaseHTTPRequestHandler):
-    """Maps GET requests to the libei dispatcher; responses are JSON."""
+class _LibEIRequestHandler(socketserver.BaseRequestHandler):
+    """Serves one connection: each GET goes to the libei dispatcher, each answer is JSON."""
 
-    protocol_version = "HTTP/1.1"
-    timeout = IDLE_TIMEOUT_S  # socketserver applies it to the accepted socket
+    timeout = IDLE_TIMEOUT_S  # applied to the accepted socket by handle()
     dispatcher: LibEIDispatcher  # injected by LibEIServer
     server: "_LibEIHTTPServer"
+    request: socket.socket
 
     def handle(self) -> None:
-        if not self.server.park(self.connection):
+        connection = self.request
+        connection.settimeout(self.timeout)
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if not self.server.park(connection):
             return  # accepted in the instant stop() ran: close unanswered
+        buffer = bytearray()  # bytes received past the request being answered
         try:
-            super().handle()
-        except ConnectionError:
-            # how a persistent connection ends when the peer resets it or
-            # writes into one stop() severed: nobody is left to answer
+            while self._answer(connection, buffer):
+                pass
+        except OSError:
+            # how a persistent connection ends when the peer resets it,
+            # idles past the timeout, or writes into one stop() severed:
+            # nobody is left to answer
             pass
         finally:
-            self.server.forget(self.connection)
+            self.server.forget(connection)
 
-    # silence the default stderr access log
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        del format, args
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        if not self.server.claim(self.connection):
-            # stop() found this connection waiting and severed it while the
-            # request line was being read; the peer redials elsewhere
-            self.close_connection = True
-            return
+    def _answer(self, connection: socket.socket, buffer: bytearray) -> bool:
+        """Read one request and answer it; False when the connection is to close."""
         try:
-            status, body = self.dispatcher.safe_handle_path(self.path)
+            request = read_request(connection, buffer)
+        except FramingError as error:
+            payload = json.dumps({"status": "error", "error": str(error)}).encode("utf-8")
+            connection.sendall(response_head(error.status, len(payload), True) + payload)
+            return False
+        if request is None:
+            return False  # the peer closed between requests
+        if not self.server.claim(connection):
+            # stop() found this connection waiting and severed it while the
+            # request was being read; the peer redials elsewhere
+            return False
+        path, keep_alive = request
+        try:
+            status, body = self.dispatcher.safe_handle_path(path)
             payload = json.dumps(body).encode("utf-8")
             if self.server.closing.is_set():
-                self.close_connection = True
+                keep_alive = False
             # ONE write: a head and a body written separately park the
             # body behind Nagle until the peer's delayed ACK (~40 ms) on
             # every request after a connection's first
-            self.wfile.write(self._head(status, len(payload)) + payload)
+            connection.sendall(response_head(status, len(payload), not keep_alive) + payload)
         finally:
-            if not self.server.park(self.connection):
-                self.close_connection = True
-
-    def _head(self, status: int, length: int) -> bytes:
-        """Status line and headers, as ``send_response`` + ``send_header`` would emit them."""
-        lines = [
-            f"{self.protocol_version} {status} {self.responses.get(status, ('',))[0]}",
-            f"Server: {self.version_string()}",
-            f"Date: {self.date_time_string()}",
-            "Content-Type: application/json",
-            f"Content-Length: {length}",
-        ]
-        if self.close_connection:  # an HTTP/1.0 peer, "Connection: close", or stop()
-            lines.append("Connection: close")
-        return "\r\n".join(lines + ["", ""]).encode("latin-1")
+            if not self.server.park(connection):
+                keep_alive = False
+        return keep_alive
 
 
-class _LibEIHTTPServer(ThreadingHTTPServer):
-    """A ``ThreadingHTTPServer`` that can end the connections it accepted.
+class _LibEIHTTPServer(socketserver.ThreadingTCPServer):
+    """A threading TCP server that can end the connections it accepted.
 
     With keep-alive a closed listening socket is not enough to take a
     server down: a peer holding an open connection would go on being
@@ -98,6 +100,9 @@ class _LibEIHTTPServer(ThreadingHTTPServer):
     (:meth:`claim`), so :meth:`sever` can shut the waiting connections
     down at once and leave the claimed ones to close after their response.
     """
+
+    allow_reuse_address = True  # restart() rebinds the port a killed server held
+    daemon_threads = True  # stop() must not wait on a connection's thread
 
     def __init__(self, address: Tuple[str, int], handler: type) -> None:
         super().__init__(address, handler)

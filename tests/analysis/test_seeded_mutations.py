@@ -98,13 +98,13 @@ def test_deployment_table_leaked_by_reference_is_caught(tmp_path):
 
 
 @seeds("blocking-under-lock")
-def test_urlopen_under_lock_is_caught(tmp_path):
-    # block the client's idle-stack lock on a network round-trip
+def test_dial_under_lock_is_caught(tmp_path):
+    # block the client's idle-stack lock on a TCP connect to the replica
     return _mutate(
         client_module,
         "        with self._idle_lock:\n            idle = self._idle[replica_index]",
         "        with self._idle_lock:\n"
-        '            urllib.request.urlopen("http://localhost/", timeout=0.1)\n'
+        "            socket.create_connection(self.addresses[replica_index], timeout=self.timeout_s)\n"
         "            idle = self._idle[replica_index]",
         tmp_path,
     )
@@ -116,8 +116,8 @@ def test_pooled_connection_without_timeout_is_caught(tmp_path):
     # wedged gateway for as long as the connection lives, not just one call
     return _mutate(
         client_module,
-        "http.client.HTTPConnection(host, port, timeout=self.timeout_s)",
-        "http.client.HTTPConnection(host, port)",
+        "socket.create_connection(address, timeout=self.timeout_s)",
+        "socket.create_connection(address)",
         tmp_path,
     )
 
@@ -135,8 +135,8 @@ def test_socket_read_under_the_idle_lock_is_caught(tmp_path):
         "            idle = self._idle[replica_index]\n"
         "            connection = idle.pop() if idle else None\n"
         "            if connection is not None:\n"
-        '                connection.request("GET", path)\n'
-        "                connection.getresponse()\n",
+        '                connection.sock.sendall(b"GET / HTTP/1.1\\r\\n\\r\\n")\n'
+        "                connection.sock.recv_into(connection.buffer)\n",
         tmp_path,
     )
 

@@ -15,6 +15,7 @@ from repro.core import OpenEI
 from repro.data import CameraSensor
 from repro.exceptions import APIError, ReproError
 from repro.serving import LibEIClient, LibEIDispatcher, LibEIServer, parse_path
+from repro.serving.http import Connection
 
 
 # -- URL grammar (Fig. 6) -------------------------------------------------------
@@ -459,7 +460,7 @@ def test_stale_pooled_connection_is_retried_on_the_same_replica(served_openei, m
         assert client._idle[0] != [pooled]           # the dead connection is gone
 
 
-def test_at_most_one_same_replica_retry_per_stale_connection(served_openei):
+def test_at_most_one_same_replica_retry_per_stale_connection(served_openei, monkeypatch):
     """A stale connection to a replica that is really down costs one fresh
     dial (refused), then failover — not a loop."""
     with LibEIServer(served_openei) as live:
@@ -467,17 +468,23 @@ def test_at_most_one_same_replica_retry_per_stale_connection(served_openei):
         doomed.start()
         client = LibEIClient([doomed.address, live.address], timeout_s=2.0)
         assert client.status()["status"] == "ok" and client._primary == 0
+        (pooled,) = client._idle[0]
         doomed.stop()
-        dials = []
-        exchange = client._exchange
+        events = []
+        dial, get = socket.create_connection, Connection.get
 
-        def recording_exchange(index, connection, path):
-            dials.append((index, connection.sock is None))  # sock None = fresh
-            return exchange(index, connection, path)
+        def recording_dial(address, *args, **kwargs):
+            events.append(("dial", client.addresses.index(address)))
+            return dial(address, *args, **kwargs)
 
-        client._exchange = recording_exchange
+        def recording_get(connection, path):
+            events.append(("get", "pooled" if connection is pooled else "fresh"))
+            return get(connection, path)
+
+        monkeypatch.setattr(socket, "create_connection", recording_dial)
+        monkeypatch.setattr(Connection, "get", recording_get)
         assert client.status()["status"] == "ok"
-        assert dials == [(0, False), (0, True), (1, True)]
+        assert events == [("get", "pooled"), ("dial", 0), ("dial", 1), ("get", "fresh")]
         assert client._primary == 1
 
 
@@ -558,10 +565,10 @@ def test_close_closes_idle_connections_and_stays_idempotent(served_openei):
         client = LibEIClient(server.address)
         assert client.status()["status"] == "ok"
         pooled = list(client._idle[0])
-        assert pooled and all(c.sock is not None for c in pooled)
+        assert pooled and all(c.sock.fileno() != -1 for c in pooled)
         client.close()
         assert client._idle == [[]]
-        assert all(c.sock is None for c in pooled)
+        assert all(c.sock.fileno() == -1 for c in pooled)  # the sockets really closed
         client.close()
         # a closed client is not poisoned: the next call dials afresh
         assert client.status()["status"] == "ok"
