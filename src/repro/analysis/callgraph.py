@@ -97,6 +97,9 @@ class ModuleInfo:
     path: str
     tree: ast.Module
     comments: CommentMap
+    #: every node of ``tree`` in ``ast.walk`` order, walked once and shared
+    #: by the index and every rule
+    nodes: List[ast.AST] = field(default_factory=list)
     #: local name -> dotted target: ``module.func`` / ``module.Class``
     #: for defs, the imported qualname for imports.  Later bindings win,
     #: so a ``def helper`` below ``from x import helper`` shadows it.
@@ -208,12 +211,14 @@ class ProjectIndex:
             # path so neither is silently dropped (imports cannot reach it,
             # which is the honest answer for an ambiguous name)
             name = f"{name}@{path}"
+        nodes = list(ast.walk(tree))
         mod = ModuleInfo(
             name=name,
             path=path,
             tree=tree,
             comments=comments,
-            guarded=collect_guarded_attrs(tree, comments),
+            nodes=nodes,
+            guarded=collect_guarded_attrs(nodes, comments),
         )
         self.modules[name] = mod
         self.path_to_module[path] = name
@@ -331,7 +336,7 @@ class ProjectIndex:
 
     def _index_calls(self, module_name: str) -> None:
         mod = self.modules[module_name]
-        required_by_id = collect_required_locks(mod.tree, mod.comments)
+        required_by_id = collect_required_locks(mod.nodes, mod.comments)
         mod.held_at, mod.func_of = map_held_locks(mod.tree, required_by_id)
 
         by_node_id = {
@@ -348,7 +353,7 @@ class ProjectIndex:
             )
         }
 
-        for node in ast.walk(mod.tree):
+        for node in mod.nodes:
             if not isinstance(node, ast.Call):
                 continue
             owner_node = mod.func_of.get(id(node))

@@ -381,7 +381,7 @@ def _escapes(index: ProjectIndex) -> List[_Escape]:
         guarded = _module_guarded(index, mod.name)
         if not guarded:
             continue
-        for node in ast.walk(mod.tree):
+        for node in mod.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             info = methods.get(id(node))

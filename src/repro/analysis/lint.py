@@ -222,11 +222,15 @@ def run_lint(
         parsed.append((str(path), tree, scan_comments(source)))
 
     index = ProjectIndex.build(parsed)
-    len_classes = DEFAULT_LEN_CLASSES | collect_len_classes(tree for _, tree, _ in parsed)
+    len_classes = DEFAULT_LEN_CLASSES | collect_len_classes(
+        mod.nodes for mod in index.modules.values()
+    )
     for path, tree, comments in parsed:
         report.files_checked += 1
         mod = index.modules[index.path_to_module[path]]
-        ctx = LintContext(path, tree, mod.guarded, mod.held_at, mod.func_of, len_classes)
+        ctx = LintContext(
+            path, tree, mod.nodes, mod.guarded, mod.held_at, mod.func_of, len_classes
+        )
         for rule in ALL_RULES:
             if wanted(rule.rule_id):
                 _route(report, rule.check(ctx), comments.suppressions)

@@ -37,11 +37,11 @@ import contextlib
 import os
 import sys
 import threading
-import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.exceptions import LockContractError
 
 #: The real factories, captured before any patching can replace them.
@@ -138,8 +138,10 @@ class HoldRecord:
 class LockWatch:
     """Global lock-order graph + hold-span tracker for one watch window."""
 
-    def __init__(self, budget_s: Optional[float] = None) -> None:
+    def __init__(self, budget_s: Optional[float] = None, clock: Clock = SYSTEM_CLOCK) -> None:
         self.budget_s = budget_s
+        #: times hold spans
+        self.clock = clock
         self._meta = _REAL_LOCK()
         #: source site -> target site -> first witness
         self._edges: Dict[str, Dict[str, EdgeWitness]] = {}
@@ -176,7 +178,7 @@ class LockWatch:
                         holding_stack=list(prior_stack),
                         acquiring_stack=list(stack),
                     )
-            held.append((lock, time.monotonic(), stack))
+            held.append((lock, self.clock.monotonic(), stack))
 
     def _note_release(self, lock: "_WatchedLock") -> None:
         tid = threading.get_ident()
@@ -192,7 +194,7 @@ class LockWatch:
                 entry, acquired_at, stack = held[index]
                 if entry is lock:
                     del held[index]
-                    span = time.monotonic() - acquired_at
+                    span = self.clock.monotonic() - acquired_at
                     best = self._max_holds.get(lock.site)
                     if best is None or span > best.span_s:
                         self._max_holds[lock.site] = HoldRecord(
@@ -350,10 +352,11 @@ def _make_factory(watch: LockWatch, real_factory):
 
 
 @contextlib.contextmanager
-def watched(budget_s: Optional[float] = None):
+def watched(budget_s: Optional[float] = None, clock: Clock = SYSTEM_CLOCK):
     """Patch the ``threading`` lock factories for the duration of the
-    block; yields the :class:`LockWatch` collecting the evidence."""
-    watch = LockWatch(budget_s=budget_s)
+    block; yields the :class:`LockWatch` collecting the evidence, with
+    hold spans timed on ``clock``."""
+    watch = LockWatch(budget_s=budget_s, clock=clock)
     saved_lock, saved_rlock = threading.Lock, threading.RLock
     threading.Lock = _make_factory(watch, _REAL_LOCK)
     threading.RLock = _make_factory(watch, _REAL_RLOCK)

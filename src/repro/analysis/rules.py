@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from pathlib import PurePath
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.annotations import CommentMap
@@ -87,6 +88,8 @@ class LintContext:
 
     path: str
     tree: ast.Module
+    #: every node of ``tree``, walked once per module (see ModuleInfo.nodes)
+    nodes: List[ast.AST]
     #: attribute name -> lock attribute names (holding any one suffices),
     #: from ``# guarded-by:`` comments
     guarded: Dict[str, Tuple[str, ...]]
@@ -134,7 +137,7 @@ def attr_chain(node: ast.AST) -> List[str]:
 
 
 def collect_guarded_attrs(
-    tree: ast.Module, comments: CommentMap
+    nodes: Iterable[ast.AST], comments: CommentMap
 ) -> Dict[str, Tuple[str, ...]]:
     """Map attribute name -> lock names from ``# guarded-by:`` comments.
 
@@ -146,7 +149,7 @@ def collect_guarded_attrs(
     holding any one of them legalizes a mutation.
     """
     guarded: Dict[str, Tuple[str, ...]] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, (ast.Assign, ast.AnnAssign)):
             continue
         first = getattr(node, "lineno", 0)
@@ -170,14 +173,16 @@ def collect_guarded_attrs(
     return guarded
 
 
-def collect_required_locks(tree: ast.Module, comments: CommentMap) -> Dict[int, FrozenSet[str]]:
+def collect_required_locks(
+    nodes: Iterable[ast.AST], comments: CommentMap
+) -> Dict[int, FrozenSet[str]]:
     """Map id(function node) -> locks asserted held by ``# requires-lock:``.
 
     The comment may trail the ``def`` line (or any line of a multi-line
     signature) or stand alone immediately above the first body statement.
     """
     required: Dict[int, FrozenSet[str]] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         body_start = node.body[0].lineno if node.body else node.lineno
@@ -278,7 +283,7 @@ class GuardedByRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if not ctx.guarded:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             for attr, target in self._mutations(node):
                 locks = ctx.guarded.get(attr)
                 if locks is None or any(lock in ctx.held(node) for lock in locks):
@@ -335,7 +340,7 @@ class SwallowedExceptionRule(Rule):
     description = "broad except swallows the exception without a trace"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if not self._is_broad(node.type):
@@ -379,7 +384,7 @@ class MutableDefaultRule(Rule):
     description = "mutable default argument shared across calls"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             defaults = list(node.args.defaults) + [
@@ -418,7 +423,7 @@ class MissingTimeoutRule(Rule):
     NETWORK_CALLS = {"urlopen": 3, "create_connection": 2, "HTTPConnection": 3}
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = terminal_name(node.func)
@@ -451,7 +456,7 @@ class OrFalsyDefaultRule(Rule):
     description = "'or' default on a __len__-defining class unshares empty instances"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.BoolOp) or not isinstance(node.op, ast.Or):
                 continue
             for value in node.values[1:]:
@@ -468,21 +473,71 @@ class OrFalsyDefaultRule(Rule):
                     )
 
 
+class BareClockRule(Rule):
+    """Serving and the control plane read time only through :mod:`repro.clock`.
+
+    History: four holders took four differently spelled ``clock=``
+    callables while the batching window and the WAL flusher read the
+    host clock directly, so every test of a deadline had to sleep
+    through it.  A bare ``time.monotonic`` / ``time.time`` /
+    ``time.sleep`` in ``repro/serving`` or ``repro/core`` is time a
+    :class:`~repro.clock.ManualClock` cannot move.  Durations of work
+    (``time.perf_counter``) are observations and stay.
+    """
+
+    rule_id = "bare-clock"
+    severity = Severity.ERROR
+    description = "host clock read in serving/core instead of through repro.clock"
+
+    PACKAGES = frozenset({"serving", "core"})
+    CLOCK_FUNCTIONS = frozenset({"monotonic", "monotonic_ns", "time", "time_ns", "sleep"})
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        parts = PurePath(ctx.path).parts
+        if not any(
+            outer == "repro" and inner in self.PACKAGES
+            for outer, inner in zip(parts, parts[1:-1])
+        ):
+            return
+        for node in ctx.nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "time":
+                names = sorted(a.name for a in node.names if a.name in self.CLOCK_FUNCTIONS)
+                if names:
+                    yield self._bare(ctx, node, ", ".join(f"time.{n}" for n in names))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in self.CLOCK_FUNCTIONS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "time"
+            ):
+                yield self._bare(ctx, node, f"time.{node.attr}")
+
+    def _bare(self, ctx: LintContext, node: ast.AST, what: str) -> Finding:
+        return self.finding(
+            ctx,
+            node,
+            f"'{what}' reads the host clock directly; a ManualClock cannot move it",
+            hint="take a repro.clock.Clock (clock=SYSTEM_CLOCK) and call its "
+            "monotonic() / wall() / wait() / sleep()",
+        )
+
+
 ALL_RULES: List[Rule] = [
     GuardedByRule(),
     SwallowedExceptionRule(),
     MutableDefaultRule(),
     MissingTimeoutRule(),
     OrFalsyDefaultRule(),
+    BareClockRule(),
 ]
 
 
-def collect_len_classes(trees: Iterable[ast.Module]) -> FrozenSet[str]:
+def collect_len_classes(modules: Iterable[Iterable[ast.AST]]) -> FrozenSet[str]:
     """Names of scanned classes defining ``__len__`` (unioned with the
-    baked-in repo defaults by the engine)."""
+    baked-in repo defaults by the engine); one node list per module."""
     names: Set[str] = set()
-    for tree in trees:
-        for node in ast.walk(tree):
+    for nodes in modules:
+        for node in nodes:
             if isinstance(node, ast.ClassDef) and any(
                 isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and item.name == "__len__"

@@ -47,11 +47,11 @@ import json
 import os
 import struct
 import threading
-import time
 import zlib
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.exceptions import WALCorruptionError, WALError
 
 _HEADER = struct.Struct(">II")
@@ -330,6 +330,7 @@ class ControlPlaneJournal:
         wal: Union[WriteAheadLog, str, Path],
         fsync: bool = True,
         flush_interval_s: Optional[float] = None,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if not isinstance(wal, WriteAheadLog):
             wal = WriteAheadLog(wal, fsync=fsync)
@@ -337,7 +338,10 @@ class ControlPlaneJournal:
         if flush_interval_s is not None and flush_interval_s <= 0:
             raise WALError("flush_interval_s must be positive when given")
         self.flush_interval_s = flush_interval_s
-        self._stop_flusher = threading.Event()
+        #: stamps every event's ``ts`` and paces the background flusher
+        self.clock = clock
+        self._flusher_cond = threading.Condition()
+        self._stopping = False  # guarded-by: _flusher_cond
         self._flusher: Optional[threading.Thread] = None
         if flush_interval_s is not None:
             # bounds how long a relaxed event can sit un-fsynced without
@@ -349,8 +353,18 @@ class ControlPlaneJournal:
 
     def _flush_loop(self) -> None:
         # flush() on a closed WAL is a silent no-op, so the loop cannot
-        # race close(): it just stops doing work until the stop event fires
-        while not self._stop_flusher.wait(self.flush_interval_s):
+        # race close(): it just stops doing work until close() wakes it
+        clock = self.clock
+        while True:
+            with self._flusher_cond:
+                deadline = clock.monotonic() + self.flush_interval_s
+                while not self._stopping:
+                    remaining = deadline - clock.monotonic()
+                    if remaining <= 0:
+                        break
+                    clock.wait(self._flusher_cond, remaining)
+                if self._stopping:
+                    return
             self.wal.flush()
 
     def append(self, event_type: str, **fields: object) -> Dict[str, object]:
@@ -366,7 +380,7 @@ class ControlPlaneJournal:
                 f"unknown control-plane event type {event_type!r}; "
                 f"expected one of {self.EVENT_TYPES}"
             )
-        event: Dict[str, object] = {"type": event_type, "ts": time.time(), **fields}
+        event: Dict[str, object] = {"type": event_type, "ts": self.clock.wall(), **fields}
         self.wal.append(event, sync=event_type not in self.RELAXED_EVENTS)
         return event
 
@@ -379,7 +393,9 @@ class ControlPlaneJournal:
         return self.wal.replay()
 
     def close(self) -> None:
-        self._stop_flusher.set()
+        with self._flusher_cond:
+            self._stopping = True
+            self._flusher_cond.notify_all()
         if self._flusher is not None:
             self._flusher.join()
             self._flusher = None

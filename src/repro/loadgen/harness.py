@@ -26,13 +26,13 @@ docs/BENCHMARKS.md), not here.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.exceptions import ConfigurationError
 from repro.loadgen.faults import FaultInjector
 from repro.loadgen.trace import TimedRequest, Trace
@@ -113,7 +113,7 @@ class OpenLoopHarness:
     proportionally.  ``max_workers`` bounds in-flight requests; arrivals
     beyond it queue, and their queueing delay is *measured* (latency runs
     from the scheduled arrival, not from the moment a worker picked the
-    request up).
+    request up).  Arrivals are scheduled, slept for and timed on ``clock``.
 
     ``on_response(request, result)`` runs on the worker thread after
     each successful response — the hook chaos tests use to pump adaptive
@@ -127,8 +127,7 @@ class OpenLoopHarness:
         max_workers: int = 32,
         fault_injector: Optional[FaultInjector] = None,
         on_response: Optional[Callable[[TimedRequest, Dict[str, object]], None]] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        sleep: Callable[[float], None] = time.sleep,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if time_scale <= 0:
             raise ConfigurationError("time_scale must be positive")
@@ -140,7 +139,6 @@ class OpenLoopHarness:
         self.fault_injector = fault_injector
         self.on_response = on_response
         self.clock = clock
-        self.sleep = sleep
 
     def run(self, trace: Trace) -> TailLatencyReport:
         """Replay one trace to completion and aggregate its tail report."""
@@ -156,7 +154,7 @@ class OpenLoopHarness:
             key=lambda item: (item[0], item[1]),
         )
         futures: List[Future] = []
-        start = self.clock()
+        start = self.clock.monotonic()
         with ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="loadgen"
         ) as pool, ThreadPoolExecutor(
@@ -164,9 +162,9 @@ class OpenLoopHarness:
         ) as fault_pool:
             for at_s, kind, event in schedule:
                 due = start + at_s * self.time_scale
-                delay = due - self.clock()
+                delay = due - self.clock.monotonic()
                 if delay > 0:
-                    self.sleep(delay)
+                    self.clock.sleep(delay)
                 if kind == 0:
                     futures.append(pool.submit(self._fire, event, due, recorder))
                 else:
@@ -196,7 +194,7 @@ class OpenLoopHarness:
             return
         # open-loop latency: completion minus *scheduled arrival*, so time
         # spent queued behind a saturated fleet is part of the measurement
-        recorder.success(request.scenario, self.clock() - scheduled_at)
+        recorder.success(request.scenario, self.clock.monotonic() - scheduled_at)
         if self.on_response is not None:
             self.on_response(request, result)
 

@@ -38,10 +38,9 @@ solving a second selection nobody would serve.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,7 +134,8 @@ class AdaptiveController:
     :class:`~repro.serving.deployments.Deployment` per replica.
     :meth:`check_all` (typically called periodically, or every N gateway
     requests) compares each record's telemetry window against its policy
-    and reselects where the SLO is violated.
+    and reselects where the SLO is violated.  Cooldowns are timed on the
+    fleet's clock (``fleet.clock``, see :mod:`repro.clock`).
     """
 
     def __init__(
@@ -146,7 +146,6 @@ class AdaptiveController:
         rl_episodes: int = 0,
         rl_seed: int = 0,
         max_events: int = 128,
-        clock: Callable[[], float] = time.monotonic,
         journal: Optional[ControlPlaneJournal] = None,
     ) -> None:
         if rl_episodes < 0:
@@ -163,7 +162,6 @@ class AdaptiveController:
         self.offload = offload
         self.rl_episodes = int(rl_episodes)
         self.rl_seed = int(rl_seed)
-        self.clock = clock
         self.stats = ControllerStats()  # guarded-by: _lock
         self.events: Deque[ReselectionEvent] = deque(maxlen=max_events)  # guarded-by: _lock
         self._lock = threading.RLock()
@@ -310,14 +308,14 @@ class AdaptiveController:
                 if not violations:
                     continue
                 last = self._last_action.get(key)
-                if last is not None and self.clock() - last < policy.cooldown_s:
+                if last is not None and self.fleet.clock.monotonic() - last < policy.cooldown_s:
                     continue
                 self.stats.violations += 1
                 event = self._reselect(policy, instance, deployment, window, violations, learned)
                 # stamp even when holding position, so cooldown_s also
                 # spaces the (re-)evaluation work for a deployment that
                 # cannot improve — not just successful swaps
-                self._last_action[key] = self.clock()
+                self._last_action[key] = self.fleet.clock.monotonic()
                 if event is None:
                     # already on the best known fallback; nothing to change
                     continue

@@ -24,10 +24,10 @@ implements :class:`LibEITarget`, both a single-instance
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.exceptions import BatchContractError, ConfigurationError
 from repro.serving.api import LibEITarget
 
@@ -83,9 +83,9 @@ class _PendingCall:
 
     __slots__ = ("args", "arrival", "done", "result", "error")
 
-    def __init__(self, args: Optional[Dict[str, object]]) -> None:
+    def __init__(self, args: Optional[Dict[str, object]], arrival: float) -> None:
         self.args = args
-        self.arrival = time.monotonic()
+        self.arrival = arrival
         self.done = False  # guarded-by: cond
         self.result: Optional[Dict[str, object]] = None  # guarded-by: cond
         self.error: Optional[BaseException] = None  # guarded-by: cond
@@ -106,15 +106,18 @@ class BatchingDispatcher:
     """Micro-batching :class:`LibEITarget` wrapper.
 
     Algorithm calls batch; status and data calls pass straight through.
+    The flush window is timed, and waited out, on ``clock``.
     """
 
     def __init__(
         self,
         target: LibEITarget,
         config: Optional[BatchingConfig] = None,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         self.target = target
         self.config = config or BatchingConfig()
+        self.clock = clock
         self.stats = BatchingStats()  # guarded-by: _stats_lock
         self._stats_lock = threading.Lock()
         self._queues: Dict[Tuple[str, str], _AlgorithmQueue] = {}  # guarded-by: _queues_lock
@@ -162,8 +165,9 @@ class BatchingDispatcher:
         """Coalesce this call with concurrent same-algorithm calls, then answer it."""
         if self.config.max_batch_size <= 1:
             return self.target.call_algorithm(scenario, name, args)
+        clock = self.clock
         queue = self._queue_for((scenario, name))
-        entry = _PendingCall(args)
+        entry = _PendingCall(args, clock.monotonic())
         batch: Optional[List[_PendingCall]] = None
         flushed_full = False
         with queue.cond:
@@ -178,7 +182,7 @@ class BatchingDispatcher:
                     break
                 if queue.leader is entry:
                     deadline = entry.arrival + self.config.flush_window_s
-                    now = time.monotonic()
+                    now = clock.monotonic()
                     if len(queue.entries) >= self.config.max_batch_size or now >= deadline:
                         batch = queue.entries[: self.config.max_batch_size]
                         flushed_full = len(batch) >= self.config.max_batch_size
@@ -188,12 +192,12 @@ class BatchingDispatcher:
                         queue.leader = queue.entries[0] if queue.entries else None
                         queue.cond.notify_all()
                         break
-                    queue.cond.wait(deadline - now)
+                    clock.wait(queue.cond, deadline - now)
                 else:
                     # follower: result distribution and leadership handoff
                     # both notify under the lock, so the timeout is purely
                     # a defensive bound, not a polling interval
-                    queue.cond.wait(0.5)
+                    clock.wait(queue.cond, 0.5)
         if batch is None:
             # follower path: the leader filled in our slot
             if entry.error is not None:

@@ -13,11 +13,11 @@ drift over time); LRU bounds memory on small edges.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.core.alem import ALEMRequirement, OptimizationTarget
 from repro.exceptions import ConfigurationError
 
@@ -69,15 +69,14 @@ class TTLLRUCache:
     threads (the fleet's selection cache and the capability router's
     score cache), so every mutation happens under a lock.
 
-    ``clock`` is injectable so tests can advance time deterministically;
-    it defaults to :func:`time.monotonic`.
+    Expiry reads ``clock.monotonic()`` (see :mod:`repro.clock`).
     """
 
     def __init__(
         self,
         max_size: int = 256,
         ttl_s: Optional[float] = 60.0,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if max_size <= 0:
             raise ConfigurationError("cache max_size must be positive")
@@ -98,7 +97,7 @@ class TTLLRUCache:
         """Membership without touching LRU order or hit/miss statistics."""
         with self._lock:
             entry = self._entries.get(key)
-            return entry is not None and self.clock() < entry.expires_at
+            return entry is not None and self.clock.monotonic() < entry.expires_at
 
     def get(self, key: Hashable, default: object = None) -> object:
         """Return the cached value, counting a hit/miss and refreshing LRU order."""
@@ -107,7 +106,7 @@ class TTLLRUCache:
             if entry is None:
                 self.stats.misses += 1
                 return default
-            if self.clock() >= entry.expires_at:
+            if self.clock.monotonic() >= entry.expires_at:
                 del self._entries[key]
                 self.stats.expirations += 1
                 self.stats.misses += 1
@@ -119,7 +118,8 @@ class TTLLRUCache:
     def put(self, key: Hashable, value: object) -> None:
         """Insert or refresh an entry, evicting the least recently used on overflow."""
         with self._lock:
-            expires_at = self.clock() + self.ttl_s if self.ttl_s is not None else float("inf")
+            now = self.clock.monotonic()
+            expires_at = now + self.ttl_s if self.ttl_s is not None else float("inf")
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = _Entry(value=value, expires_at=expires_at)
@@ -186,7 +186,7 @@ class SelectionCache:
         self,
         max_size: int = 1024,
         ttl_s: Optional[float] = 60.0,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         self._cache = TTLLRUCache(max_size=max_size, ttl_s=ttl_s, clock=clock)
 

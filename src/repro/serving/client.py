@@ -31,6 +31,7 @@ import time
 import urllib.parse
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.clock import SYSTEM_CLOCK
 from repro.exceptions import APIError, ConfigurationError
 from repro.serving.http import Connection, FramingError
 
@@ -171,7 +172,7 @@ class LibEIClient:
                 self._primary = index
                 return body
             if attempt < self.retries and self.backoff_s > 0:
-                time.sleep(self.backoff_s)
+                SYSTEM_CLOCK.sleep(self.backoff_s)
         reason = getattr(last_error, "reason", last_error)
         raise APIError(f"libei endpoint unreachable: {reason}") from last_error
 

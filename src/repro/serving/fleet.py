@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.core.model_zoo import ModelZoo
 from repro.core.openei import AlgorithmHandler, BatchAlgorithmHandler, OpenEI
 from repro.exceptions import ConfigurationError, ResourceNotFoundError
@@ -75,11 +76,15 @@ class EdgeFleet:
         router: Union[RoutingPolicy, str, None] = None,
         selection_cache: Optional[SelectionCache] = None,
         telemetry: Optional[ALEMTelemetry] = None,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if isinstance(router, str):
             router = make_router(router)
         self.router = router or make_router("round-robin")
         self.selection_cache = selection_cache
+        # the one clock the controllers serving this fleet and the
+        # recovery pass read: cooldowns, lease stamps, lease expiry
+        self.clock = clock
         # when attached, every routed algorithm call records its observed
         # ALEM per (scenario, algorithm, replica); the adaptive controller
         # registers itself here so /ei_status reports reselections
@@ -107,6 +112,7 @@ class EdgeFleet:
         cache_size: int = 1024,
         cache_ttl_s: Optional[float] = 60.0,
         telemetry: Optional[ALEMTelemetry] = None,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> "EdgeFleet":
         """Deploy one OpenEI per named catalog device behind one fleet.
 
@@ -114,13 +120,17 @@ class EdgeFleet:
         routing compares like with like) and a single selection cache
         (keys include the device name, so sharing is safe).  Pass
         ``selection_cache=None`` with ``cache_size=0`` to disable caching.
+        ``clock`` times the selection cache this builds, and is the
+        fleet's :attr:`clock`.
         """
         device_names = list(device_names)
         if not device_names:
             raise ConfigurationError("a fleet needs at least one device to deploy onto")
         if selection_cache is None and cache_size > 0:
-            selection_cache = SelectionCache(max_size=cache_size, ttl_s=cache_ttl_s)
-        fleet = cls(router=policy, selection_cache=selection_cache, telemetry=telemetry)
+            selection_cache = SelectionCache(max_size=cache_size, ttl_s=cache_ttl_s, clock=clock)
+        fleet = cls(
+            router=policy, selection_cache=selection_cache, telemetry=telemetry, clock=clock
+        )
         zoo = zoo if zoo is not None else ModelZoo()  # an empty ModelZoo is falsy
         for name in device_names:
             fleet.add_instance(

@@ -163,6 +163,7 @@ _date: Tuple[int, bytes] = (-1, b"")
 def _http_date() -> bytes:
     """``Date`` value for now (RFC 9110 IMF-fixdate), formatted at most once a second."""
     global _date
+    # lint: ignore[bare-clock] a Date header is the host's wall time by definition
     now = int(time.time())
     second, value = _date  # one tuple: readers on other threads see a matching pair
     if second != now:

@@ -32,9 +32,8 @@ rollout that is already in flight.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.registry import ModelRegistry
 from repro.core.wal import ControlPlaneJournal
@@ -114,7 +113,6 @@ def recover_control_plane(
     rollout: Optional[RolloutController] = None,
     adaptive=None,
     telemetry=None,
-    now: Callable[[], float] = time.time,
 ) -> RecoveryReport:
     """Replay the journal into freshly constructed controllers.
 
@@ -123,7 +121,9 @@ def recover_control_plane(
     function restores the *serving* half: telemetry, calibration, the
     fleet baseline and the canary lease.  Components left as ``None``
     are simply skipped, so a telemetry-only process can recover without
-    a rollout controller.
+    a rollout controller.  A lease has expired when ``fleet.clock.wall()``
+    has passed its ``expires_at``: the same clock the rollout controller
+    stamped it with.
     """
     events = journal.replay()
     report = RecoveryReport(events_replayed=len(events))
@@ -171,7 +171,7 @@ def recover_control_plane(
     for (scenario, algorithm), lease in sorted(leases.items()):
         if rollout.in_flight(scenario, algorithm):
             continue  # a previous recovery pass (or live traffic) re-claimed it
-        if float(lease["expires_at"]) <= now():
+        if float(lease["expires_at"]) <= fleet.clock.wall():
             # the crashed holder sat on the claim past its TTL: release it
             # durably and leave the fleet on the baseline — satellite fix
             # for the claim leaked between begin() and the first check()

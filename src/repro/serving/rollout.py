@@ -40,10 +40,9 @@ events report how many bytes the version push actually moved.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.alem import ALEM, ALEMRequirement
 from repro.core.registry import ModelRegistry, ModelVersion
@@ -165,18 +164,16 @@ class RolloutController:
         max_events: int = 128,
         journal: Optional[ControlPlaneJournal] = None,
         lease_ttl_s: float = 300.0,
-        clock: Callable[[], float] = time.time,
     ) -> None:
         if lease_ttl_s <= 0:
             raise ConfigurationError("lease_ttl_s must be positive")
         self.fleet = fleet
         self.registry = registry
         self.journal = journal
-        # wall-clock TTL on a canary claim: a crashed process cannot hold
-        # the rollout slot forever, because recovery releases any journaled
-        # lease whose expires_at has passed
+        # TTL on a canary claim, on the fleet's wall clock: a crashed
+        # process cannot hold the rollout slot forever, because recovery
+        # releases any journaled lease whose expires_at has passed
         self.lease_ttl_s = float(lease_ttl_s)
-        self.clock = clock
         telemetry = telemetry if telemetry is not None else getattr(fleet, "telemetry", None)
         if telemetry is None:
             raise ConfigurationError(
@@ -377,7 +374,7 @@ class RolloutController:
             # claim the rollout slot before releasing the lock, so the
             # artifact pulls below cannot race a second begin(); the real
             # rollback target is captured at swap time below
-            granted_at = self.clock()
+            granted_at = self.fleet.clock.wall()
             claim = _ActiveRollout(
                 target=target, canary_id=canary, policy=policy,
                 baseline=held,

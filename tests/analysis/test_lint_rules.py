@@ -20,7 +20,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EXPECT_RE = re.compile(r"#.*EXPECT\[(?P<rules>[^\]]+)\]")
 
 CASE_FILES = sorted(
-    path for path in FIXTURES.glob("case_*.py") if path.name != "case_bad_suppression.py"
+    path for path in FIXTURES.rglob("case_*.py") if path.name != "case_bad_suppression.py"
 )
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import traceback
 
 import pytest
 
 from repro.analysis import lockwatch
+from repro.clock import ManualClock
 from repro.exceptions import LockContractError
 
 # lockwatch only instruments locks allocated from files under /repro/,
@@ -84,11 +84,11 @@ def test_reentrant_rlock_is_not_a_self_cycle():
 
 
 def test_hold_budget_violation_reports_site_and_stack():
-    with lockwatch.watched(budget_s=0.01) as watch:
+    clock = ManualClock()  # made outside the window: its own lock stays real
+    with lockwatch.watched(budget_s=0.01, clock=clock) as watch:
         lock, _ = _lockforge.make_locks()
         with lock:
-            # lint: ignore[blocking-under-lock] deliberate over-budget hold — this is what the test provokes
-            time.sleep(0.05)
+            clock.advance(0.05)  # the deliberate over-budget hold
         with pytest.raises(LockContractError) as excinfo:
             watch.assert_clean()
         assert "hold budget" in str(excinfo.value)
@@ -96,12 +96,23 @@ def test_hold_budget_violation_reports_site_and_stack():
 
 
 def test_condition_wait_does_not_count_against_budget():
-    with lockwatch.watched(budget_s=0.05) as watch:
+    clock = ManualClock()
+
+    def pass_time_while_parked():
+        assert clock.wait_for_waiters(1)
+        clock.advance(0.2)
+
+    with lockwatch.watched(budget_s=0.05, clock=clock) as watch:
         cond = _lockforge.make_condition()
+        mover = threading.Thread(target=pass_time_while_parked)
+        mover.start()
         with cond:
             # parked in wait() for 4x the budget: wait releases the lock,
-            # so the recorded hold spans stay tiny
-            cond.wait(timeout=0.2)
+            # so the recorded hold spans stay at zero
+            while clock.monotonic() < 0.2:
+                clock.wait(cond)
+        mover.join(timeout=10.0)
+        assert not mover.is_alive() and clock.monotonic() == pytest.approx(0.2)
         watch.assert_clean()
 
 
@@ -121,15 +132,15 @@ def test_witness_stacks_contain_no_instrumentation_frames():
     instrumented wrapper itself (lockwatch.py, threading.py, contextlib.py
     for ``with`` statements), burying the caller line that actually took
     the lock.  Every recorded stack must point at caller code only."""
-    with lockwatch.watched(budget_s=0.005) as watch:
+    clock = ManualClock()
+    with lockwatch.watched(budget_s=0.005, clock=clock) as watch:
         lock_a, lock_b = _lockforge.make_locks()
         cond = _lockforge.make_condition()
 
         def ab():
             with lock_a:          # with-statement path (contextlib-free but
                 with lock_b:      # enters through the wrapper's __enter__)
-                    # lint: ignore[blocking-under-lock] deliberate over-budget hold provoking a HoldRecord
-                    time.sleep(0.02)
+                    clock.advance(0.02)  # over budget: provokes a HoldRecord
 
         def ba():
             with lock_b:
@@ -143,7 +154,8 @@ def test_witness_stacks_contain_no_instrumentation_frames():
         with cond:
             # the post-wait reacquire runs through threading's
             # _acquire_restore — its stack must still surface this line
-            cond.wait(timeout=0.01)
+            # (a zero timeout takes the same release/reacquire path)
+            cond.wait(timeout=0)
 
         cycle = watch.find_cycle()
         assert cycle is not None

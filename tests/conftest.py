@@ -6,8 +6,25 @@ instances) are session-scoped so the several hundred tests stay fast.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+
+#: CI sets ``REPRO_MAX_TEST_S=3``: a test whose call phase runs longer
+#: fails, so time-driven tests move a ManualClock instead of waiting.
+MAX_TEST_S = float(os.environ.get("REPRO_MAX_TEST_S") or 0.0)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = (yield).get_result()
+    if MAX_TEST_S and report.when == "call" and report.passed and report.duration > MAX_TEST_S:
+        report.outcome = "failed"
+        report.longrepr = (
+            f"{item.nodeid} took {report.duration:.2f} s; tests under tests/ "
+            f"get {MAX_TEST_S:g} s (REPRO_MAX_TEST_S)"
+        )
 
 from repro.core.model_zoo import ModelZoo
 from repro.core.openei import OpenEI

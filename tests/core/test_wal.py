@@ -1,9 +1,11 @@
 """The write-ahead log: framing, torn tails, corruption, the journal."""
 
 import struct
+import threading
 
 import pytest
 
+from repro.clock import ManualClock
 from repro.core.wal import (
     RECORD_HEADER_BYTES,
     ControlPlaneJournal,
@@ -228,18 +230,29 @@ def test_journal_relaxed_events_skip_the_request_path_fsync(tmp_path, monkeypatc
 
 
 def test_journal_background_flusher_hardens_relaxed_events(tmp_path, monkeypatch):
-    import time as _time
+    import repro.core.wal as wal_module
 
-    calls = _count_fsyncs(monkeypatch)
-    journal = ControlPlaneJournal(tmp_path / "control.wal", flush_interval_s=0.01)
-    journal.append(ControlPlaneJournal.CALIBRATION, scenario="s",
-                   algorithm="a", replica="r", drift=0.9)
-    deadline = _time.monotonic() + 5.0
-    while not calls and _time.monotonic() < deadline:
-        _time.sleep(0.005)
-    assert calls, "background flusher never fsynced the pending relaxed event"
-    journal.close()
+    fsynced = threading.Event()
+    real_fsync = wal_module.os.fsync
+
+    def signalling_fsync(fd):
+        real_fsync(fd)
+        fsynced.set()
+
+    monkeypatch.setattr(wal_module.os, "fsync", signalling_fsync)
+    clock = ManualClock()
+    journal = ControlPlaneJournal(tmp_path / "control.wal", flush_interval_s=5.0, clock=clock)
+    event = journal.append(ControlPlaneJournal.CALIBRATION, scenario="s",
+                           algorithm="a", replica="r", drift=0.9)
+    assert event["ts"] == clock.wall()  # stamped on the journal's clock
+    assert journal.describe()["pending_sync"] is True
+    assert clock.wait_for_waiters(1), "the flusher never started waiting"
+    clock.advance(4.9)
+    assert not fsynced.is_set()  # the interval has not passed: nothing is due
+    clock.advance(1.0)
+    assert fsynced.wait(timeout=10.0), "background flusher never fsynced the pending event"
     assert journal.describe()["pending_sync"] is False
+    journal.close()
 
 
 def test_journal_rejects_non_positive_flush_interval(tmp_path):

@@ -1,10 +1,10 @@
 """Tests for the open-loop replay engine, its recorder and the fault injector."""
 
 import threading
-import time
 
 import pytest
 
+from repro.clock import ManualClock
 from repro.exceptions import APIError, ConfigurationError, ResourceNotFoundError
 from repro.loadgen import (
     MALFORMED_PATH,
@@ -35,36 +35,36 @@ def test_latency_is_measured_from_the_scheduled_arrival():
     """A saturated worker pool must *show* queueing delay, not hide it.
 
     Four requests all arrive at t=0 but only one worker exists and the
-    sender takes ~20 ms per request: the k-th completion happens ~k
+    sender takes 20 ms per request: the k-th completion happens k
     service times after the shared arrival, so recorded latencies grow
-    roughly linearly — the signature of open-loop measurement (a
-    closed-loop generator would report a flat ~20 ms for every request).
+    linearly — the signature of open-loop measurement (a closed-loop
+    generator would report a flat 20 ms for every request).
     """
     service_s = 0.02
+    clock = ManualClock()
 
     def send(request):
-        time.sleep(service_s)
+        clock.sleep(service_s)
         return {"status": "ok"}
 
-    harness = OpenLoopHarness(send, max_workers=1)
+    harness = OpenLoopHarness(send, max_workers=1, clock=clock)
     report = harness.run(make_trace([0.0, 0.0, 0.0, 0.0]))
     assert report.error_count == 0
-    latencies = sorted(report.overall.latencies_s)
-    assert latencies[0] >= service_s
     # the last request queued behind the other three
-    assert latencies[-1] >= 3.5 * service_s
+    assert sorted(report.overall.latencies_s) == pytest.approx(
+        [service_s, 2 * service_s, 3 * service_s, 4 * service_s]
+    )
 
 
 def test_time_scale_compresses_the_trace_clock():
     def send(request):
         return {"status": "ok"}
 
-    harness = OpenLoopHarness(send, time_scale=0.01)
-    start = time.perf_counter()
+    clock = ManualClock()
+    harness = OpenLoopHarness(send, time_scale=0.01, clock=clock)
     report = harness.run(make_trace([0.0, 1.0, 2.0, 3.0]))
-    elapsed = time.perf_counter() - start
-    # 3 trace-seconds of schedule replay in ~0.03 s wall, not 3 s
-    assert elapsed < 1.0
+    # 3 trace-seconds of schedule replay in 0.03 s, not 3 s
+    assert clock.monotonic() == pytest.approx(0.03)
     assert report.overall.completed == 4
     assert report.time_scale == 0.01
 
@@ -75,7 +75,7 @@ def test_sender_failures_land_in_the_error_ledger_not_as_exceptions():
             raise APIError("replica gone")
         return {"status": "ok"}
 
-    harness = OpenLoopHarness(send, time_scale=0.01)
+    harness = OpenLoopHarness(send, time_scale=0.01, clock=ManualClock())
     report = harness.run(make_trace([0.0, 0.1, 0.2]))
     assert report.error_count == 1
     assert report.overall.completed == 2
@@ -92,7 +92,8 @@ def test_on_response_hook_sees_every_successful_response():
             seen.append((request.args["seq"], result["echo"]))
 
     harness = OpenLoopHarness(
-        lambda r: {"echo": r.args["seq"]}, time_scale=0.01, on_response=on_response
+        lambda r: {"echo": r.args["seq"]}, time_scale=0.01, on_response=on_response,
+        clock=ManualClock(),
     )
     harness.run(make_trace([0.0, 0.05, 0.1]))
     assert sorted(seen) == [(0, 0), (1, 1), (2, 2)]
@@ -107,7 +108,7 @@ def test_per_scenario_buckets_split_the_overall_rollup():
             TimedRequest(at_s=0.02, scenario="safety", algorithm="classify"),
         ],
     )
-    harness = OpenLoopHarness(lambda r: {}, time_scale=0.1)
+    harness = OpenLoopHarness(lambda r: {}, time_scale=0.1, clock=ManualClock())
     report = harness.run(trace)
     assert report.scenarios["safety"].completed == 2
     assert report.scenarios["home"].completed == 1
@@ -128,7 +129,9 @@ def test_injector_exceptions_surface_after_the_replay():
         [FaultSpec(at_s=0.05, action="slowdown", factor=2.0)]
     )
     injector = FaultInjector()  # no fleet bound: the slowdown cannot apply
-    harness = OpenLoopHarness(lambda r: {}, time_scale=0.01, fault_injector=injector)
+    harness = OpenLoopHarness(
+        lambda r: {}, time_scale=0.01, fault_injector=injector, clock=ManualClock()
+    )
     with pytest.raises(ConfigurationError, match="needs a fleet"):
         harness.run(trace)
     assert injector.records()[0]["outcome"] == "failed"
@@ -148,7 +151,7 @@ def test_dispatcher_sender_carries_the_request_path(image_zoo):
     openei = OpenEI(device_name="raspberry-pi-4", zoo=image_zoo)
     openei.register_algorithm("safety", "echo", lambda ei, args: {"seq": args["seq"]})
     harness = OpenLoopHarness(
-        dispatcher_sender(LibEIDispatcher(openei)), time_scale=0.01
+        dispatcher_sender(LibEIDispatcher(openei)), time_scale=0.01, clock=ManualClock()
     )
     trace = Trace(name="dispatch", requests=[
         TimedRequest(at_s=0.0, scenario="safety", algorithm="echo", args={"seq": 42})

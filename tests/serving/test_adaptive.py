@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.clock import SYSTEM_CLOCK, ManualClock
 from repro.collaboration import CloudOffloadPlanner, CloudSimulator
 from repro.core.alem import ALEMRequirement, OptimizationTarget
 from repro.exceptions import ConfigurationError, ResourceNotFoundError
@@ -40,9 +41,10 @@ def make_policy(**overrides):
 
 
 def make_controller(image_zoo, devices=("raspberry-pi-4",), policy=None, window_size=16,
-                    **controller_kwargs):
+                    clock=SYSTEM_CLOCK, **controller_kwargs):
     fleet = EdgeFleet.deploy(
-        list(devices), zoo=image_zoo, telemetry=ALEMTelemetry(window_size=window_size)
+        list(devices), zoo=image_zoo, telemetry=ALEMTelemetry(window_size=window_size),
+        clock=clock,
     )
     for instance in fleet:
         for name, accuracy in ACCURACIES.items():
@@ -139,11 +141,9 @@ def test_min_samples_gates_single_slow_request(image_zoo):
 
 
 def test_cooldown_spaces_consecutive_reselections(image_zoo):
-    clock = {"now": 0.0}
+    clock = ManualClock()
     fleet, controller = make_controller(
-        image_zoo,
-        policy=make_policy(cooldown_s=60.0),
-        clock=lambda: clock["now"],
+        image_zoo, policy=make_policy(cooldown_s=60.0), clock=clock
     )
     fleet.instances[0].openei.runtime.set_slowdown(1.5)
     drive(fleet, 4)
@@ -152,7 +152,7 @@ def test_cooldown_spaces_consecutive_reselections(image_zoo):
     fleet.instances[0].openei.runtime.set_slowdown(3.0)
     drive(fleet, 4)
     assert controller.check_all() == []
-    clock["now"] += 61.0
+    clock.advance(61.0)
     assert len(controller.check_all()) == 1
 
 
@@ -194,13 +194,10 @@ def test_hold_position_engages_cooldown(image_zoo):
     # regression: holding position on a violated cloud fallback used to
     # skip the _last_action stamp, so every control cycle re-invalidated
     # the cache and re-evaluated every candidate forever
-    clock = {"now": 0.0}
+    clock = ManualClock()
     planner = CloudOffloadPlanner(CloudSimulator(), LAN_LINK)
     fleet, controller = make_controller(
-        image_zoo,
-        policy=make_policy(cooldown_s=60.0),
-        offload=planner,
-        clock=lambda: clock["now"],
+        image_zoo, policy=make_policy(cooldown_s=60.0), offload=planner, clock=clock
     )
     fleet.instances[0].openei.runtime.set_slowdown(10.0)
     drive(fleet, 4)
@@ -209,15 +206,15 @@ def test_hold_position_engages_cooldown(image_zoo):
     # the cloud window still violates the SLO, but inside the cooldown the
     # controller must not even attempt the (expensive) re-evaluation
     drive(fleet, 4)
-    clock["now"] = 1.0
+    clock.advance(1.0)
     assert controller.check_all() == []
     assert controller.stats.violations == 1
     assert fleet.selection_cache.stats.invalidations == invalidations
     # past the cooldown it re-confirms the fallback (a hold, no event)
-    clock["now"] = 61.0
+    clock.advance(60.0)
     assert controller.check_all() == []
     assert controller.stats.violations == 2
-    clock["now"] = 62.0
+    clock.advance(1.0)
     assert controller.check_all() == []
     assert controller.stats.violations == 2
 

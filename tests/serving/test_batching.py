@@ -1,11 +1,11 @@
 """Tests for libei request micro-batching (BatchingDispatcher + batch handlers)."""
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.clock import ManualClock
 from repro.core import OpenEI
 from repro.exceptions import APIError, ConfigurationError, ResourceNotFoundError
 from repro.serving import (
@@ -86,16 +86,20 @@ def test_max_batch_size_is_respected():
 
 def test_flush_window_flushes_a_lone_request():
     target = RecordingTarget()
-    window = 0.05
+    clock = ManualClock()
     dispatcher = BatchingDispatcher(
-        target, BatchingConfig(max_batch_size=64, flush_window_s=window)
+        target, BatchingConfig(max_batch_size=64, flush_window_s=0.05), clock=clock
     )
-    start = time.monotonic()
-    result = dispatcher.call_algorithm("home", "echo", {"x": 1})
-    elapsed = time.monotonic() - start
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(dispatcher.call_algorithm, "home", "echo", {"x": 1})
+        assert clock.wait_for_waiters(1), "the lone leader never waited for its window"
+        clock.advance(0.04)
+        # the window is still open: the leader holds the batch of one
+        assert not future.done() and target.batch_sizes == []
+        clock.advance(0.02)
+        result = future.result(timeout=10.0)
     assert result["x"] == 1
     # a batch of one flushes once its window closes, not at max_batch_size
-    assert elapsed >= window * 0.5
     assert target.batch_sizes == [1]
     assert dispatcher.stats.flushed_window == 1
 
@@ -123,13 +127,16 @@ def test_result_deinterleaving_under_contention():
 
 def test_batch_size_one_passes_straight_through():
     target = RecordingTarget()
+    # the clock never moves: a call that waited for its window would never return
     dispatcher = BatchingDispatcher(
-        target, BatchingConfig(max_batch_size=1, flush_window_s=0.5)
+        target, BatchingConfig(max_batch_size=1, flush_window_s=0.5), clock=ManualClock()
     )
-    start = time.monotonic()
-    result = dispatcher.call_algorithm("home", "echo", {"x": 3})
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        result = pool.submit(dispatcher.call_algorithm, "home", "echo", {"x": 3}).result(
+            timeout=10.0
+        )
     assert result["x"] == 3
-    assert time.monotonic() - start < 0.25, "pass-through must not wait for a window"
+    assert target.single_calls == 1 and target.batch_sizes == []
 
 
 def test_errors_propagate_to_every_caller_when_isolation_also_fails():

@@ -2,21 +2,11 @@
 
 import pytest
 
+from repro.clock import ManualClock
 from repro.core import OpenEI
 from repro.core.alem import ALEMRequirement, OptimizationTarget
 from repro.exceptions import ConfigurationError
 from repro.serving import SelectionCache, TTLLRUCache
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 # -- TTLLRUCache ----------------------------------------------------------------
@@ -43,7 +33,7 @@ def test_cache_lru_eviction_order():
 
 
 def test_cache_ttl_expiry_with_injected_clock():
-    clock = FakeClock()
+    clock = ManualClock()
     cache = TTLLRUCache(max_size=4, ttl_s=10.0, clock=clock)
     cache.put("a", 1)
     clock.advance(9.0)
@@ -55,7 +45,7 @@ def test_cache_ttl_expiry_with_injected_clock():
 
 
 def test_cache_put_refreshes_value_and_ttl():
-    clock = FakeClock()
+    clock = ManualClock()
     cache = TTLLRUCache(max_size=4, ttl_s=10.0, clock=clock)
     cache.put("a", 1)
     clock.advance(8.0)
@@ -272,7 +262,7 @@ def test_selection_cache_ttl_expiry_with_injected_clock():
     """SelectionCache-level TTL: an expired selection is a miss, not a stale hit."""
     from repro.core.model_selector import SelectionResult
 
-    clock = FakeClock()
+    clock = ManualClock()
     cache = SelectionCache(max_size=4, ttl_s=10.0, clock=clock)
     key = SelectionCache.make_key(
         "pi", "vision", ("a",), ALEMRequirement(), OptimizationTarget.LATENCY

@@ -22,7 +22,6 @@ operator sidecar would run them — serialized by a test-local lock.
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -166,6 +165,7 @@ def test_rolling_gateway_kills_under_closed_loop_traffic_on_pooled_connections()
     fleet = deploy_app_fleet(devices=FLEET[:2])
     failures = []
     answered = [0] * 4
+    progress = threading.Condition()  # notified on every answer and failure
     done = threading.Event()
 
     def caller(index: int, client: LibEIClient) -> None:
@@ -175,9 +175,13 @@ def test_rolling_gateway_kills_under_closed_loop_traffic_on_pooled_connections()
                 body = client.call_algorithm("home", "power_monitor", {"seq": seq})
                 assert body["status"] == "ok", body
             except Exception as exc:  # noqa: BLE001 - reported by the assert below
-                failures.append(repr(exc))
+                with progress:
+                    failures.append(repr(exc))
+                    progress.notify_all()
                 return
-            answered[index] += 1
+            with progress:
+                answered[index] += 1
+                progress.notify_all()
             seq += 4
 
     with GatewaySupervisor(fleet, gateways=2) as supervisor:
@@ -194,11 +198,15 @@ def test_rolling_gateway_kills_under_closed_loop_traffic_on_pooled_connections()
                         # this slot down is still running when the other slot
                         # goes: a caller's second answer from here on belongs
                         # to a call that began after the restart
-                        after_restart = list(answered)
-                        give_up = time.monotonic() + 10.0
-                        while any(now < was + 2 for now, was in zip(answered, after_restart)):
-                            assert not failures and time.monotonic() < give_up
-                            time.sleep(0.005)
+                        with progress:
+                            after_restart = list(answered)
+                            assert progress.wait_for(
+                                lambda: failures or all(
+                                    now >= was + 2 for now, was in zip(answered, after_restart)
+                                ),
+                                timeout=10.0,
+                            )
+                        assert not failures
             finally:
                 done.set()
                 for thread in callers:

@@ -8,8 +8,8 @@ blocking-under-lock findings.
 
 from __future__ import annotations
 
+import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -26,9 +26,6 @@ from repro.serving.supervisor import GatewaySupervisor
 class _EchoTarget:
     """Minimal LibEITarget: answers with its own arguments."""
 
-    def __init__(self, delay_s: float = 0.0) -> None:
-        self.delay_s = delay_s
-
     def describe(self):
         return {"status": "ok"}
 
@@ -39,8 +36,6 @@ class _EchoTarget:
         return {"sensor": sensor_id}
 
     def call_algorithm(self, scenario, name, args=None):
-        if self.delay_s:
-            time.sleep(self.delay_s)
         return {"scenario": scenario, "name": name, "args": dict(args or {})}
 
     def call_algorithm_batch(self, scenario, name, args_list):
@@ -63,7 +58,7 @@ def test_batch_results_are_distributed_under_the_condition():
     dispatcher from many threads and verify every caller got exactly its
     own answer."""
     dispatcher = BatchingDispatcher(
-        _EchoTarget(delay_s=0.002),
+        _EchoTarget(),
         config=BatchingConfig(max_batch_size=4, flush_window_s=0.02),
     )
     results: dict = {}
@@ -77,10 +72,16 @@ def test_batch_results_are_distributed_under_the_condition():
             errors.append(exc)
 
     threads = [threading.Thread(target=call, args=(i,)) for i in range(32)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=10.0)
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # widen the distribute/observe race window
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors
     assert results == {i: i for i in range(32)}
     assert dispatcher.stats.requests == 32
@@ -100,29 +101,22 @@ def test_kill_joins_the_server_thread_outside_the_supervisor_lock():
     supervisor = _tiny_supervisor()
     with supervisor:
         target = supervisor.gateway(0)
-        probe_latency: list = []
+        probed: list = []
         original_stop = target.stop
 
         def probing_stop() -> None:
             # while the killing thread is inside stop(), a concurrent
-            # health probe must get through the supervisor lock
-            done = threading.Event()
-
-            def probe() -> None:
-                start = time.monotonic()
-                supervisor.alive(1)
-                probe_latency.append(time.monotonic() - start)
-                done.set()
-
-            prober = threading.Thread(target=probe)
+            # health probe must get through the supervisor lock: stop()
+            # does not go on until the probe has answered
+            prober = threading.Thread(target=lambda: probed.append(supervisor.alive(1)))
             prober.start()
-            assert done.wait(timeout=2.0), "probe deadlocked behind kill()"
-            prober.join(timeout=2.0)
+            prober.join(timeout=10.0)
+            assert not prober.is_alive(), "probe deadlocked behind kill()"
             original_stop()
 
         target.stop = probing_stop
         supervisor.kill(0)
-        assert probe_latency and probe_latency[0] < 1.0
+        assert probed == [True]
         assert not supervisor.alive(0)
         assert supervisor.kills == 1
 

@@ -11,11 +11,11 @@ pre-crash fleet state.  The true-SIGKILL variants live in
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import pytest
 
+from repro.clock import SYSTEM_CLOCK, ManualClock
 from repro.core import ALEMRequirement, BlobStore, ControlPlaneJournal, ModelRegistry, ModelZoo
 from repro.nn.layers import Dense, ReLU, Softmax
 from repro.nn.model import Sequential
@@ -48,7 +48,7 @@ def _publish(registry: ModelRegistry, accuracy: float, scale: float = 1.0):
     )
 
 
-def _life(root, recovered: bool = False, lease_ttl_s: float = 300.0):
+def _life(root, recovered: bool = False, lease_ttl_s: float = 300.0, clock=SYSTEM_CLOCK):
     """One process life over the durable directories under ``root``."""
     store = BlobStore(root / "store")
     journal = ControlPlaneJournal(root / "control.wal")
@@ -57,21 +57,21 @@ def _life(root, recovered: bool = False, lease_ttl_s: float = 300.0):
     else:
         registry = ModelRegistry(store=store, journal=journal)
     telemetry = ALEMTelemetry(window_size=16, journal=journal, journal_every=4)
-    fleet = EdgeFleet.deploy(list(FLEET), zoo=ModelZoo(), telemetry=telemetry)
+    fleet = EdgeFleet.deploy(list(FLEET), zoo=ModelZoo(), telemetry=telemetry, clock=clock)
     rollout = RolloutController(
         fleet, registry, journal=journal, lease_ttl_s=lease_ttl_s
     )
     return store, journal, registry, telemetry, fleet, rollout
 
 
-def _first_life_with_lease(root, lease_ttl_s: float = 300.0) -> str:
+def _first_life_with_lease(root, lease_ttl_s: float = 300.0, clock=SYSTEM_CLOCK) -> str:
     """Publish v1+v2, deploy v1, begin a v2 canary — then 'crash'.
 
     The crash window is the satellite-4 regression: the process dies
     between ``begin()`` and the first ``check()``, when the only record
     of the claim is the journaled lease.  Returns the canary id.
     """
-    _, journal, registry, _, fleet, rollout = _life(root, lease_ttl_s=lease_ttl_s)
+    _, journal, registry, _, fleet, rollout = _life(root, lease_ttl_s=lease_ttl_s, clock=clock)
     _publish(registry, accuracy=0.95)
     _publish(registry, accuracy=0.97, scale=1.01)
     rollout.deploy(SCENARIO, ALGORITHM, MODEL, version=1)
@@ -107,13 +107,12 @@ def test_unexpired_lease_resumes_the_same_canary(tmp_path):
 
 
 def test_expired_lease_is_released_and_fleet_stays_on_baseline(tmp_path):
-    _first_life_with_lease(tmp_path, lease_ttl_s=60.0)
+    clock = ManualClock()
+    _first_life_with_lease(tmp_path, lease_ttl_s=60.0, clock=clock)
 
-    _, journal, registry, _, fleet, rollout = _life(tmp_path, recovered=True)
-    report = recover_control_plane(
-        fleet, registry, journal, rollout=rollout,
-        now=lambda: time.time() + 3600.0,  # recovery happens after the TTL
-    )
+    clock.advance(3600.0)  # the restart comes long after the TTL
+    _, journal, registry, _, fleet, rollout = _life(tmp_path, recovered=True, clock=clock)
+    report = recover_control_plane(fleet, registry, journal, rollout=rollout)
 
     assert report.leases_resumed == 0
     assert report.leases_expired == 1

@@ -47,6 +47,9 @@ ALLOWED = {
     "repro/apps/public_safety.py::BlobDetector.detect_batch": "the safety handler's one-pass labeller; detect() and evaluate() wrap it",
     "repro/apps/smart_home.py::PowerMonitor.infer_states": "single-reading disaggregation the module docstring documents",
     "repro/apps/smart_home.py::PowerMonitor.infer_batch": "the home handler's vectorized disaggregation; accuracy() uses it",
+    # the clock seam's test double
+    "repro/clock.py::ManualClock.advance": "the one way a test moves time past a deadline instead of sleeping (repro.clock)",
+    "repro/clock.py::ManualClock.wait_for_waiters": "orders a test after the threads it started park on the clock, instead of a sleep",
     # collaboration, compression and the EI algorithms
     "repro/collaboration/cloud_edge.py::CloudOffloadPlanner.round_trip_seconds": "transfer term of CloudOffloadPlanner.plan",
     "repro/compression/distillation.py::DistillationResult.accuracy_gap": "the teacher/student gap of Table I's distillation row",
