@@ -106,9 +106,8 @@ class _LibEIHTTPServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address: Tuple[str, int], handler: type) -> None:
         super().__init__(address, handler)
-        # leaf lock: held for set updates only, never across socket I/O;
-        # notified on every update, so a caller can wait for a count
-        self._lock = threading.Condition(threading.Lock())
+        # leaf lock: held for set updates only, never across socket I/O
+        self._lock = threading.Lock()
         #: live connections waiting for a request (not inside a handler)
         self._waiting: Set[socket.socket] = set()  # guarded-by: _lock
         #: set by sever() under _lock, so park/claim order against it
@@ -120,28 +119,24 @@ class _LibEIHTTPServer(socketserver.ThreadingTCPServer):
             if self.closing.is_set():
                 return False
             self._waiting.add(connection)
-            self._lock.notify_all()
             return True
 
     def claim(self, connection: socket.socket) -> bool:
         """A request arrived on the connection; False when :meth:`sever` got to it first."""
         with self._lock:
             self._waiting.discard(connection)
-            self._lock.notify_all()
             return not self.closing.is_set()
 
     def forget(self, connection: socket.socket) -> None:
         """The connection is ending, whichever side ended it."""
         with self._lock:
             self._waiting.discard(connection)
-            self._lock.notify_all()
 
     def sever(self) -> None:
         """Shut down every waiting connection; claimed ones close after their response."""
         with self._lock:
             self.closing.set()
             waiting, self._waiting = self._waiting, set()
-            self._lock.notify_all()
         for connection in waiting:
             try:
                 # wakes the handler thread blocked on the next request line

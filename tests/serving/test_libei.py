@@ -416,13 +416,28 @@ def waiting_connections(server: LibEIServer, count: int) -> list:
     """The server's idle accepted sockets, once there are exactly ``count`` of them.
 
     A handler parks its connection *after* writing the response and lets
-    go of it after noticing the close, so either can trail the client;
-    the server notifies its lock on every change, so this waits for it.
+    go of it after noticing the close, so either can trail the client.
+    The server's park/claim/forget are wrapped (once per server) to notify
+    a condition after each change, so this waits for it instead of polling.
     """
-    changed = server._server._lock
+    inner = server._server
+    changed = getattr(inner, "_test_changed", None)
+    if changed is None:
+        changed = inner._test_changed = threading.Condition()
+
+        def notifying(method):
+            def call(connection):
+                result = method(connection)
+                with changed:
+                    changed.notify_all()
+                return result
+            return call
+
+        for name in ("park", "claim", "forget"):
+            setattr(inner, name, notifying(getattr(inner, name)))
     with changed:
-        assert changed.wait_for(lambda: len(server._server._waiting) == count, timeout=10.0)
-        return list(server._server._waiting)
+        assert changed.wait_for(lambda: len(inner._waiting) == count, timeout=10.0)
+        return list(inner._waiting)
 
 
 def test_sequential_gets_share_one_accepted_connection(served_openei):
