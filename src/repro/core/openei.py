@@ -282,7 +282,7 @@ class OpenEI:
             "sensor_id": reading.sensor_id,
             "timestamp": reading.timestamp,
             "shape": list(reading.payload.shape),
-            "payload": reading.payload.tolist(),
+            "payload": reading.payload_list(),
             "annotations": reading.annotations,
         }
 
@@ -297,5 +297,5 @@ class OpenEI:
             "start": start,
             "end": end,
             "timestamps": [r.timestamp for r in readings],
-            "payloads": [r.payload.tolist() for r in readings],
+            "payloads": [r.payload_list() for r in readings],
         }

@@ -8,6 +8,7 @@ seed, which the tests and benchmarks rely on.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -18,17 +19,58 @@ from repro.exceptions import ConfigurationError
 
 @dataclass
 class SensorReading:
-    """One sample emitted by a sensor."""
+    """One sample emitted by a sensor.
+
+    A reading never changes once emitted: its payload is made read-only
+    here, which is what lets :attr:`payload_json` keep its text.
+    """
 
     sensor_id: str
     timestamp: float
     payload: np.ndarray
     annotations: Dict[str, object] = field(default_factory=dict)
+    _payload_json: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.payload.flags.writeable = False
 
     @property
     def nbytes(self) -> int:
         """Raw payload size in bytes (what uploading to the cloud would cost)."""
         return int(self.payload.nbytes)
+
+    @property
+    def payload_json(self) -> str:
+        """``json.dumps(self.payload.tolist())``, encoded on first use and then kept.
+
+        The text costs about three times the payload's float64 bytes and
+        lives as long as the reading.  Two threads reading it first at
+        once may both encode; they store the same text.
+        """
+        text = self._payload_json
+        if text is None:
+            text = self._payload_json = json.dumps(self.payload.tolist())
+        return text
+
+    def payload_list(self) -> "PayloadList":
+        """``payload.tolist()`` as a :class:`PayloadList` tied to this reading."""
+        return PayloadList(self)
+
+
+class PayloadList(list):
+    """A reading's ``payload.tolist()`` that still knows its reading.
+
+    It is a real ``list`` (equal to ``payload.tolist()``, encodable by
+    ``json.dumps``), so in-process callers see plain nested lists; the
+    libei encoder (:func:`repro.serving.api.encode_body`) splices the
+    reading's cached :attr:`~SensorReading.payload_json` in its place.
+    """
+
+    __slots__ = ("reading",)
+
+    def __init__(self, reading: SensorReading) -> None:
+        super().__init__(reading.payload.tolist())
+        self.reading = reading
 
 
 class _BaseSensor:

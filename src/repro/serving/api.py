@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
 from urllib.parse import parse_qsl, unquote, urlparse
 
+from repro.data.sensors import PayloadList
 from repro.exceptions import APIError, ResourceNotFoundError
 
 
@@ -160,6 +161,32 @@ def _numeric_arg(args: Dict[str, object], key: str, default: Optional[float]) ->
             f"(e.g. /ei_data/historical/<sensor>/?start=0&end=10)"
         )
     return number
+
+
+def encode_body(body: Dict[str, object]) -> bytes:
+    """A libei response body as sent: ``json.dumps(body).encode()``, byte for byte.
+
+    Every body is one ``json.dumps`` except a data body (``/ei_data``):
+    each :class:`~repro.data.sensors.PayloadList` in it is spliced in as
+    its reading's cached JSON text, so a reading's floats are encoded
+    once however often it is served.
+    """
+    if isinstance(body.get("data"), dict):
+        return _splice(body).encode("utf-8")
+    return json.dumps(body).encode("utf-8")
+
+
+def _splice(value: object) -> str:
+    """``json.dumps(value)``, reusing each payload's cached text."""
+    if isinstance(value, PayloadList):
+        return value.reading.payload_json
+    if type(value) is dict and all(type(key) is str for key in value):
+        return "{" + ", ".join(
+            f"{json.dumps(key)}: {_splice(item)}" for key, item in value.items()
+        ) + "}"
+    if type(value) is list and any(isinstance(item, PayloadList) for item in value):
+        return "[" + ", ".join(map(_splice, value)) + "]"
+    return json.dumps(value)
 
 
 class LibEIDispatcher:

@@ -10,14 +10,13 @@ speaks.
 
 from __future__ import annotations
 
-import json
 import socket
 import socketserver
 import threading
 from typing import Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.serving.api import LibEIDispatcher, LibEITarget
+from repro.serving.api import LibEIDispatcher, LibEITarget, encode_body
 from repro.serving.batching import BatchingConfig, BatchingDispatcher
 from repro.serving.http import FramingError, read_request, response_head
 
@@ -65,7 +64,7 @@ class _LibEIRequestHandler(socketserver.BaseRequestHandler):
         try:
             request = read_request(connection, buffer)
         except FramingError as error:
-            payload = json.dumps({"status": "error", "error": str(error)}).encode("utf-8")
+            payload = encode_body({"status": "error", "error": str(error)})
             connection.sendall(response_head(error.status, len(payload), True) + payload)
             return False
         if request is None:
@@ -77,7 +76,7 @@ class _LibEIRequestHandler(socketserver.BaseRequestHandler):
         path, keep_alive = request
         try:
             status, body = self.dispatcher.safe_handle_path(path)
-            payload = json.dumps(body).encode("utf-8")
+            payload = encode_body(body)
             if self.server.closing.is_set():
                 keep_alive = False
             # ONE write: a head and a body written separately park the

@@ -1,6 +1,7 @@
 """Tests for sensor simulators, the data store and workload generators."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def test_sensor_streams_are_byte_identical_to_the_pinned_digests(sensor_class, s
         digest.update(repr(reading.payload.shape).encode())
         digest.update(repr(reading.annotations).encode())
     assert digest.hexdigest() == SENSOR_STREAM_DIGESTS[(sensor_class, seed)]
+
+
+@pytest.mark.parametrize(
+    "sensor_class", [CameraSensor, VehicleCameraSensor, WearableIMUSensor, PowerMeterSensor]
+)
+def test_a_reading_is_read_only_and_keeps_its_payload_json(sensor_class):
+    """The kept text is only right while the payload never changes."""
+    for reading in sensor_class(seed=0).stream(3):
+        with pytest.raises(ValueError, match="read-only"):
+            reading.payload[...] = 0.0
+        text = reading.payload_json
+        assert text == json.dumps(reading.payload.tolist())
+        assert reading.payload_json is text
 
 
 def test_sensor_invalid_period():
