@@ -18,6 +18,7 @@ from repro.core.capability import CapabilityEvaluator, EvaluatedCandidate
 from repro.core.model_selector import ModelSelector, SelectionResult
 from repro.core.model_zoo import ModelZoo
 from repro.core.package_manager import InferenceOutcome, PackageManager
+from repro.data.sensors import PayloadList
 from repro.data.store import EdgeDataStore
 from repro.exceptions import (
     BatchContractError,
@@ -282,7 +283,7 @@ class OpenEI:
             "sensor_id": reading.sensor_id,
             "timestamp": reading.timestamp,
             "shape": list(reading.payload.shape),
-            "payload": reading.payload_list(),
+            "payload": PayloadList(reading),
             "annotations": reading.annotations,
         }
 
@@ -297,5 +298,5 @@ class OpenEI:
             "start": start,
             "end": end,
             "timestamps": [r.timestamp for r in readings],
-            "payloads": [r.payload_list() for r in readings],
+            "payloads": [PayloadList(r) for r in readings],
         }

@@ -22,7 +22,7 @@ class SensorReading:
     """One sample emitted by a sensor.
 
     A reading never changes once emitted: its payload is made read-only
-    here, which is what lets :attr:`payload_json` keep its text.
+    here, which is what lets :meth:`payload_json` keep its text.
     """
 
     sensor_id: str
@@ -30,6 +30,7 @@ class SensorReading:
     payload: np.ndarray
     annotations: Dict[str, object] = field(default_factory=dict)
     _payload_json: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _served: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.payload.flags.writeable = False
@@ -39,22 +40,24 @@ class SensorReading:
         """Raw payload size in bytes (what uploading to the cloud would cost)."""
         return int(self.payload.nbytes)
 
-    @property
-    def payload_json(self) -> str:
-        """``json.dumps(self.payload.tolist())``, encoded on first use and then kept.
+    def payload_json(self, values: Optional[List[object]] = None) -> str:
+        """``json.dumps(self.payload.tolist())``, kept from its second use on.
 
-        The text costs about three times the payload's float64 bytes and
-        lives as long as the reading.  Two threads reading it first at
-        once may both encode; they store the same text.
+        ``values`` is that ``tolist()`` when the caller already holds it
+        (a :class:`PayloadList`), so an encode does not build it twice.
+        The text costs about three times the payload's float64 bytes, so
+        a reading asked for once (a fresh frame from a live sensor) keeps
+        none; one asked for again keeps it as long as the reading lives
+        and is never encoded after that.  Threads asking at the same
+        moment may each encode; they store the same text.
         """
         text = self._payload_json
         if text is None:
-            text = self._payload_json = json.dumps(self.payload.tolist())
+            text = json.dumps(self.payload.tolist() if values is None else values)
+            if self._served:
+                self._payload_json = text
+            self._served = True
         return text
-
-    def payload_list(self) -> "PayloadList":
-        """``payload.tolist()`` as a :class:`PayloadList` tied to this reading."""
-        return PayloadList(self)
 
 
 class PayloadList(list):
@@ -63,7 +66,7 @@ class PayloadList(list):
     It is a real ``list`` (equal to ``payload.tolist()``, encodable by
     ``json.dumps``), so in-process callers see plain nested lists; the
     libei encoder (:func:`repro.serving.api.encode_body`) splices the
-    reading's cached :attr:`~SensorReading.payload_json` in its place.
+    reading's :meth:`~SensorReading.payload_json` text in its place.
     """
 
     __slots__ = ("reading",)

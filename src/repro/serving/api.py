@@ -179,7 +179,7 @@ def encode_body(body: Dict[str, object]) -> bytes:
 def _splice(value: object) -> str:
     """``json.dumps(value)``, reusing each payload's cached text."""
     if isinstance(value, PayloadList):
-        return value.reading.payload_json
+        return value.reading.payload_json(value)
     if type(value) is dict and all(type(key) is str for key in value):
         return "{" + ", ".join(
             f"{json.dumps(key)}: {_splice(item)}" for key, item in value.items()

@@ -103,9 +103,12 @@ def test_a_reading_is_read_only_and_keeps_its_payload_json(sensor_class):
     for reading in sensor_class(seed=0).stream(3):
         with pytest.raises(ValueError, match="read-only"):
             reading.payload[...] = 0.0
-        text = reading.payload_json
-        assert text == json.dumps(reading.payload.tolist())
-        assert reading.payload_json is text
+        first = reading.payload_json()
+        assert first == json.dumps(reading.payload.tolist())
+        assert reading._payload_json is None  # asked for once: nothing kept
+        text = reading.payload_json()
+        assert text == first
+        assert reading.payload_json() is text  # asked for again: kept
 
 
 def test_sensor_invalid_period():

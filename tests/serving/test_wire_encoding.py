@@ -122,21 +122,40 @@ def encodes(monkeypatch):
     return calls
 
 
-def test_a_reading_served_again_is_not_encoded_again(encodes):
+def test_a_reading_served_again_is_encoded_twice_then_never(encodes):
+    """A reading's text is kept from its second serve on, so it costs two encodes."""
     openei = recorded_openei()
     dispatcher = LibEIDispatcher(openei)
     first = encode_body(dispatcher.handle_path(REALTIME))
     for _ in range(4):
         assert encode_body(dispatcher.handle_path(REALTIME)) == first
-    assert len(encodes) == 1  # the newest reading, once
+    assert len(encodes) == 2  # the newest reading: first serve, second serve
     overlapping = [window(openei, 2, 6), window(openei, 4, 9)]
     for path in overlapping * 3:
         body = dispatcher.handle_path(path)
         assert encode_body(body) == json.dumps(body).encode("utf-8")
-    assert len(encodes) == 1 + 8  # frames 2..9, each once
+    assert len(encodes) == 2 + 2 * 8  # frames 2..9, each twice
 
 
-def test_concurrent_readers_encode_each_reading_once_up_to_a_benign_race(encodes):
+def test_a_live_reading_served_once_keeps_no_text(encodes):
+    """Fresh live frames are the traffic the kept text would not pay for."""
+    openei = OpenEI(device_name="raspberry-pi-4")
+    openei.data_store.register_sensor(CameraSensor(sensor_id="live-cam", seed=5))
+    dispatcher = LibEIDispatcher(openei)
+    for _ in range(6):
+        body = dispatcher.handle_path("/ei_data/realtime/live-cam/")
+        assert encode_body(body) == json.dumps(body).encode("utf-8")
+    series = openei.data_store.historical("live-cam", 0.0)
+    assert len(series) == len(encodes) == 6  # a fresh reading per call, encoded once
+    assert all(r._payload_json is None for r in series)
+    # a historical query serves them again: now each one keeps its text
+    body = dispatcher.handle_path("/ei_data/historical/live-cam/?start=0")
+    assert encode_body(body) == json.dumps(body).encode("utf-8")
+    assert [r._payload_json for r in series] == [json.dumps(r.payload.tolist()) for r in series]
+    assert len(encodes) == 12
+
+
+def test_concurrent_readers_encode_each_reading_twice_up_to_a_benign_race(encodes):
     openei = recorded_openei()
     dispatcher = LibEIDispatcher(openei)
     paths = [REALTIME, f"/ei_data/historical/{RECORDED}/?start=0"]
@@ -166,9 +185,11 @@ def test_concurrent_readers_encode_each_reading_once_up_to_a_benign_race(encodes
     assert wrong == []
     # Two threads that find one reading uncached at the same moment both
     # encode it and store the same text: the cache allows that benign race
-    # rather than take a lock on every read.  So each reading is encoded at
-    # least once and at most once per thread, and never again afterwards.
-    assert FRAMES <= len(encodes) <= FRAMES * threads_n
+    # rather than take a lock on every read.  A thread's second ask for a
+    # reading always stores its text, so each reading (served many times
+    # here) is encoded at least twice and at most twice per thread, and
+    # never again afterwards.
+    assert 2 * FRAMES <= len(encodes) <= 2 * FRAMES * threads_n
     settled = len(encodes)
     for path in paths:
         encode_body(dispatcher.handle_path(path))
