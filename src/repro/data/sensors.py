@@ -40,11 +40,11 @@ class SensorReading:
         """Raw payload size in bytes (what uploading to the cloud would cost)."""
         return int(self.payload.nbytes)
 
-    def payload_json(self, values: Optional[List[object]] = None) -> str:
-        """``json.dumps(self.payload.tolist())``, kept from its second use on.
+    def payload_json(self, values: List[object]) -> str:
+        """``json.dumps(values)``, kept from its second use on.
 
-        ``values`` is that ``tolist()`` when the caller already holds it
-        (a :class:`PayloadList`), so an encode does not build it twice.
+        ``values`` is ``self.payload.tolist()`` as the caller already
+        holds it (a :class:`PayloadList`), so an encode builds it once.
         The text costs about three times the payload's float64 bytes, so
         a reading asked for once (a fresh frame from a live sensor) keeps
         none; one asked for again keeps it as long as the reading lives
@@ -53,7 +53,7 @@ class SensorReading:
         """
         text = self._payload_json
         if text is None:
-            text = json.dumps(self.payload.tolist() if values is None else values)
+            text = json.dumps(values)
             if self._served:
                 self._payload_json = text
             self._served = True

@@ -168,8 +168,9 @@ def encode_body(body: Dict[str, object]) -> bytes:
 
     Every body is one ``json.dumps`` except a data body (``/ei_data``):
     each :class:`~repro.data.sensors.PayloadList` in it is spliced in as
-    its reading's cached JSON text, so a reading's floats are encoded
-    once however often it is served.
+    its reading's :meth:`~repro.data.sensors.SensorReading.payload_json`,
+    so a reading served again and again has its floats encoded twice in
+    all, and one served once keeps no text.
     """
     if isinstance(body.get("data"), dict):
         return _splice(body).encode("utf-8")

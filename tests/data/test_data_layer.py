@@ -19,6 +19,7 @@ from repro.data import (
     scenario_request_stream,
     trajectory_workload,
 )
+from repro.data.sensors import PayloadList
 from repro.exceptions import ConfigurationError, ResourceNotFoundError
 
 
@@ -103,12 +104,14 @@ def test_a_reading_is_read_only_and_keeps_its_payload_json(sensor_class):
     for reading in sensor_class(seed=0).stream(3):
         with pytest.raises(ValueError, match="read-only"):
             reading.payload[...] = 0.0
-        first = reading.payload_json()
+        values = PayloadList(reading)
+        assert values == reading.payload.tolist()
+        first = reading.payload_json(values)
         assert first == json.dumps(reading.payload.tolist())
         assert reading._payload_json is None  # asked for once: nothing kept
-        text = reading.payload_json()
+        text = reading.payload_json(values)
         assert text == first
-        assert reading.payload_json() is text  # asked for again: kept
+        assert reading.payload_json(values) is text  # asked for again: kept
 
 
 def test_sensor_invalid_period():
