@@ -14,7 +14,7 @@ Printed, not asserted (a wall-clock ratio on a shared host is a
 measurement, not a verdict): the plan-vs-naive speedup per conv
 (MobileNet/SqueezeNet style) and recurrent (FastGRNN/EMI-RNN style)
 scenario model — around 2x on a quiet host — and how much
-``predict_batch`` over a stack amortizes the per-sample plan cost (the
+one ``execute`` over a stack amortizes the per-sample plan cost (the
 serving layer's reason to stack).
 
 Set ``REPRO_BENCH_SMOKE=1`` to shrink repeat counts for CI smoke runs.
@@ -82,13 +82,13 @@ def _bench_model(model, input_shape):
     produced = plan.execute(single)
     np.testing.assert_allclose(produced, reference, atol=1e-6)
     np.testing.assert_allclose(
-        plan.predict_batch(stacked), model.forward(stacked, training=False), atol=1e-6
+        plan.execute(stacked), model.forward(stacked, training=False), atol=1e-6
     )
 
     naive_s = _best_seconds(lambda: model.forward(single, training=False))
     plan_s = _best_seconds(lambda: plan.execute(single))
     naive_batch_s = _best_seconds(lambda: model.forward(stacked, training=False))
-    plan_batch_s = _best_seconds(lambda: plan.predict_batch(stacked))
+    plan_batch_s = _best_seconds(lambda: plan.execute(stacked))
     return {
         "naive_ms": naive_s * 1e3,
         "plan_ms": plan_s * 1e3,
@@ -121,7 +121,7 @@ def test_engine_plan_speedup_over_naive_forward():
 
 
 def test_engine_batching_amortizes_per_sample_cost():
-    """predict_batch over a stack vs a per-sample loop over the same plan."""
+    """One execute over a stack vs a per-sample loop over the same plan."""
     model, input_shape = RECURRENT_MODELS["fastgrnn-h16"]()
     rng = np.random.default_rng(1)
     stacked = rng.standard_normal((BATCH, *input_shape))
@@ -130,7 +130,7 @@ def test_engine_batching_amortizes_per_sample_cost():
         lambda: [plan.execute(stacked[i : i + 1]) for i in range(BATCH)],
         repeats=max(5, REPEATS // 4),
     )
-    batched = _best_seconds(lambda: plan.predict_batch(stacked), repeats=max(5, REPEATS // 4))
+    batched = _best_seconds(lambda: plan.execute(stacked), repeats=max(5, REPEATS // 4))
     print_table(
         "Engine micro-batching (one fused forward vs per-sample loop)",
         f"{'batch':>5s} {'loop ms':>9s} {'batched ms':>10s} {'amortization':>12s}",

@@ -32,7 +32,7 @@ depends on:
     generators.
 ``repro.loadgen``
     Open-loop, arrival-time-driven load generation: replayable traces
-    (diurnal curves, Poisson bursts), the replay harness the chaos suite
+    (constant-rate, Poisson), the replay harness the chaos suite
     drives, and trace-scheduled fault injection.
 ``repro.apps``
     The four application scenarios: public safety, connected vehicles,

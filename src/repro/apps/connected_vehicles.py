@@ -147,13 +147,6 @@ class ObjectTracker:
         """Forget the current track."""
         self.state = None
 
-    @staticmethod
-    def tracking_rmse(estimates: np.ndarray, ground_truth: np.ndarray) -> float:
-        """Root-mean-square position error in pixels."""
-        if estimates.shape != ground_truth.shape:
-            raise ConfigurationError("estimates and ground_truth must have the same shape")
-        return float(np.sqrt(np.mean(np.sum((estimates - ground_truth) ** 2, axis=1))))
-
 
 def register_connected_vehicles(
     openei: OpenEI, camera_id: str = "vehiclecam1", seed: int = 0,

@@ -26,10 +26,9 @@ class PowerMonitor:
     """Subset-matching non-intrusive load monitor.
 
     The 2^A on/off combinations and their signature sums are enumerated
-    once at construction; both :meth:`infer_states` and
-    :meth:`infer_batch` then resolve measurements with a vectorized
-    nearest-sum lookup (sorted sums + ``searchsorted``) instead of
-    re-enumerating every subset per sample.
+    once at construction; :meth:`infer_batch` then resolves measurements
+    with a vectorized nearest-sum lookup (sorted sums + ``searchsorted``)
+    instead of re-enumerating every subset per sample.
     """
 
     def __init__(
@@ -97,12 +96,6 @@ class PowerMonitor:
             (error_lower == error_upper) & (rank_lower < rank_upper)
         )
         return np.where(prefer_lower, rank_lower, rank_upper)
-
-    def infer_states(self, total_watts: float) -> Tuple[bool, ...]:
-        """Return the on/off combination whose sum best matches the measurement."""
-        residual = np.asarray([float(total_watts) - self.base_load_w])
-        rank = self._lookup(residual)[0]
-        return tuple(bool(s) for s in self._combo_states[rank])
 
     def infer_batch(self, power_w: np.ndarray) -> np.ndarray:
         """Infer appliance states for a whole trace; returns (n, appliances) booleans.

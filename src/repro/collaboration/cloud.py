@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import CollaborationError
-from repro.hardware.catalog import cloud_datacenter
+from repro.hardware.catalog import get_device
 from repro.hardware.device import DeviceSpec
 from repro.hardware.profiler import ALEMProfiler
 from repro.nn.model import Sequential
@@ -37,7 +37,7 @@ class CloudSimulator:
     """In-process stand-in for the public cloud's training and serving role."""
 
     def __init__(self, device: Optional[DeviceSpec] = None) -> None:
-        self.device = device or cloud_datacenter()
+        self.device = device or get_device("cloud-datacenter")
         self.profiler = ALEMProfiler(package_name="cloud-framework", package_efficiency=0.6)
         self._registry: Dict[str, TrainedModelRecord] = {}
         self._uploaded: Dict[str, List[Sequential]] = {}

@@ -28,13 +28,6 @@ def truncated_svd(matrix: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray
     return a, b
 
 
-def reconstruction_error(matrix: np.ndarray, rank: int) -> float:
-    """Relative Frobenius error of the rank-``rank`` approximation."""
-    a, b = truncated_svd(matrix, rank)
-    denom = float(np.linalg.norm(matrix)) or 1.0
-    return float(np.linalg.norm(matrix - a @ b)) / denom
-
-
 def low_rank_compress_model(
     model: Sequential,
     rank_fraction: float = 0.25,

@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hardware.catalog import raspberry_pi_4
+from repro.hardware.catalog import get_device
 from repro.hardware.device import DeviceSpec
 from repro.hardware.profiler import ALEMProfiler
 from repro.nn.flops import model_cost
@@ -85,7 +85,7 @@ def compress_and_report(
     Returns the report plus the compressed model per technique so callers
     (e.g. the model zoo) can register the variants.
     """
-    device = device or raspberry_pi_4()
+    device = device or get_device("raspberry-pi-4")
     profiler = profiler or ALEMProfiler()
     baseline_cost = model_cost(model, input_shape)
     baseline_profile = profiler.profile(model, input_shape, device)

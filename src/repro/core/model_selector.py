@@ -42,23 +42,14 @@ class SelectionResult:
 class ModelSelector:
     """Exact constrained selection over evaluated (model, package, device) points."""
 
-    def __init__(self, default_target: OptimizationTarget = OptimizationTarget.LATENCY) -> None:
-        self.default_target = default_target
-
     def select(
         self,
         candidates: Sequence[EvaluatedCandidate],
         requirement: Optional[ALEMRequirement] = None,
         target: Optional[OptimizationTarget] = None,
-        cache=None,
-        cache_key=None,
     ) -> SelectionResult:
-        """Solve Eq. (1): optimize ``target`` subject to ``requirement``.
-
-        ``cache``/``cache_key`` hook the fleet serving layer's
-        :class:`~repro.serving.cache.SelectionCache` into the hot path:
-        when both are given, a cached :class:`SelectionResult` for the key
-        is returned without re-ranking, and fresh results are memoized.
+        """Solve Eq. (1): optimize ``target`` (latency unless given) subject
+        to ``requirement``.
 
         Raises
         ------
@@ -66,14 +57,10 @@ class ModelSelector:
             If no candidate satisfies the constraints (the caller may then
             relax them or fall back to cloud offloading).
         """
-        if cache is not None and cache_key is not None:
-            cached = cache.get(cache_key)
-            if cached is not None:
-                return cached
         if not candidates:
             raise ModelSelectionError("no candidates were provided to the selector")
         requirement = requirement or ALEMRequirement()
-        target = target or self.default_target
+        target = target or OptimizationTarget.LATENCY
         # one pass, partitioned by identity: value-equality (`c not in feasible`)
         # is O(n^2) and collapses distinct candidates that share an ALEM point
         feasible: List[EvaluatedCandidate] = []
@@ -96,20 +83,7 @@ class ModelSelector:
             feasible=ranked,
             infeasible=infeasible,
         )
-        if cache is not None and cache_key is not None:
-            cache.put(cache_key, result)
         return result
-
-    def pareto_front(self, candidates: Sequence[EvaluatedCandidate]) -> List[EvaluatedCandidate]:
-        """Candidates not Pareto-dominated by any other candidate."""
-        front = []
-        for candidate in candidates:
-            dominated = any(
-                other.alem.dominates(candidate.alem) for other in candidates if other is not candidate
-            )
-            if not dominated:
-                front.append(candidate)
-        return front
 
 
 class RLModelSelector:

@@ -390,19 +390,6 @@ class ModelRegistry:
             self.get(name)  # raise uniformly on unknown names
             return list(self._versions[name])
 
-    def lineage(self, ref: VersionRef) -> List[ModelVersion]:
-        """The version plus its chain of ``base`` ancestors, newest first."""
-        with self._lock:
-            chain = [self.resolve(ref)]
-            seen = {(chain[0].name, chain[0].version)}
-            while chain[-1].base is not None:
-                parent = self.get(*chain[-1].base)
-                if (parent.name, parent.version) in seen:  # defensive: no cycles
-                    break
-                seen.add((parent.name, parent.version))
-                chain.append(parent)
-            return chain
-
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._versions

@@ -22,7 +22,6 @@ from repro.data.workloads import (
     appliance_power_workload,
     object_detection_workload,
     scenario_request_stream,
-    stream_fingerprint,
     trajectory_workload,
 )
 
@@ -39,6 +38,5 @@ __all__ = [
     "appliance_power_workload",
     "object_detection_workload",
     "scenario_request_stream",
-    "stream_fingerprint",
     "trajectory_workload",
 ]

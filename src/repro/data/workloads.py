@@ -7,10 +7,8 @@ re-deriving the plumbing.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -163,7 +161,6 @@ def scenario_request_stream(
     order, paths, ``seq`` numbers and payload bytes — which is what makes
     recorded traces (:mod:`repro.loadgen.trace`) replayable: a trace file
     only needs to persist the generator arguments, not the payloads.
-    Compare streams with :func:`stream_fingerprint`.
     """
     if requests_per_scenario <= 0:
         raise ConfigurationError("requests_per_scenario must be positive")
@@ -190,23 +187,3 @@ def scenario_request_stream(
             yield StreamRequest(
                 scenario=scenario, algorithm=algorithms[scenario], args=args
             )
-
-
-def stream_fingerprint(requests: Iterable[StreamRequest]) -> str:
-    """SHA-256 over a canonical byte encoding of a request stream.
-
-    Two streams are byte-identical exactly when their fingerprints match,
-    so determinism regressions (``same seed != same stream``) reduce to a
-    string comparison.  The encoding covers order, scenario, algorithm
-    and the full args dictionary (payloads included).
-    """
-    digest = hashlib.sha256()
-    for request in requests:
-        digest.update(
-            json.dumps(
-                [request.scenario, request.algorithm, request.args],
-                sort_keys=True, separators=(",", ":"),
-            ).encode("utf-8")
-        )
-        digest.update(b"\n")
-    return digest.hexdigest()

@@ -69,19 +69,14 @@ class AnalysisError(ReproError):
     carries that layer's own contract error."""
 
 
-class StorageError(ReproError):
-    """The durable layer (:mod:`repro.core.store` / :mod:`repro.core.wal`)
-    could not read or write its on-disk state."""
-
-
-class IntegrityError(StorageError):
+class IntegrityError(ReproError):
     """On-disk content failed verification: a blob's bytes no longer hash
     to its content address, or a journaled artifact is missing from the
     store.  Recovery must stop — serving silently-corrupted model bytes
     is worse than refusing to start."""
 
 
-class WALError(StorageError):
+class WALError(ReproError):
     """The write-ahead log could not append or replay (e.g. the log was
     closed, or a record is unencodable)."""
 

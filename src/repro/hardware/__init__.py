@@ -10,17 +10,7 @@ ALEM tuple.  Relative orderings between devices and between models match
 the published characteristics the selector depends on.
 """
 
-from repro.hardware.catalog import (
-    DEVICE_CATALOG,
-    arduino_class_mcu,
-    edge_server,
-    get_device,
-    jetson_tx2,
-    list_devices,
-    mobile_phone,
-    raspberry_pi_3,
-    raspberry_pi_4,
-)
+from repro.hardware.catalog import DEVICE_CATALOG, get_device
 from repro.hardware.device import DeviceSpec, NetworkLink
 from repro.hardware.energy import EnergyModel
 from repro.hardware.latency import LatencyModel
@@ -43,12 +33,5 @@ __all__ = [
     "MemoryModel",
     "NetworkLink",
     "ProfileResult",
-    "arduino_class_mcu",
-    "edge_server",
     "get_device",
-    "jetson_tx2",
-    "list_devices",
-    "mobile_phone",
-    "raspberry_pi_3",
-    "raspberry_pi_4",
 ]

@@ -8,15 +8,15 @@ Fig. 5 grid experiment exercise.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.exceptions import ConfigurationError
 from repro.hardware.device import DeviceSpec
 
-
-def arduino_class_mcu() -> DeviceSpec:
-    """An Arduino-UNO-class microcontroller (the ProtoNN/Bonsai target)."""
-    return DeviceSpec(
+#: Every catalog device, weakest first.
+_DEVICES = (
+    # An Arduino-UNO-class microcontroller (the ProtoNN/Bonsai target).
+    DeviceSpec(
         name="arduino-class-mcu",
         peak_gflops=0.001,
         memory_bandwidth_gbps=0.01,
@@ -25,12 +25,9 @@ def arduino_class_mcu() -> DeviceSpec:
         active_power_w=0.25,
         storage_mb=0.032,
         tags=("mcu", "battery"),
-    )
-
-
-def raspberry_pi_3() -> DeviceSpec:
-    """Raspberry Pi 3B: the paper's canonical 'weak edge'."""
-    return DeviceSpec(
+    ),
+    # Raspberry Pi 3B: the paper's canonical 'weak edge'.
+    DeviceSpec(
         name="raspberry-pi-3",
         peak_gflops=6.0,
         memory_bandwidth_gbps=2.0,
@@ -39,12 +36,9 @@ def raspberry_pi_3() -> DeviceSpec:
         active_power_w=3.7,
         storage_mb=16384.0,
         tags=("sbc",),
-    )
-
-
-def raspberry_pi_4() -> DeviceSpec:
-    """Raspberry Pi 4 (4 GB)."""
-    return DeviceSpec(
+    ),
+    # Raspberry Pi 4 (4 GB).
+    DeviceSpec(
         name="raspberry-pi-4",
         peak_gflops=13.5,
         memory_bandwidth_gbps=4.0,
@@ -53,12 +47,9 @@ def raspberry_pi_4() -> DeviceSpec:
         active_power_w=6.4,
         storage_mb=32768.0,
         tags=("sbc",),
-    )
-
-
-def mobile_phone() -> DeviceSpec:
-    """A mid-range smartphone SoC (CPU-only inference)."""
-    return DeviceSpec(
+    ),
+    # A mid-range smartphone SoC (CPU-only inference).
+    DeviceSpec(
         name="mobile-phone",
         peak_gflops=40.0,
         memory_bandwidth_gbps=15.0,
@@ -67,12 +58,9 @@ def mobile_phone() -> DeviceSpec:
         active_power_w=4.5,
         storage_mb=65536.0,
         tags=("mobile", "battery"),
-    )
-
-
-def intel_movidius() -> DeviceSpec:
-    """Intel Movidius-style USB vision accelerator."""
-    return DeviceSpec(
+    ),
+    # Intel Movidius-style USB vision accelerator.
+    DeviceSpec(
         name="intel-movidius",
         peak_gflops=100.0,
         memory_bandwidth_gbps=8.0,
@@ -81,12 +69,9 @@ def intel_movidius() -> DeviceSpec:
         active_power_w=2.5,
         storage_mb=512.0,
         tags=("accelerator", "vision"),
-    )
-
-
-def jetson_tx2() -> DeviceSpec:
-    """NVIDIA Jetson TX2: the paper's GPU-equipped edge board."""
-    return DeviceSpec(
+    ),
+    # NVIDIA Jetson TX2: the paper's GPU-equipped edge board.
+    DeviceSpec(
         name="jetson-tx2",
         peak_gflops=650.0,
         memory_bandwidth_gbps=58.0,
@@ -95,12 +80,9 @@ def jetson_tx2() -> DeviceSpec:
         active_power_w=15.0,
         storage_mb=32768.0,
         tags=("gpu", "sbc"),
-    )
-
-
-def jetson_agx_xavier() -> DeviceSpec:
-    """NVIDIA Jetson AGX Xavier (Section IV.D of the paper)."""
-    return DeviceSpec(
+    ),
+    # NVIDIA Jetson AGX Xavier (Section IV.D of the paper).
+    DeviceSpec(
         name="jetson-agx-xavier",
         peak_gflops=5500.0,
         memory_bandwidth_gbps=137.0,
@@ -109,12 +91,9 @@ def jetson_agx_xavier() -> DeviceSpec:
         active_power_w=30.0,
         storage_mb=32768.0,
         tags=("gpu", "sbc"),
-    )
-
-
-def edge_server() -> DeviceSpec:
-    """A small on-premise edge server with a workstation GPU."""
-    return DeviceSpec(
+    ),
+    # A small on-premise edge server with a workstation GPU.
+    DeviceSpec(
         name="edge-server",
         peak_gflops=12000.0,
         memory_bandwidth_gbps=448.0,
@@ -123,12 +102,9 @@ def edge_server() -> DeviceSpec:
         active_power_w=350.0,
         storage_mb=1048576.0,
         tags=("gpu", "server"),
-    )
-
-
-def cloud_datacenter() -> DeviceSpec:
-    """Datacenter-class accelerator pool used by the cloud simulator."""
-    return DeviceSpec(
+    ),
+    # Datacenter-class accelerator pool used by the cloud simulator.
+    DeviceSpec(
         name="cloud-datacenter",
         peak_gflops=120000.0,
         memory_bandwidth_gbps=2000.0,
@@ -138,23 +114,11 @@ def cloud_datacenter() -> DeviceSpec:
         storage_mb=10485760.0,
         is_cloud=True,
         tags=("gpu", "cloud"),
-    )
+    ),
+)
 
-
-_FACTORIES = {
-    "arduino-class-mcu": arduino_class_mcu,
-    "raspberry-pi-3": raspberry_pi_3,
-    "raspberry-pi-4": raspberry_pi_4,
-    "mobile-phone": mobile_phone,
-    "intel-movidius": intel_movidius,
-    "jetson-tx2": jetson_tx2,
-    "jetson-agx-xavier": jetson_agx_xavier,
-    "edge-server": edge_server,
-    "cloud-datacenter": cloud_datacenter,
-}
-
-#: Mapping of device name to spec, materialized once at import time.
-DEVICE_CATALOG: Dict[str, DeviceSpec] = {name: factory() for name, factory in _FACTORIES.items()}
+#: Mapping of device name to spec.
+DEVICE_CATALOG: Dict[str, DeviceSpec] = {spec.name: spec for spec in _DEVICES}
 
 
 def get_device(name: str) -> DeviceSpec:
@@ -169,13 +133,5 @@ def get_device(name: str) -> DeviceSpec:
         return DEVICE_CATALOG[name]
     except KeyError as exc:
         raise ConfigurationError(
-            f"unknown device {name!r}; choose from {sorted(DEVICE_CATALOG)}"
+        f"unknown device {name!r}; choose from {sorted(DEVICE_CATALOG)}"
         ) from exc
-
-
-def list_devices(edge_only: bool = False) -> List[DeviceSpec]:
-    """All catalog devices, optionally excluding cloud-class hardware."""
-    devices = list(DEVICE_CATALOG.values())
-    if edge_only:
-        devices = [d for d in devices if not d.is_cloud]
-    return devices

@@ -5,9 +5,8 @@ is measured the way real edge traffic arrives — open-loop, arrival-time
 driven.  This package provides the three pieces:
 
 * :mod:`repro.loadgen.trace` — deterministic, replayable traces:
-  diurnal arrival curves, Poisson bursts, constant rates and
-  per-scenario mixes generated from explicit seeds, with JSON
-  save/load and fingerprinting;
+  Poisson or constant-rate arrivals and per-scenario mixes generated
+  from explicit seeds, with JSON save/load and fingerprinting;
 * :mod:`repro.loadgen.harness` — :class:`OpenLoopHarness` fires each
   request at its trace offset regardless of response lag (queueing
   delay lands in the tail, not in generator backpressure) and
@@ -29,18 +28,14 @@ from repro.loadgen.harness import (
     ScenarioStats,
     TailLatencyReport,
     client_sender,
-    dispatcher_sender,
 )
 from repro.loadgen.trace import (
     FAULT_ACTIONS,
     FaultSpec,
     TimedRequest,
     Trace,
-    burst_trace,
     constant_trace,
-    diurnal_trace,
     poisson_trace,
-    trace_from_stream,
 )
 
 __all__ = [
@@ -53,11 +48,7 @@ __all__ = [
     "TailLatencyReport",
     "TimedRequest",
     "Trace",
-    "burst_trace",
     "client_sender",
     "constant_trace",
-    "dispatcher_sender",
-    "diurnal_trace",
     "poisson_trace",
-    "trace_from_stream",
 ]

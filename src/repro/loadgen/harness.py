@@ -30,8 +30,6 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.clock import SYSTEM_CLOCK, Clock
 from repro.exceptions import ConfigurationError
 from repro.loadgen.faults import FaultInjector
@@ -53,11 +51,6 @@ class ScenarioStats:
     def requests(self) -> int:
         return self.completed + len(self.errors)
 
-    def percentile_ms(self, q: float) -> Optional[float]:
-        if not self.latencies_s:
-            return None
-        return float(np.percentile(np.asarray(self.latencies_s), q) * 1e3)
-
 
 @dataclass
 class TailLatencyReport:
@@ -67,10 +60,6 @@ class TailLatencyReport:
     overall: ScenarioStats
     scenarios: Dict[str, ScenarioStats]
     faults: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def error_count(self) -> int:
-        return len(self.overall.errors)
 
 
 class _Recorder:
@@ -106,11 +95,10 @@ Sender = Callable[[TimedRequest], Dict[str, object]]
 class OpenLoopHarness:
     """Arrival-time-driven trace replay with bounded worker concurrency.
 
-    ``send`` carries one request (see :func:`client_sender` /
-    :func:`dispatcher_sender` for the two stock carriers).  ``time_scale``
-    compresses the trace clock — a 60 s trace replays in 0.6 s wall time
-    at ``time_scale=0.01`` with every inter-arrival gap shrunk
-    proportionally.  ``max_workers`` bounds in-flight requests; arrivals
+    ``send`` carries one request (:func:`client_sender` is the stock
+    carrier).  ``time_scale`` compresses the trace clock — a 60 s trace
+    replays in 0.6 s wall time at ``time_scale=0.01`` with every
+    inter-arrival gap shrunk proportionally.  ``max_workers`` bounds in-flight requests; arrivals
     beyond it queue, and their queueing delay is *measured* (latency runs
     from the scheduled arrival, not from the moment a worker picked the
     request up).  Arrivals are scheduled, slept for and timed on ``clock``.
@@ -199,7 +187,7 @@ class OpenLoopHarness:
             self.on_response(request, result)
 
 
-# -- stock request carriers -------------------------------------------------------
+# -- the stock request carrier ----------------------------------------------------
 
 def client_sender(client) -> Sender:
     """Carry requests over HTTP through a :class:`~repro.serving.client.LibEIClient`.
@@ -211,14 +199,5 @@ def client_sender(client) -> Sender:
 
     def send(request: TimedRequest) -> Dict[str, object]:
         return client.call_algorithm(request.scenario, request.algorithm, dict(request.args))
-
-    return send
-
-
-def dispatcher_sender(dispatcher) -> Sender:
-    """Carry requests through a :class:`~repro.serving.api.LibEIDispatcher` path."""
-
-    def send(request: TimedRequest) -> Dict[str, object]:
-        return dispatcher.handle_path(request.path)
 
     return send

@@ -4,14 +4,14 @@ Every benchmark before this module was *closed-loop*: the next request
 fired only after the previous response returned, so server-side queueing
 delay was invisible — a slow replica simply slowed the generator down.
 Real edge traffic is *open-loop*: arrivals are decided by the world
-(diurnal user activity, Poisson bursts), not by the server.  A
+(users acting independently of one another), not by the server.  A
 :class:`Trace` pins every request to an **arrival timestamp**; the
 :class:`~repro.loadgen.harness.OpenLoopHarness` fires each request on
 schedule regardless of response lag, so queueing shows up where it
 belongs — in the latency tail.
 
-Traces are **deterministic**: every generator takes an explicit ``seed``
-and builds arrivals from :func:`numpy.random.default_rng` and request
+Traces are **deterministic**: both generators take an explicit ``seed``
+and build arrivals from :func:`numpy.random.default_rng` and request
 bodies from the byte-identical
 :func:`~repro.data.workloads.scenario_request_stream` contract.  Two
 calls with the same arguments produce equal traces (compare with
@@ -23,12 +23,7 @@ re-measure one PR's number under the exact same traffic on the next.
 Arrival processes:
 
 * :func:`constant_trace` — fixed-rate arrivals (the simplest baseline);
-* :func:`poisson_trace` — homogeneous Poisson arrivals at a mean rate;
-* :func:`diurnal_trace` — a non-homogeneous Poisson process whose rate
-  follows a day curve (trough → peak → trough over ``period_s``),
-  sampled by Lewis–Shedler thinning;
-* :func:`burst_trace` — a base Poisson process plus superimposed
-  high-rate bursts (flash crowds).
+* :func:`poisson_trace` — homogeneous Poisson arrivals at a mean rate.
 
 Faults ride along in the same trace under :class:`FaultSpec` — replica
 kills/restarts, emulated device slowdowns, malformed requests — pinned
@@ -46,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.data.workloads import SCENARIO_ALGORITHMS, StreamRequest, scenario_request_stream
+from repro.data.workloads import SCENARIO_ALGORITHMS, StreamRequest
 from repro.exceptions import ConfigurationError
 
 #: Fault actions understood by :class:`~repro.loadgen.faults.FaultInjector`.
@@ -321,127 +316,6 @@ def poisson_trace(
         requests=_assign_requests(arrivals, mix, seed, algorithms),
         meta={"kind": "poisson", "seed": seed, "duration_s": duration_s,
               "mean_rps": mean_rps, "scenario_mix": mix},
-    )
-
-
-def diurnal_trace(
-    duration_s: float,
-    peak_rps: float,
-    trough_rps: Optional[float] = None,
-    period_s: Optional[float] = None,
-    seed: int = 0,
-    scenario_mix: Optional[Mapping[str, float]] = None,
-    algorithms: Optional[Mapping[str, str]] = None,
-    name: str = "diurnal",
-) -> Trace:
-    """A non-homogeneous Poisson process following a day curve.
-
-    The instantaneous rate is a raised cosine running trough → peak →
-    trough across each ``period_s`` (default: one full cycle over the
-    trace), sampled exactly by Lewis–Shedler thinning: candidate
-    arrivals are drawn at the peak rate and accepted with probability
-    ``rate(t) / peak_rps``.  ``trough_rps`` defaults to ``peak_rps / 10``
-    — a 10x day/night swing, the fleet-sizing regime the adaptive
-    controller is built for.
-    """
-    _require_positive(duration_s, peak_rps)
-    trough = peak_rps / 10.0 if trough_rps is None else float(trough_rps)
-    if trough < 0 or trough > peak_rps:
-        raise ConfigurationError("trough_rps must lie in [0, peak_rps]")
-    period = float(period_s) if period_s is not None else float(duration_s)
-    if period <= 0:
-        raise ConfigurationError("period_s must be positive")
-
-    def rate(t: np.ndarray) -> np.ndarray:
-        phase = (1.0 - np.cos(2.0 * np.pi * t / period)) / 2.0  # 0 at trough, 1 at peak
-        return trough + (peak_rps - trough) * phase
-
-    rng = np.random.default_rng(seed)
-    candidates = _poisson_arrivals(rng, duration_s, peak_rps)
-    keep = rng.random(len(candidates)) * peak_rps < rate(candidates)
-    arrivals = candidates[keep]
-    if len(arrivals) == 0:  # degenerate tiny traces: keep at least one request
-        arrivals = np.array([duration_s / 2.0])
-    mix = _normalize_mix(scenario_mix)
-    return Trace(
-        name=name,
-        requests=_assign_requests(arrivals, mix, seed, algorithms),
-        meta={"kind": "diurnal", "seed": seed, "duration_s": duration_s,
-              "peak_rps": peak_rps, "trough_rps": trough, "period_s": period,
-              "scenario_mix": mix},
-    )
-
-
-def burst_trace(
-    duration_s: float,
-    base_rps: float,
-    burst_rps: float,
-    bursts: int = 2,
-    burst_duration_s: Optional[float] = None,
-    seed: int = 0,
-    scenario_mix: Optional[Mapping[str, float]] = None,
-    algorithms: Optional[Mapping[str, str]] = None,
-    name: str = "burst",
-) -> Trace:
-    """Base Poisson traffic with superimposed flash-crowd bursts.
-
-    ``bursts`` windows of ``burst_duration_s`` (default: 5% of the trace
-    each) are placed uniformly at random; inside each window an extra
-    Poisson process at ``burst_rps`` stacks on top of the base rate.
-    """
-    _require_positive(duration_s, base_rps)
-    if burst_rps <= 0 or bursts < 0:
-        raise ConfigurationError("burst_rps must be positive and bursts non-negative")
-    window = float(burst_duration_s) if burst_duration_s is not None else duration_s * 0.05
-    if window <= 0 or window > duration_s:
-        raise ConfigurationError("burst_duration_s must lie in (0, duration_s]")
-    rng = np.random.default_rng(seed)
-    pieces = [_poisson_arrivals(rng, duration_s, base_rps)]
-    starts = np.sort(rng.uniform(0.0, duration_s - window, size=bursts))
-    for start in starts:
-        pieces.append(start + _poisson_arrivals(rng, window, burst_rps))
-    arrivals = np.sort(np.concatenate(pieces))
-    mix = _normalize_mix(scenario_mix)
-    return Trace(
-        name=name,
-        requests=_assign_requests(arrivals, mix, seed, algorithms),
-        meta={"kind": "burst", "seed": seed, "duration_s": duration_s,
-              "base_rps": base_rps, "burst_rps": burst_rps, "bursts": bursts,
-              "burst_duration_s": window,
-              "burst_starts": [float(s) for s in starts],
-              "scenario_mix": mix},
-    )
-
-
-def trace_from_stream(
-    requests_per_scenario: int,
-    rps: float,
-    seed: int = 0,
-    name: str = "stream",
-    **stream_kwargs,
-) -> Trace:
-    """Wrap :func:`~repro.data.workloads.scenario_request_stream` in a
-    fixed-rate arrival schedule.
-
-    The round-robin scenario interleaving is preserved exactly (the
-    PR-3/PR-5 control-plane tests depend on its shape); this helper just
-    pins each request of the stream to an arrival timestamp so it can be
-    replayed open-loop.
-    """
-    _require_positive(float(requests_per_scenario), rps)
-    stream = list(scenario_request_stream(
-        requests_per_scenario=requests_per_scenario, seed=seed, **stream_kwargs
-    ))
-    requests = [
-        TimedRequest(at_s=i / rps, scenario=r.scenario, algorithm=r.algorithm,
-                     args=dict(r.args))
-        for i, r in enumerate(stream)
-    ]
-    return Trace(
-        name=name,
-        requests=requests,
-        meta={"kind": "stream", "seed": seed, "rps": rps,
-              "requests_per_scenario": requests_per_scenario},
     )
 
 

@@ -36,9 +36,9 @@ from repro.nn.layers import (
     Softmax,
     Tanh,
 )
-from repro.nn.losses import CrossEntropyLoss, HingeLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam, Momentum, RMSProp
+from repro.nn.optimizers import SGD, Adam
 
 __all__ = [
     "AvgPool2D",
@@ -51,16 +51,12 @@ __all__ = [
     "Flatten",
     "GRUCellLayer",
     "GlobalAvgPool2D",
-    "HingeLoss",
     "InferencePlan",
     "LSTMClassifier",
     "LSTMLayer",
     "LeakyReLU",
-    "MSELoss",
     "MaxPool2D",
-    "Momentum",
     "ReLU",
-    "RMSProp",
     "SGD",
     "Adam",
     "SeparableConv2D",

@@ -3,9 +3,8 @@
 The paper's experiments run on data we do not have (ImageNet-scale
 images, KITTI video, household power traces).  These generators produce
 laptop-scale synthetic datasets with the same *statistical shape* —
-separable classes, spatial structure for images, temporal structure for
-sequences — so every code path (training, compression, selection,
-serving) is exercised with meaningful accuracy signals.
+separable classes, spatial structure for images — so every code path
+(training, compression, selection, serving) is exercised with meaningful accuracy signals.
 """
 
 from __future__ import annotations
@@ -113,37 +112,6 @@ def make_images(
     y = np.concatenate(ys).astype(np.int64)
     x_train, y_train, x_test, y_test = _split(x, y, test_fraction, rng)
     return Dataset(x_train, y_train, x_test, y_test, classes, name="images")
-
-
-def make_sequences(
-    samples: int = 400,
-    steps: int = 20,
-    features: int = 6,
-    classes: int = 3,
-    noise: float = 0.25,
-    test_fraction: float = 0.25,
-    seed: int = 0,
-) -> Dataset:
-    """Synthetic multivariate time series (activity-recognition shaped).
-
-    Each class corresponds to a distinct oscillation frequency/phase
-    pattern across channels, mimicking accelerometer traces from wearables.
-    """
-    rng = np.random.default_rng(seed)
-    time = np.linspace(0, 2 * np.pi, steps)
-    xs, ys = [], []
-    per_class = samples // classes
-    for cls in range(classes):
-        frequency = 1.0 + cls
-        phases = rng.uniform(0, 2 * np.pi, size=features)
-        base = np.stack([np.sin(frequency * time + phase) for phase in phases], axis=1)
-        batch = base[None, :, :] + rng.normal(0.0, noise, size=(per_class, steps, features))
-        xs.append(batch)
-        ys.append(np.full(per_class, cls))
-    x = np.concatenate(xs).astype(np.float64)
-    y = np.concatenate(ys).astype(np.int64)
-    x_train, y_train, x_test, y_test = _split(x, y, test_fraction, rng)
-    return Dataset(x_train, y_train, x_test, y_test, classes, name="sequences")
 
 
 def make_personalized_shift(

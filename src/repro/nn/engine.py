@@ -756,16 +756,6 @@ class InferencePlan:
             x, owned = step.run(x, owned, self.arena)
         return x.copy() if owned else x
 
-    def predict_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """One fused forward over a whole (micro-)batch — alias of execute.
-
-        The serving layer stacks a micro-batch of requests into a single
-        array and calls this once instead of looping per request.
-        """
-        return self.execute(inputs)
-
-    __call__ = execute
-
     # -- introspection -----------------------------------------------------
     def describe(self) -> Dict[str, object]:
         """Plan summary: steps, fusions, workspace footprint, call count."""

@@ -27,26 +27,6 @@ class Loss:
         return self.forward(predictions, targets)
 
 
-class MSELoss(Loss):
-    """Mean squared error, averaged over all elements."""
-
-    def __init__(self) -> None:
-        self._diff: Optional[np.ndarray] = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        if predictions.shape != targets.shape:
-            raise ShapeError(
-                f"MSELoss shapes differ: {predictions.shape} vs {targets.shape}"
-            )
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size
-
-
 class CrossEntropyLoss(Loss):
     """Cross entropy for softmax outputs and one-hot or index targets.
 
@@ -85,33 +65,3 @@ class CrossEntropyLoss(Loss):
         if self._probs is None or self._onehot is None:
             raise RuntimeError("backward called before forward")
         return (self._probs - self._onehot) / self._probs.shape[0]
-
-
-class HingeLoss(Loss):
-    """Multi-class hinge loss (used by the Bonsai-style tree classifier)."""
-
-    def __init__(self, margin: float = 1.0) -> None:
-        self.margin = float(margin)
-        self._cache = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        if predictions.ndim != 2:
-            raise ShapeError("HingeLoss expects (batch, classes) predictions")
-        if targets.ndim != 1:
-            targets = targets.argmax(axis=1)
-        targets = targets.astype(int)
-        batch = predictions.shape[0]
-        correct = predictions[np.arange(batch), targets][:, None]
-        margins = np.maximum(0.0, predictions - correct + self.margin)
-        margins[np.arange(batch), targets] = 0.0
-        self._cache = (predictions.shape, targets, margins)
-        return float(margins.sum() / batch)
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        shape, targets, margins = self._cache
-        batch = shape[0]
-        grad = (margins > 0).astype(np.float64)
-        grad[np.arange(batch), targets] = -grad.sum(axis=1)
-        return grad / batch

@@ -41,31 +41,6 @@ def top_k_accuracy(probabilities: np.ndarray, targets: np.ndarray, k: int = 5) -
     return float(np.mean(hits)) if hits.size else 0.0
 
 
-def confusion_matrix(predictions: np.ndarray, targets: np.ndarray, num_classes: int) -> np.ndarray:
-    """Row = true class, column = predicted class."""
-    preds = predictions.argmax(axis=-1) if predictions.ndim > 1 else predictions
-    labels = targets.argmax(axis=-1) if targets.ndim > 1 else targets
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true, pred in zip(labels.astype(int), preds.astype(int)):
-        matrix[true, pred] += 1
-    return matrix
-
-
-def precision_recall_f1(
-    predictions: np.ndarray, targets: np.ndarray, num_classes: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class precision, recall and F1 computed from the confusion matrix."""
-    matrix = confusion_matrix(predictions, targets, num_classes)
-    true_positive = np.diag(matrix).astype(np.float64)
-    predicted = matrix.sum(axis=0).astype(np.float64)
-    actual = matrix.sum(axis=1).astype(np.float64)
-    precision = np.divide(true_positive, predicted, out=np.zeros_like(true_positive), where=predicted > 0)
-    recall = np.divide(true_positive, actual, out=np.zeros_like(true_positive), where=actual > 0)
-    denom = precision + recall
-    f1 = np.divide(2 * precision * recall, denom, out=np.zeros_like(denom), where=denom > 0)
-    return precision, recall, f1
-
-
 def iou(box_a: Sequence[float], box_b: Sequence[float]) -> float:
     """Intersection-over-union of two ``(x1, y1, x2, y2)`` boxes."""
     ax1, ay1, ax2, ay2 = box_a

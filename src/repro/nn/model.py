@@ -83,7 +83,7 @@ class Sequential:
         the contract the serving layer's batch handlers rely on — stack
         the micro-batch into a single array, make one engine call.
         """
-        return self.compile_plan().predict_batch(inputs)
+        return self.compile_plan().execute(inputs)
 
     def compile_plan(self, force: bool = False):
         """The cached :class:`~repro.nn.engine.InferencePlan` for this model.

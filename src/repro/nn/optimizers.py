@@ -45,45 +45,6 @@ class SGD(Optimizer):
         return param - self.learning_rate * grad
 
 
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError("momentum must lie in [0, 1)")
-        self.momentum = float(momentum)
-        self._velocity: Dict[Tuple[int, str], np.ndarray] = {}
-
-    def _update(self, slot, param, grad):
-        velocity = self._velocity.get(slot)
-        if velocity is None:
-            velocity = np.zeros_like(param)
-        velocity = self.momentum * velocity - self.learning_rate * grad
-        self._velocity[slot] = velocity
-        return param + velocity
-
-
-class RMSProp(Optimizer):
-    """RMSProp with a running average of squared gradients."""
-
-    def __init__(self, learning_rate: float = 0.001, decay: float = 0.9, epsilon: float = 1e-8) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 < decay < 1.0:
-            raise ConfigurationError("decay must lie in (0, 1)")
-        self.decay = float(decay)
-        self.epsilon = float(epsilon)
-        self._avg_sq: Dict[Tuple[int, str], np.ndarray] = {}
-
-    def _update(self, slot, param, grad):
-        avg = self._avg_sq.get(slot)
-        if avg is None:
-            avg = np.zeros_like(param)
-        avg = self.decay * avg + (1.0 - self.decay) * grad**2
-        self._avg_sq[slot] = avg
-        return param - self.learning_rate * grad / (np.sqrt(avg) + self.epsilon)
-
-
 class Adam(Optimizer):
     """Adam with bias-corrected first and second moments."""
 

@@ -58,72 +58,35 @@ process — wired through ``GatewaySupervisor(recovery=...)`` — converges
 back to the pre-crash fleet state.
 """
 
-from repro.serving.adaptive import (
-    AdaptiveController,
-    ControllerStats,
-    ReselectionEvent,
-    SLOPolicy,
-)
-from repro.serving.api import LibEIDispatcher, LibEITarget, ParsedRequest, parse_path
-from repro.serving.batching import BatchingConfig, BatchingDispatcher, BatchingStats
-from repro.serving.cache import CacheStats, SelectionCache, TTLLRUCache
+from repro.serving.adaptive import AdaptiveController, SLOPolicy
+from repro.serving.api import LibEIDispatcher, parse_path
+from repro.serving.batching import BatchingConfig, BatchingDispatcher
+from repro.serving.cache import SelectionCache
 from repro.serving.client import LibEIClient
-from repro.serving.deployments import Deployment, DeploymentTable
-from repro.serving.fleet import EdgeFleet, FleetGateway, FleetInstance
-from repro.serving.recovery import RecoveryReport, recover_control_plane
-from repro.serving.rollout import (
-    RolloutController,
-    RolloutEvent,
-    RolloutPolicy,
-    RolloutStats,
-)
-from repro.serving.telemetry import ALEMTelemetry, TelemetryWindow
-from repro.serving.router import (
-    ROUTING_POLICIES,
-    CapabilityAwareRouter,
-    LeastLoadedRouter,
-    RoundRobinRouter,
-    RoutingPolicy,
-    make_router,
-)
+from repro.serving.fleet import EdgeFleet, FleetGateway
+from repro.serving.recovery import recover_control_plane
+from repro.serving.rollout import RolloutController, RolloutPolicy
+from repro.serving.router import RoundRobinRouter
 from repro.serving.server import LibEIServer
 from repro.serving.supervisor import GatewaySupervisor
+from repro.serving.telemetry import ALEMTelemetry
 
 __all__ = [
     "ALEMTelemetry",
     "AdaptiveController",
     "BatchingConfig",
     "BatchingDispatcher",
-    "BatchingStats",
-    "CacheStats",
-    "CapabilityAwareRouter",
-    "ControllerStats",
-    "Deployment",
-    "DeploymentTable",
     "EdgeFleet",
     "FleetGateway",
-    "FleetInstance",
     "GatewaySupervisor",
-    "LeastLoadedRouter",
     "LibEIClient",
     "LibEIDispatcher",
     "LibEIServer",
-    "LibEITarget",
-    "ParsedRequest",
-    "ROUTING_POLICIES",
-    "RecoveryReport",
-    "ReselectionEvent",
     "RolloutController",
-    "RolloutEvent",
     "RolloutPolicy",
-    "RolloutStats",
     "RoundRobinRouter",
-    "RoutingPolicy",
     "SLOPolicy",
     "SelectionCache",
-    "TTLLRUCache",
-    "TelemetryWindow",
-    "make_router",
     "parse_path",
     "recover_control_plane",
 ]

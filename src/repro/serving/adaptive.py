@@ -51,7 +51,7 @@ from repro.core.model_selector import RLModelSelector
 from repro.core.openei import OpenEI
 from repro.core.wal import ControlPlaneJournal
 from repro.exceptions import ConfigurationError, ModelSelectionError, ResourceNotFoundError
-from repro.serving.deployments import Deployment
+from repro.serving.deployments import MAX_EVENTS, Deployment
 from repro.serving.telemetry import ALEMTelemetry, TelemetryWindow
 
 
@@ -145,7 +145,6 @@ class AdaptiveController:
         offload: Optional[CloudOffloadPlanner] = None,
         rl_episodes: int = 0,
         rl_seed: int = 0,
-        max_events: int = 128,
         journal: Optional[ControlPlaneJournal] = None,
     ) -> None:
         if rl_episodes < 0:
@@ -163,7 +162,7 @@ class AdaptiveController:
         self.rl_episodes = int(rl_episodes)
         self.rl_seed = int(rl_seed)
         self.stats = ControllerStats()  # guarded-by: _lock
-        self.events: Deque[ReselectionEvent] = deque(maxlen=max_events)  # guarded-by: _lock
+        self.events: Deque[ReselectionEvent] = deque(maxlen=MAX_EVENTS)  # guarded-by: _lock
         self._lock = threading.RLock()
         self._policies: Dict[Tuple[str, str], SLOPolicy] = {}  # guarded-by: _lock
         self._last_action: Dict[Tuple[str, str, str], float] = {}  # guarded-by: _lock
@@ -229,9 +228,6 @@ class AdaptiveController:
             )
 
     # -- deployment lookup -------------------------------------------------------
-    def deployment(self, scenario: str, algorithm: str, instance_id: str) -> Deployment:
-        return self.fleet.deployments.get(scenario, algorithm, instance_id)
-
     def deployments(self) -> List[Deployment]:
         """The records under every registered policy."""
         with self._lock:

@@ -41,6 +41,9 @@ from repro.exceptions import ResourceNotFoundError
 from repro.nn.model import Sequential
 from repro.serving.telemetry import OBSERVED_ALEM_KEY
 
+#: Recent transitions each control loop keeps for ``/ei_status``.
+MAX_EVENTS = 128
+
 
 @dataclass(frozen=True, slots=True)
 class Deployment:

@@ -109,8 +109,6 @@ class EdgeFleet:
         zoo: Optional[ModelZoo] = None,
         policy: Union[RoutingPolicy, str] = "round-robin",
         selection_cache: Optional[SelectionCache] = None,
-        cache_size: int = 1024,
-        cache_ttl_s: Optional[float] = 60.0,
         telemetry: Optional[ALEMTelemetry] = None,
         clock: Clock = SYSTEM_CLOCK,
     ) -> "EdgeFleet":
@@ -118,16 +116,15 @@ class EdgeFleet:
 
         All instances share a single model zoo (so capability-aware
         routing compares like with like) and a single selection cache
-        (keys include the device name, so sharing is safe).  Pass
-        ``selection_cache=None`` with ``cache_size=0`` to disable caching.
-        ``clock`` times the selection cache this builds, and is the
-        fleet's :attr:`clock`.
+        (keys include the device name, so sharing is safe); without one,
+        it builds a default :class:`SelectionCache` timed on ``clock``,
+        which is also the fleet's :attr:`clock`.
         """
         device_names = list(device_names)
         if not device_names:
             raise ConfigurationError("a fleet needs at least one device to deploy onto")
-        if selection_cache is None and cache_size > 0:
-            selection_cache = SelectionCache(max_size=cache_size, ttl_s=cache_ttl_s, clock=clock)
+        if selection_cache is None:
+            selection_cache = SelectionCache(clock=clock)
         fleet = cls(
             router=policy, selection_cache=selection_cache, telemetry=telemetry, clock=clock
         )

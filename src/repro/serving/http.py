@@ -6,8 +6,9 @@ module is all of it:
 
 * :func:`_read_head` reads one message head off a socket, keeping whatever
   arrived beyond it in a caller-owned ``bytearray`` (a pipelined request,
-  or the start of a body), and returns the start line plus the only two
-  headers libei acts on, ``Connection`` and ``Content-Length``;
+  or the start of a body), and returns the start line plus the only
+  headers libei acts on: ``Connection``, ``Content-Length`` and whether
+  ``Transfer-Encoding`` is present;
 * :func:`read_request` is the server's half: the next request's target,
   and whether the connection stays open after it is answered;
 * :func:`response_head` is the server's writer: fixed header fragments
@@ -19,8 +20,9 @@ module is all of it:
 Anything outside the subset — another method, a malformed line, a head
 over :data:`MAX_REQUEST_LINE` / :data:`MAX_HEADER_BYTES` — raises
 :class:`FramingError` carrying the status a server answers it with.
-Lines end in CRLF; ``Transfer-Encoding`` is not spoken, so a response
-without ``Content-Length`` is read to end of stream.
+Lines end in CRLF; ``Transfer-Encoding`` is not spoken, so a request
+carrying it is a 501 and a response without ``Content-Length`` is read
+to end of stream.  ``Content-Length`` values that disagree are a 400.
 """
 
 from __future__ import annotations
@@ -57,13 +59,15 @@ class FramingError(Exception):
 
 
 class Head(NamedTuple):
-    """A message head: its start line and the two headers libei acts on."""
+    """A message head: its start line and the headers libei acts on."""
 
     start: str
     #: the ``Connection`` value, lower-cased; "" when absent
     connection: str
     #: the ``Content-Length`` value; None when absent
     length: Optional[int]
+    #: whether a ``Transfer-Encoding`` header is present
+    transfer_encoded: bool
 
 
 class Response(NamedTuple):
@@ -110,7 +114,7 @@ def _read_head(sock: socket.socket, buffer: bytearray) -> Optional[Head]:
     _check_caps(buffer, end)
     lines = buffer[:end].split(b"\r\n")
     del buffer[: end + len(_END_OF_HEAD)]
-    connection, length = "", None
+    connection, length, transfer_encoded = "", None, False
     for line in lines[1:]:
         name, colon, value = line.partition(b":")
         if not colon:
@@ -122,8 +126,12 @@ def _read_head(sock: socket.socket, buffer: bytearray) -> Optional[Head]:
             value = value.strip()
             if not value.isdigit():
                 raise FramingError(400, f"malformed Content-Length {bytes(value[:80])!r}")
+            if length is not None and int(value) != length:
+                raise FramingError(400, "conflicting Content-Length values")
             length = int(value)
-    return Head(lines[0].decode("latin-1"), connection, length)
+        elif name == b"transfer-encoding":
+            transfer_encoded = True
+    return Head(lines[0].decode("latin-1"), connection, length, transfer_encoded)
 
 
 def _keeps_alive(version: str, connection: str) -> bool:
@@ -137,9 +145,11 @@ def _keeps_alive(version: str, connection: str) -> bool:
 def read_request(sock: socket.socket, buffer: bytearray) -> Optional[Tuple[str, bool]]:
     """The next request's ``(target, keep_alive)``; None when the peer closed between requests.
 
-    Only ``GET`` over HTTP/1.0 or HTTP/1.1 is spoken: another method is a
-    501, anything else malformed a 400 (a ``GET`` carrying a body
-    included), and every :class:`FramingError` means answer, then close.
+    Only ``GET`` over HTTP/1.0 or HTTP/1.1 is spoken: another method or
+    any ``Transfer-Encoding`` is a 501 (its body could not be framed, so
+    reading on would desync), anything else malformed a 400 (a ``GET``
+    carrying a body included), and every :class:`FramingError` means
+    answer, then close.
     """
     head = _read_head(sock, buffer)
     if head is None:
@@ -150,6 +160,8 @@ def read_request(sock: socket.socket, buffer: bytearray) -> Optional[Tuple[str, 
     method, target, version = words
     if method != "GET":
         raise FramingError(501, f"unsupported method {method[:80]!r}")
+    if head.transfer_encoded:
+        raise FramingError(501, "Transfer-Encoding is not supported")
     if head.length:
         raise FramingError(400, "a GET request carries no body")
     if target.startswith("//"):  # never read as a scheme-less absolute URL

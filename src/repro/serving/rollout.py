@@ -48,8 +48,13 @@ from repro.core.alem import ALEM, ALEMRequirement
 from repro.core.registry import ModelRegistry, ModelVersion
 from repro.core.wal import ControlPlaneJournal
 from repro.exceptions import ConfigurationError, ResourceNotFoundError
-from repro.serving.deployments import Deployment
+from repro.serving.deployments import MAX_EVENTS, Deployment
 from repro.serving.telemetry import ALEMTelemetry
+
+#: TTL of a canary claim, on the fleet's wall clock: a crashed process
+#: cannot hold the rollout slot forever, because recovery releases any
+#: journaled lease whose ``expires_at`` has passed.
+LEASE_TTL_S = 300.0
 
 
 @dataclass(frozen=True)
@@ -161,19 +166,11 @@ class RolloutController:
         fleet,
         registry: ModelRegistry,
         telemetry: Optional[ALEMTelemetry] = None,
-        max_events: int = 128,
         journal: Optional[ControlPlaneJournal] = None,
-        lease_ttl_s: float = 300.0,
     ) -> None:
-        if lease_ttl_s <= 0:
-            raise ConfigurationError("lease_ttl_s must be positive")
         self.fleet = fleet
         self.registry = registry
         self.journal = journal
-        # TTL on a canary claim, on the fleet's wall clock: a crashed
-        # process cannot hold the rollout slot forever, because recovery
-        # releases any journaled lease whose expires_at has passed
-        self.lease_ttl_s = float(lease_ttl_s)
         telemetry = telemetry if telemetry is not None else getattr(fleet, "telemetry", None)
         if telemetry is None:
             raise ConfigurationError(
@@ -182,7 +179,7 @@ class RolloutController:
             )
         self.telemetry = telemetry
         self.stats = RolloutStats()  # guarded-by: _lock
-        self.events: Deque[RolloutEvent] = deque(maxlen=max_events)  # guarded-by: _lock
+        self.events: Deque[RolloutEvent] = deque(maxlen=MAX_EVENTS)  # guarded-by: _lock
         self._lock = threading.RLock()
         self._rollouts: Dict[Tuple[str, str], _ActiveRollout] = {}  # guarded-by: _lock
         fleet.rollout = self
@@ -263,17 +260,16 @@ class RolloutController:
         algorithm: str,
         name: str,
         version: Optional[int] = None,
-        update_zoo: bool = True,
         validate: bool = True,
     ) -> List[Deployment]:
         """Serve a registry version fleet-wide as the rollout baseline.
 
         Registers the deployment table's handler for the algorithm on
-        every replica; ``update_zoo=True`` (default) also refreshes the
-        fleet's shared zoo entry so selection-layer consumers profile the
-        exact published build.  ``validate=True`` (default) re-runs the
-        static shape checker on the pulled artifact before any replica
-        serves it; see :meth:`_shape_check`.
+        every replica and refreshes the fleet's shared zoo entry so
+        selection-layer consumers profile the exact published build.
+        ``validate=True`` (default) re-runs the static shape checker on
+        the pulled artifact before any replica serves it; see
+        :meth:`_shape_check`.
         """
         target = self.registry.get(name, version)
         self._shape_check(target, validate)
@@ -305,8 +301,7 @@ class RolloutController:
                 ref=target.ref,
                 fingerprint=target.fingerprint,
             )
-        if update_zoo:
-            self._refresh_zoo(target)
+        self._refresh_zoo(target)
         self.fleet.deployments.serve(scenario, algorithm)
         return list(table.values())
 
@@ -380,7 +375,7 @@ class RolloutController:
                 baseline=held,
                 stage="staging",
                 granted_at=granted_at,
-                expires_at=granted_at + self.lease_ttl_s,
+                expires_at=granted_at + LEASE_TTL_S,
             )
             self._rollouts[key] = claim
             baseline_ref = claim.baseline.version.ref
@@ -637,14 +632,6 @@ class RolloutController:
             )
         self.telemetry.reset(scenario, algorithm, active.canary_id)
         return event
-
-    # -- serving -----------------------------------------------------------------
-    def serving(self, scenario: str, algorithm: str) -> List[Deployment]:
-        """The key's current records (one per replica)."""
-        records = self.fleet.deployments.records(scenario, algorithm)
-        if not records:
-            raise ResourceNotFoundError(f"nothing deployed for {scenario}/{algorithm}")
-        return records
 
     def in_flight(self, scenario: str, algorithm: str) -> bool:
         """Whether a canary claim is staging, serving or promoting for the key."""

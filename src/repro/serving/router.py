@@ -95,14 +95,10 @@ class CapabilityAwareRouter(RoutingPolicy):
 
     name = "capability"
 
-    def __init__(
-        self,
-        target: OptimizationTarget = OptimizationTarget.LATENCY,
-        score_ttl_s: Optional[float] = 60.0,
-        max_cached_scores: int = 256,
-    ) -> None:
+    def __init__(self, target: OptimizationTarget = OptimizationTarget.LATENCY) -> None:
         self.target = target
-        self._scores = TTLLRUCache(max_size=max_cached_scores, ttl_s=score_ttl_s)
+        # scores of the last 256 (device, package, scenario) keys, for 60 s
+        self._scores = TTLLRUCache()
 
     def score(self, instance, scenario: Optional[str]) -> float:
         """Best feasible ALEM objective this instance offers for a scenario."""

@@ -38,6 +38,12 @@ TelemetryKey = Tuple[str, str, str]
 #: Result key under which handlers may report measured ALEM axes.
 OBSERVED_ALEM_KEY = "observed_alem"
 
+#: Every JOURNAL_EVERY-th observation of a key snapshots its whole window
+#: into the WAL (journaling every observation would write one fsync per
+#: request); recovery restores the last snapshot and the first few live
+#: requests refresh the means.
+JOURNAL_EVERY = 8
+
 _AXES = ("accuracy", "latency_s", "energy_j", "memory_mb")
 
 #: Axis values that make :meth:`ALEMRequirement.violations` inert for axes
@@ -149,19 +155,11 @@ class ALEMTelemetry:
         self,
         window_size: int = 32,
         journal: Optional[ControlPlaneJournal] = None,
-        journal_every: int = 8,
     ) -> None:
         if window_size <= 0:
             raise ConfigurationError("telemetry window_size must be positive")
-        if journal_every <= 0:
-            raise ConfigurationError("telemetry journal_every must be positive")
         self.window_size = int(window_size)
-        # every journal_every-th observation of a key snapshots its whole
-        # window into the WAL (journaling every observation would write
-        # one fsync per request); recovery restores the last snapshot and
-        # the first few live requests refresh the means
         self.journal = journal
-        self.journal_every = int(journal_every)
         self._lock = threading.Lock()
         self._windows: Dict[TelemetryKey, TelemetryWindow] = {}  # guarded-by: _lock
 
@@ -188,7 +186,7 @@ class ALEMTelemetry:
                 energy_j=energy_j,
                 memory_mb=memory_mb,
             )
-            if self.journal is not None and window.total_observations % self.journal_every == 0:
+            if self.journal is not None and window.total_observations % JOURNAL_EVERY == 0:
                 snapshot = {
                     "samples": {axis: list(dq) for axis, dq in window.samples.items()},
                     "total_observations": window.total_observations,

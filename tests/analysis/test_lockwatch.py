@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import threading
 import traceback
+import types
 
 import pytest
 
@@ -19,10 +20,26 @@ from repro.clock import ManualClock
 from repro.exceptions import LockContractError
 
 # lockwatch only instruments locks allocated from files under /repro/,
-# so the tests allocate through this module-level helper — this file
-# lives under tests/, but the factory call resolves the *caller* frame,
-# hence the tiny shim module created on the fly in repro's namespace.
-import repro.analysis._lockforge as _lockforge  # noqa: E402  (see module docstring)
+# and the factory call resolves the *caller* frame — so the tests allocate
+# through a shim compiled on the fly under a file name in repro's tree,
+# which gives each lock a stable allocation site.
+_LOCKFORGE_SOURCE = """
+import threading
+
+def make_locks():
+    lock_a = threading.Lock()
+    lock_b = threading.Lock()
+    return lock_a, lock_b
+
+def make_rlock():
+    return threading.RLock()
+
+def make_condition():
+    return threading.Condition()
+"""
+_lockforge = types.ModuleType("_lockforge")
+exec(compile(_LOCKFORGE_SOURCE, os.path.join(os.sep, "shim", "repro", "_lockforge.py"), "exec"),
+     _lockforge.__dict__)
 
 
 def test_abba_cycle_detected_with_both_witness_stacks():

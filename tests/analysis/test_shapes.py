@@ -177,10 +177,7 @@ def test_deploy_gate_revalidates_unvalidated_artifacts():
     with pytest.raises(AnalysisError, match="deploy time"):
         controller.deploy(SCENARIO, ALGORITHM, MODEL)
     # nothing was registered for serving
-    from repro.exceptions import ResourceNotFoundError
-
-    with pytest.raises(ResourceNotFoundError):
-        controller.serving(SCENARIO, ALGORITHM)
+    assert controller.fleet.deployments.records(SCENARIO, ALGORITHM) == []
 
 
 def test_begin_gate_records_canary_failed_and_releases_the_claim():

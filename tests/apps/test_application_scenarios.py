@@ -65,7 +65,8 @@ def test_tracker_follows_ground_truth():
     workload = trajectory_workload(frames=60, frame_size=32, seed=0)
     tracker = ObjectTracker()
     estimates = tracker.track(workload.frames)
-    rmse = ObjectTracker.tracking_rmse(estimates[5:], workload.positions[5:])
+    errors = estimates[5:] - workload.positions[5:]
+    rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
     assert rmse < 4.0  # within a few pixels after settling
 
 
@@ -83,8 +84,6 @@ def test_tracker_prediction_extrapolates_velocity():
 def test_tracker_validation():
     with pytest.raises(ConfigurationError):
         ObjectTracker(alpha=0.0)
-    with pytest.raises(ConfigurationError):
-        ObjectTracker.tracking_rmse(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
 # -- smart home ------------------------------------------------------------------------
@@ -98,9 +97,9 @@ def test_power_monitor_recovers_appliance_states():
 
 def test_power_monitor_single_measurements():
     monitor = PowerMonitor()
-    assert monitor.infer_states(80.0) == (False, False, False, False)
-    states = monitor.infer_states(80.0 + 1500.0)
-    assert states[monitor.appliance_names.index("heater")] is True
+    idle, heater_on = monitor.infer_batch(np.array([80.0, 80.0 + 1500.0]))
+    assert not idle.any()
+    assert heater_on[monitor.appliance_names.index("heater")]
     assert monitor.estimated_energy_kwh(np.array([1000.0]), period_s=3600.0) == pytest.approx(1.0)
 
 
@@ -132,11 +131,9 @@ def test_power_monitor_table_matches_brute_force_enumeration():
         # exact ties: heater+washer == oven (2000 W), and midpoints between sums
         np.array([80.0, 2080.0, 80.0 + 310.0, 80.0 + (120.0 + 500.0) / 2, 0.0, 9999.0]),
     ])
-    for watts in sweep:
-        assert monitor.infer_states(float(watts)) == brute_force(float(watts))
     batch = monitor.infer_batch(sweep)
-    singles = np.array([monitor.infer_states(float(w)) for w in sweep], dtype=bool)
-    assert (batch == singles).all()
+    for watts, states in zip(sweep, batch):
+        assert tuple(bool(s) for s in states) == brute_force(float(watts))
 
 
 def test_power_monitor_validation():

@@ -29,7 +29,7 @@ def pytest_runtest_makereport(item, call):
 from repro.core.model_zoo import ModelZoo
 from repro.core.openei import OpenEI
 from repro.eialgorithms import build_lenet, build_mlp, build_mobilenet, build_vgg_lite
-from repro.nn.datasets import make_blobs, make_images, make_sequences
+from repro.nn.datasets import Dataset, make_blobs, make_images
 from repro.nn.optimizers import Adam
 
 
@@ -47,8 +47,21 @@ def images_dataset():
 
 @pytest.fixture(scope="session")
 def sequences_dataset():
-    """Tiny synthetic sequence dataset (20 steps, 4 channels)."""
-    return make_sequences(samples=160, steps=20, features=4, classes=3, seed=0)
+    """Tiny synthetic sequence dataset (20 steps, 4 channels): each class
+    is a noisy sine pattern of its own frequency, with a per-channel phase."""
+    rng = np.random.default_rng(0)
+    steps, features, classes, per_class = 20, 4, 3, 160 // 3
+    time = np.linspace(0, 2 * np.pi, steps)
+    xs, ys = [], []
+    for cls in range(classes):
+        phases = rng.uniform(0, 2 * np.pi, size=features)
+        base = np.stack([np.sin((1.0 + cls) * time + phase) for phase in phases], axis=1)
+        xs.append(base[None, :, :] + rng.normal(0.0, 0.25, size=(per_class, steps, features)))
+        ys.append(np.full(per_class, cls))
+    order = rng.permutation(classes * per_class)
+    x, y = np.concatenate(xs)[order], np.concatenate(ys).astype(np.int64)[order]
+    split = int(len(x) * 0.75)
+    return Dataset(x[:split], y[:split], x[split:], y[split:], classes, name="sequences")
 
 
 @pytest.fixture(scope="session")

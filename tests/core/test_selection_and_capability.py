@@ -126,14 +126,6 @@ def test_selector_partitions_duplicate_alem_candidates_by_identity(candidates):
     assert result.infeasible == [twin_a, twin_b]
 
 
-def test_selector_pareto_front_nonempty_and_contains_selected(candidates):
-    selector = ModelSelector()
-    front = selector.pareto_front(candidates)
-    assert front
-    best_latency = selector.select(candidates).selected
-    assert any(c.model_name == best_latency.model_name for c in front)
-
-
 # -- RL selector ---------------------------------------------------------------------
 
 def test_rl_selector_converges_to_exact_optimum(candidates):

@@ -12,7 +12,6 @@ from repro.hardware import (
     MemoryModel,
     NetworkLink,
     get_device,
-    list_devices,
 )
 from repro.hardware.device import CELLULAR_LINK, LAN_LINK, WAN_LINK
 from repro.nn.flops import ModelCost
@@ -51,12 +50,6 @@ def test_catalog_contains_paper_devices_and_ordering():
 def test_get_device_unknown_raises():
     with pytest.raises(ConfigurationError):
         get_device("quantum-edge")
-
-
-def test_list_devices_edge_only_excludes_cloud():
-    edge_names = {d.name for d in list_devices(edge_only=True)}
-    assert "cloud-datacenter" not in edge_names
-    assert "raspberry-pi-4" in edge_names
 
 
 def test_network_link_transfer_time_scales_with_payload():

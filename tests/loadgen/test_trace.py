@@ -2,25 +2,20 @@
 
 import pytest
 
-from repro.data.workloads import SCENARIO_ALGORITHMS, scenario_request_stream
+from repro.data.workloads import SCENARIO_ALGORITHMS
 from repro.exceptions import ConfigurationError
 from repro.loadgen import (
     FAULT_ACTIONS,
     FaultSpec,
     TimedRequest,
     Trace,
-    burst_trace,
     constant_trace,
-    diurnal_trace,
     poisson_trace,
-    trace_from_stream,
 )
 
 GENERATORS = [
     lambda seed: constant_trace(duration_s=4.0, rps=10.0, seed=seed),
     lambda seed: poisson_trace(duration_s=4.0, mean_rps=10.0, seed=seed),
-    lambda seed: diurnal_trace(duration_s=4.0, peak_rps=20.0, seed=seed),
-    lambda seed: burst_trace(duration_s=4.0, base_rps=5.0, burst_rps=40.0, seed=seed),
 ]
 
 
@@ -95,42 +90,6 @@ def test_algorithm_override_applies_to_every_request():
     assert trace.requests[0].path.startswith("/ei_algorithms/safety/classify/")
 
 
-def test_diurnal_rate_peaks_mid_trace():
-    trace = diurnal_trace(duration_s=60.0, peak_rps=30.0, seed=5)
-    first, mid, last = 0, 0, 0
-    for request in trace.requests:
-        if request.at_s < 20.0:
-            first += 1
-        elif request.at_s < 40.0:
-            mid += 1
-        else:
-            last += 1
-    # raised cosine: the middle third carries the peak, the edges the trough
-    assert mid > first and mid > last
-
-
-def test_burst_trace_concentrates_arrivals_in_burst_windows():
-    trace = burst_trace(
-        duration_s=20.0, base_rps=2.0, burst_rps=200.0, bursts=1,
-        burst_duration_s=1.0, seed=4,
-    )
-    (start,) = trace.meta["burst_starts"]
-    inside = sum(1 for r in trace.requests if start <= r.at_s <= start + 1.0)
-    outside = len(trace) - inside
-    assert inside > outside
-
-
-def test_trace_from_stream_preserves_round_robin_interleaving():
-    trace = trace_from_stream(requests_per_scenario=3, rps=10.0, seed=0)
-    stream = list(scenario_request_stream(requests_per_scenario=3, seed=0))
-    assert [(r.scenario, r.algorithm, r.args) for r in trace.requests] == [
-        (s.scenario, s.algorithm, s.args) for s in stream
-    ]
-    gaps = {round(b.at_s - a.at_s, 9)
-            for a, b in zip(trace.requests, trace.requests[1:])}
-    assert gaps == {0.1}
-
-
 def test_duration_covers_the_last_event_request_or_fault():
     trace = constant_trace(duration_s=2.0, rps=5.0, seed=0)
     late_fault = trace.with_faults([FaultSpec(at_s=9.0, action="kill-gateway")])
@@ -141,7 +100,7 @@ def test_duration_covers_the_last_event_request_or_fault():
 # -- persistence -------------------------------------------------------------------
 
 def test_save_load_round_trip_replays_identically(tmp_path):
-    trace = diurnal_trace(duration_s=5.0, peak_rps=15.0, seed=11).with_faults(
+    trace = poisson_trace(duration_s=5.0, mean_rps=15.0, seed=11).with_faults(
         [FaultSpec(at_s=2.5, action="slowdown", target="edge-0", factor=3.0)]
     )
     path = trace.save(tmp_path / "trace.json")
@@ -167,14 +126,6 @@ def test_generator_argument_validation():
         constant_trace(duration_s=0.0, rps=5.0)
     with pytest.raises(ConfigurationError):
         poisson_trace(duration_s=2.0, mean_rps=-1.0)
-    with pytest.raises(ConfigurationError):
-        diurnal_trace(duration_s=2.0, peak_rps=10.0, trough_rps=20.0)
-    with pytest.raises(ConfigurationError):
-        diurnal_trace(duration_s=2.0, peak_rps=10.0, period_s=0.0)
-    with pytest.raises(ConfigurationError):
-        burst_trace(duration_s=2.0, base_rps=1.0, burst_rps=0.0)
-    with pytest.raises(ConfigurationError):
-        burst_trace(duration_s=2.0, base_rps=1.0, burst_rps=5.0, burst_duration_s=3.0)
     with pytest.raises(ConfigurationError):
         constant_trace(duration_s=2.0, rps=5.0, scenario_mix={})
     with pytest.raises(ConfigurationError):

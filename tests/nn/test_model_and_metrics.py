@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.nn import metrics
-from repro.nn.datasets import make_blobs, make_images, make_personalized_shift, make_sequences
+from repro.nn.datasets import make_blobs, make_images, make_personalized_shift
 from repro.nn.flops import activation_bytes, model_cost
 from repro.nn.layers import Dense, ReLU, Softmax
 from repro.nn.model import Sequential
@@ -102,17 +102,6 @@ def test_top_k_accuracy_orders_correctly():
     assert metrics.top_k_accuracy(probs, labels, k=2) == pytest.approx(1.0)
 
 
-def test_confusion_matrix_and_prf():
-    predictions = np.array([0, 0, 1, 1, 2, 2])
-    targets = np.array([0, 1, 1, 1, 2, 0])
-    matrix = metrics.confusion_matrix(predictions, targets, 3)
-    assert matrix.sum() == 6
-    assert matrix[1, 1] == 2
-    precision, recall, f1 = metrics.precision_recall_f1(predictions, targets, 3)
-    assert precision.shape == recall.shape == f1.shape == (3,)
-    assert np.all((0 <= f1) & (f1 <= 1))
-
-
 def test_iou_identical_and_disjoint_boxes():
     box = (0, 0, 10, 10)
     assert metrics.iou(box, box) == pytest.approx(1.0)
@@ -146,11 +135,6 @@ def test_make_blobs_shapes_and_classes():
 def test_make_images_has_spatial_structure():
     ds = make_images(samples=40, image_size=8, classes=2, seed=1)
     assert ds.x_train.shape[1:] == (8, 8, 1)
-
-
-def test_make_sequences_shapes():
-    ds = make_sequences(samples=60, steps=12, features=3, classes=3, seed=1)
-    assert ds.x_train.shape[1:] == (12, 3)
 
 
 def test_dataset_subset():

@@ -113,7 +113,7 @@ def test_slowdown_triggers_cache_invalidation_and_reselection(image_zoo):
     # the stale analytic selection for this device/task was dropped
     assert event.invalidated_keys >= 1
     assert fleet.selection_cache.stats.invalidations >= 1
-    deployment = controller.deployment("safety", "classify", instance.instance_id)
+    deployment = controller.fleet.deployments.get("safety", "classify", instance.instance_id)
     assert deployment.model_name == "lenet" and deployment.mode == "edge"
     assert deployment.reselections == 1
 
@@ -271,7 +271,7 @@ def test_controller_validation(image_zoo):
     with pytest.raises(ResourceNotFoundError):
         controller.policy("safety", "ghost")
     with pytest.raises(ResourceNotFoundError):
-        controller.deployment("safety", "classify", "ghost-instance")
+        controller.fleet.deployments.get("safety", "classify", "ghost-instance")
     with pytest.raises(ConfigurationError):
         SLOPolicy("s", "a", None, ALEMRequirement(), min_samples=0)
     with pytest.raises(ConfigurationError):
@@ -289,7 +289,7 @@ def test_per_replica_isolation_in_heterogeneous_fleet(image_zoo):
     events = controller.check_all()
     assert [e.instance_id for e in events] == [slow.instance_id]
     # the healthy replica keeps its original deployment
-    untouched = controller.deployment("safety", "classify", fast.instance_id)
+    untouched = controller.fleet.deployments.get("safety", "classify", fast.instance_id)
     assert untouched.reselections == 0
 
 

@@ -6,7 +6,8 @@ from repro.clock import ManualClock
 from repro.core import OpenEI
 from repro.core.alem import ALEMRequirement, OptimizationTarget
 from repro.exceptions import ConfigurationError
-from repro.serving import SelectionCache, TTLLRUCache
+from repro.serving import SelectionCache
+from repro.serving.cache import TTLLRUCache
 
 
 # -- TTLLRUCache ----------------------------------------------------------------
@@ -245,17 +246,6 @@ def test_select_model_with_eval_data_bypasses_cache(cached_openei, images_datase
         y_test=images_dataset.y_test,
     )
     assert cached_openei.selection_cache.stats.lookups == 0
-
-
-def test_model_selector_level_cache_hook(cached_openei):
-    candidates = cached_openei.evaluate_capability(task="image-classification")
-    selector = cached_openei.model_selector
-    cache = TTLLRUCache(max_size=8, ttl_s=None)
-    key = ("manual-key",)
-    first = selector.select(candidates, cache=cache, cache_key=key)
-    second = selector.select(candidates, cache=cache, cache_key=key)
-    assert second is first
-    assert cache.stats.hits == 1
 
 
 def test_selection_cache_ttl_expiry_with_injected_clock():

@@ -52,10 +52,10 @@ from repro.serving import (
     LibEIClient,
     RolloutController,
     RolloutPolicy,
-    RoutingPolicy,
     SLOPolicy,
     recover_control_plane,
 )
+from repro.serving.router import RoutingPolicy
 
 FLEET = ["raspberry-pi-4", "jetson-tx2", "raspberry-pi-4", "jetson-tx2"]
 
@@ -66,6 +66,13 @@ ACCURACIES = {"vgg-0.5x": 0.95, "lenet": 0.90, "mobilenet-0.5x": 0.80}
 MAX_LATENCY_S = 0.004
 
 MODEL = "safety-classifier"
+
+
+def _serving(fleet):
+    """What each replica serves for safety/classify; something must be."""
+    records = fleet.deployments.records("safety", "classify")
+    assert records, "nothing deployed for safety/classify"
+    return records
 
 
 class SeqRouter(RoutingPolicy):
@@ -140,7 +147,7 @@ def test_mid_trace_gateway_kill_survived_with_zero_failed_requests():
         )
         report = harness.run(trace)
 
-        assert report.error_count == 0, report.overall.errors[:5]
+        assert not report.overall.errors, report.overall.errors[:5]
         assert report.overall.completed == len(trace)
         assert supervisor.kills == 1 and supervisor.restarts == 1
 
@@ -256,7 +263,7 @@ def test_injected_slowdown_triggers_adaptive_reselection_in_ei_status(image_zoo)
         )
         report = harness.run(trace)
 
-        assert report.error_count == 0, report.overall.errors[:5]
+        assert not report.overall.errors, report.overall.errors[:5]
         assert report.overall.completed == len(trace)
 
         # the reselection is observable over the wire, exactly as an
@@ -296,7 +303,7 @@ def test_rollout_auto_rolls_back_when_canary_replica_slows_down():
     # baseline — which a 10x slowdown violates and healthy traffic never does
     canary_id = fleet.instances[0].instance_id
     baseline_s = next(
-        e for e in rollout.serving("safety", "classify")
+        e for e in _serving(fleet)
         if e.instance_id == canary_id
     ).expected.latency_s
     rollout.begin("safety", "classify", canary=canary_id, policy=RolloutPolicy(
@@ -323,7 +330,7 @@ def test_rollout_auto_rolls_back_when_canary_replica_slows_down():
         )
         report = harness.run(trace)
 
-        assert report.error_count == 0, report.overall.errors[:5]
+        assert not report.overall.errors, report.overall.errors[:5]
         assert report.overall.completed == len(trace)
         status = client.status()["openei"]["rollout"]
         assert status["rollbacks"] == 1 and status["promotions"] == 0
@@ -333,7 +340,7 @@ def test_rollout_auto_rolls_back_when_canary_replica_slows_down():
     # every replica — the faulted canary included — serves v1 again
     assert all(
         entry.version.ref == f"{MODEL}@1"
-        for entry in rollout.serving("safety", "classify")
+        for entry in _serving(fleet)
     )
 
 
@@ -360,7 +367,7 @@ def test_malformed_request_injection_is_rejected_without_collateral():
         )
         report = harness.run(trace)
 
-        assert report.error_count == 0, report.overall.errors[:5]
+        assert not report.overall.errors, report.overall.errors[:5]
         assert report.overall.completed == len(trace)
         assert client.status()["status"] == "ok"
 
@@ -392,7 +399,7 @@ def test_killed_replica_restarts_into_recovery_and_resumes_the_same_claim(tmp_pa
         telemetry=ALEMTelemetry(window_size=16, journal=journal),
         policy=SeqRouter(),
     )
-    rollout = RolloutController(fleet, registry, journal=journal, lease_ttl_s=300.0)
+    rollout = RolloutController(fleet, registry, journal=journal)
     rollout.deploy("safety", "classify", MODEL, version=1)
     rollout.begin("safety", "classify", version=2, policy=RolloutPolicy(
         requirement=ALEMRequirement(min_accuracy=0.8),
@@ -401,7 +408,7 @@ def test_killed_replica_restarts_into_recovery_and_resumes_the_same_claim(tmp_pa
     pre_crash = rollout.describe()["rollouts"]["safety/classify"]
     pre_crash_serving = {
         e.instance_id: e.version.fingerprint
-        for e in rollout.serving("safety", "classify")
+        for e in _serving(fleet)
     }
     v1_bytes = registry.pull_bytes(MODEL, 1)
     v2_bytes = registry.pull_bytes(MODEL, 2)
@@ -428,7 +435,7 @@ def test_killed_replica_restarts_into_recovery_and_resumes_the_same_claim(tmp_pa
             fault_injector=injector,
         )
         report = harness.run(trace)
-        assert report.error_count == 0, report.overall.errors[:5]
+        assert not report.overall.errors, report.overall.errors[:5]
         assert report.overall.completed == len(trace)
     journal.close()  # kill -9 closes the fd; the WAL needs no clean shutdown
 
@@ -444,7 +451,7 @@ def test_killed_replica_restarts_into_recovery_and_resumes_the_same_claim(tmp_pa
         telemetry=ALEMTelemetry(window_size=16, journal=journal2),
         policy=SeqRouter(),
     )
-    rollout2 = RolloutController(fleet2, registry2, journal=journal2, lease_ttl_s=300.0)
+    rollout2 = RolloutController(fleet2, registry2, journal=journal2)
     recovery = lambda: recover_control_plane(fleet2, registry2, journal2, rollout=rollout2)
 
     trace2 = constant_trace(
@@ -461,7 +468,7 @@ def test_killed_replica_restarts_into_recovery_and_resumes_the_same_claim(tmp_pa
         assert recovered["canary"] == pre_crash["canary"]
         assert {
             e.instance_id: e.version.fingerprint
-            for e in rollout2.serving("safety", "classify")
+            for e in _serving(fleet2)
         } == pre_crash_serving
 
         client2 = LibEIClient(supervisor2.addresses, timeout_s=10.0)
@@ -470,7 +477,7 @@ def test_killed_replica_restarts_into_recovery_and_resumes_the_same_claim(tmp_pa
             on_response=serialized(rollout2.step),
         )
         report2 = harness2.run(trace2)
-        assert report2.error_count == 0, report2.overall.errors[:5]
+        assert not report2.overall.errors, report2.overall.errors[:5]
         assert report2.overall.completed == len(trace2)
 
     # the one recovered claim resolved exactly once, fleet-wide on v2
@@ -478,6 +485,6 @@ def test_killed_replica_restarts_into_recovery_and_resumes_the_same_claim(tmp_pa
     assert rollout.stats.promotions == 0  # life 1 never got to promote
     assert all(
         entry.version.ref == f"{MODEL}@2"
-        for entry in rollout2.serving("safety", "classify")
+        for entry in _serving(fleet2)
     )
     journal2.close()

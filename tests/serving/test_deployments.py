@@ -21,7 +21,6 @@ from repro.nn.model import Sequential
 from repro.serving import (
     ALEMTelemetry,
     AdaptiveController,
-    Deployment,
     EdgeFleet,
     FleetGateway,
     LibEIClient,
@@ -29,6 +28,7 @@ from repro.serving import (
     RolloutPolicy,
     SLOPolicy,
 )
+from repro.serving.deployments import Deployment
 
 SCENARIO, ALGORITHM = "safety", "classify"
 KEY = f"{SCENARIO}/{ALGORITHM}"
@@ -155,8 +155,12 @@ def test_register_handlers_after_deploy_leaves_one_handler():
     assert len(handlers) == 1
 
 
-def test_deploy_after_register_handlers_serves_the_deployed_version(image_zoo):
-    _, fleet, rollout = _managed_fleet(zoo=image_zoo)
+def test_deploy_after_register_handlers_serves_the_deployed_version(trained_image_models):
+    # a private zoo: deploy() installs the published build into it
+    zoo = ModelZoo()
+    for name, model in trained_image_models.items():
+        zoo.register(name, model, task="image-classification", input_shape=(16, 16, 1), scenario="safety")
+    _, fleet, rollout = _managed_fleet(zoo=zoo)
     for instance in fleet:  # accuracy is injected, as in test_adaptive.py
         for name in ("vgg-0.5x", "lenet", "mobilenet-0.5x"):
             instance.openei.capability_evaluator.set_accuracy(name, 0.9)
@@ -167,8 +171,7 @@ def test_deploy_after_register_handlers_serves_the_deployed_version(image_zoo):
     assert [a["model"] for a in zoo_answers] == [d.model_name for d in selected]
     assert all(a["version"] is None and a["canary"] is False for a in zoo_answers)
 
-    # update_zoo=False: image_zoo is a session fixture other tests share
-    rollout.deploy(SCENARIO, ALGORITHM, MODEL, update_zoo=False)
+    rollout.deploy(SCENARIO, ALGORITHM, MODEL)
     before = _answers(fleet)
     assert all(a["version"] == f"{MODEL}@1" for a in before)
     # the policy now watches what the rollout deployed
@@ -192,8 +195,7 @@ def test_a_record_handed_out_by_the_table_cannot_be_mutated():
         record.model_name = "someone-elses-model"
     with pytest.raises((AttributeError, TypeError)):  # slotted: no stray attributes either
         record.note = "edited behind the lock"
-    for listed in (rollout.serving(SCENARIO, ALGORITHM), fleet.deployments.records(SCENARIO, ALGORITHM)):
-        listed.clear()  # a caller's list, not the table's
+    fleet.deployments.records(SCENARIO, ALGORITHM).clear()  # a caller's list, not the table's
     assert fleet.deployments.get(SCENARIO, ALGORITHM, replica) is record
 
 

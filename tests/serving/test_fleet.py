@@ -8,14 +8,9 @@ from repro.core.alem import ALEMRequirement, OptimizationTarget
 from repro.core.model_zoo import ModelZoo
 from repro.exceptions import APIError, ConfigurationError, ResourceNotFoundError
 from repro.runtime.tasks import Task
-from repro.serving import (
-    ROUTING_POLICIES,
-    EdgeFleet,
-    FleetGateway,
-    LibEIClient,
-    ParsedRequest,
-    make_router,
-)
+from repro.serving import EdgeFleet, FleetGateway, LibEIClient
+from repro.serving.api import ParsedRequest
+from repro.serving.router import ROUTING_POLICIES, make_router
 
 HETEROGENEOUS_DEVICES = ["raspberry-pi-3", "raspberry-pi-4", "jetson-tx2", "edge-server"]
 
@@ -118,7 +113,7 @@ def test_capability_router_falls_back_to_load_without_models():
 
 
 def test_capability_scores_refresh_after_accuracy_injection(image_zoo):
-    from repro.serving import CapabilityAwareRouter
+    from repro.serving.router import CapabilityAwareRouter
 
     fleet = make_fleet(zoo=image_zoo, devices=["raspberry-pi-3", "edge-server"])
     router = CapabilityAwareRouter(target=OptimizationTarget.ACCURACY)

@@ -110,6 +110,14 @@ SERVER_ROWS = {
         b"GET /a HTTP/1.1\r\nContent-Length: 2\r\n\r\n",
         [(400, None, True)],
     ),
+    "conflicting Content-Length values are 400": (
+        b"GET /a HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\n",
+        [(400, None, True)],
+    ),
+    "a GET with Transfer-Encoding is 501": (
+        b"GET /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+        [(501, None, True)],
+    ),
     "a request line over the cap is 414": (OVER_LINE, [(414, None, True)]),
     "a header block over the cap is 431": (OVER_HEADERS, [(431, None, True)]),
     "idle timeout applies mid-header": (b"GET /a HTTP/1.1\r\nHost:", []),

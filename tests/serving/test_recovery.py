@@ -27,6 +27,8 @@ from repro.serving import (
     RolloutPolicy,
     recover_control_plane,
 )
+from repro.serving.rollout import LEASE_TTL_S
+from repro.serving.telemetry import JOURNAL_EVERY
 
 SCENARIO, ALGORITHM = "safety", "classify"
 MODEL = "safety-classifier"
@@ -48,7 +50,7 @@ def _publish(registry: ModelRegistry, accuracy: float, scale: float = 1.0):
     )
 
 
-def _life(root, recovered: bool = False, lease_ttl_s: float = 300.0, clock=SYSTEM_CLOCK):
+def _life(root, recovered: bool = False, clock=SYSTEM_CLOCK):
     """One process life over the durable directories under ``root``."""
     store = BlobStore(root / "store")
     journal = ControlPlaneJournal(root / "control.wal")
@@ -56,22 +58,27 @@ def _life(root, recovered: bool = False, lease_ttl_s: float = 300.0, clock=SYSTE
         registry = ModelRegistry.recover(store, journal)
     else:
         registry = ModelRegistry(store=store, journal=journal)
-    telemetry = ALEMTelemetry(window_size=16, journal=journal, journal_every=4)
+    telemetry = ALEMTelemetry(window_size=32, journal=journal)
     fleet = EdgeFleet.deploy(list(FLEET), zoo=ModelZoo(), telemetry=telemetry, clock=clock)
-    rollout = RolloutController(
-        fleet, registry, journal=journal, lease_ttl_s=lease_ttl_s
-    )
+    rollout = RolloutController(fleet, registry, journal=journal)
     return store, journal, registry, telemetry, fleet, rollout
 
 
-def _first_life_with_lease(root, lease_ttl_s: float = 300.0, clock=SYSTEM_CLOCK) -> str:
+def _serving(fleet):
+    """The key's records, one per replica; something must be deployed."""
+    records = fleet.deployments.records(SCENARIO, ALGORITHM)
+    assert records, f"nothing deployed for {SCENARIO}/{ALGORITHM}"
+    return records
+
+
+def _first_life_with_lease(root, clock=SYSTEM_CLOCK) -> str:
     """Publish v1+v2, deploy v1, begin a v2 canary — then 'crash'.
 
     The crash window is the satellite-4 regression: the process dies
     between ``begin()`` and the first ``check()``, when the only record
     of the claim is the journaled lease.  Returns the canary id.
     """
-    _, journal, registry, _, fleet, rollout = _life(root, lease_ttl_s=lease_ttl_s, clock=clock)
+    _, journal, registry, _, fleet, rollout = _life(root, clock=clock)
     _publish(registry, accuracy=0.95)
     _publish(registry, accuracy=0.97, scale=1.01)
     rollout.deploy(SCENARIO, ALGORITHM, MODEL, version=1)
@@ -101,16 +108,16 @@ def test_unexpired_lease_resumes_the_same_canary(tmp_path):
     # the policy round-tripped through the journal
     assert status["min_samples"] == 2 and status["healthy_checks"] == 2
     # the rest of the fleet stayed on the baseline
-    for entry in rollout.serving(SCENARIO, ALGORITHM):
+    for entry in _serving(fleet):
         expected = 2 if entry.instance_id == canary else 1
         assert entry.version.version == expected
 
 
 def test_expired_lease_is_released_and_fleet_stays_on_baseline(tmp_path):
     clock = ManualClock()
-    _first_life_with_lease(tmp_path, lease_ttl_s=60.0, clock=clock)
+    _first_life_with_lease(tmp_path, clock=clock)
 
-    clock.advance(3600.0)  # the restart comes long after the TTL
+    clock.advance(LEASE_TTL_S + 1.0)  # the restart comes after the TTL
     _, journal, registry, _, fleet, rollout = _life(tmp_path, recovered=True, clock=clock)
     report = recover_control_plane(fleet, registry, journal, rollout=rollout)
 
@@ -118,7 +125,7 @@ def test_expired_lease_is_released_and_fleet_stays_on_baseline(tmp_path):
     assert report.leases_expired == 1
     assert f"{SCENARIO}/{ALGORITHM}" not in rollout.describe()["rollouts"]
     assert all(
-        e.version.version == 1 for e in rollout.serving(SCENARIO, ALGORITHM)
+        e.version.version == 1 for e in _serving(fleet)
     )
     # the release itself was journaled: the NEXT recovery sees a resolved
     # lease and does not adjudicate it again
@@ -152,7 +159,7 @@ def test_promoted_rollout_recovers_promoted_with_no_double_promote(tmp_path):
     assert report.deployed == [f"{MODEL}@2"]
     assert report.leases_resumed == 0 and report.leases_expired == 0
     assert all(
-        e.version.version == 2 for e in rollout2.serving(SCENARIO, ALGORITHM)
+        e.version.version == 2 for e in _serving(fleet2)
     )
     assert rollout2.stats.promotions == 0
     journal2.close()
@@ -183,14 +190,14 @@ def test_rolled_back_rollout_recovers_on_the_baseline(tmp_path):
     assert report.deployed == [f"{MODEL}@1"]
     assert report.leases_resumed == 0
     assert all(
-        e.version.version == 1 for e in rollout2.serving(SCENARIO, ALGORITHM)
+        e.version.version == 1 for e in _serving(fleet2)
     )
     journal2.close()
 
 
 def test_telemetry_windows_recover_but_never_clobber_live_observations(tmp_path):
     _, journal, _, telemetry, _, _ = _life(tmp_path)
-    for i in range(8):  # journal_every=4 → two snapshots journaled
+    for i in range(2 * JOURNAL_EVERY):  # → two snapshots journaled
         telemetry.record(SCENARIO, ALGORITHM, "edge-0@raspberry-pi-4",
                          latency_s=0.02 + i * 0.001, accuracy=0.9)
     before = telemetry.window(SCENARIO, ALGORITHM, "edge-0@raspberry-pi-4")
@@ -231,7 +238,7 @@ def test_journaled_telemetry_never_fsyncs_on_the_recording_thread(tmp_path, monk
     real_fsync = wal_module.os.fsync
     monkeypatch.setattr(wal_module.os, "fsync",
                         lambda fd: (calls.append(fd), real_fsync(fd)))
-    for i in range(8):  # journal_every=4 → two snapshots journaled
+    for i in range(2 * JOURNAL_EVERY):  # → two snapshots journaled
         telemetry.record(SCENARIO, ALGORITHM, "edge-0@raspberry-pi-4",
                          latency_s=0.02 + i * 0.001)
     telemetry.reset(SCENARIO, ALGORITHM)
@@ -289,7 +296,7 @@ def test_lease_for_unknown_canary_is_released_not_fatal(tmp_path):
     assert report.leases_resumed == 0
     assert report.leases_released == 1
     assert all(
-        e.version.version == 1 for e in rollout.serving(SCENARIO, ALGORITHM)
+        e.version.version == 1 for e in _serving(fleet)
     )
     journal.close()
 

@@ -30,8 +30,8 @@ from repro.serving import (
     LibEIClient,
     RolloutController,
     RolloutPolicy,
-    RoutingPolicy,
 )
+from repro.serving.router import RoutingPolicy
 
 SCENARIO, ALGORITHM = "safety", "classify"
 MODEL = "safety-classifier"
@@ -188,7 +188,8 @@ def test_e2e_publish_canary_promote_under_live_traffic():
 
     assert [e.kind for e in events][-1] == "promote"
     assert all(
-        e.version.ref == f"{MODEL}@2" for e in controller.serving(SCENARIO, ALGORITHM)
+        e.version.ref == f"{MODEL}@2"
+        for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)
     )
     # promotion refreshed the shared zoo so selection sees the new build
     zoo = fleet.instances[0].openei.zoo
@@ -209,7 +210,8 @@ def test_e2e_canary_auto_rollback_on_injected_regression():
     assert [e.kind for e in events][-1] == "rollback"
     assert events[-1].violations  # the confirmed accuracy violation
     assert all(
-        e.version.ref == f"{MODEL}@1" for e in controller.serving(SCENARIO, ALGORITHM)
+        e.version.ref == f"{MODEL}@1"
+        for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)
     )
     assert status["rollbacks"] == 1 and status["promotions"] == 0
     assert first == control_first
@@ -256,10 +258,12 @@ def test_canary_stages_on_exactly_one_replica():
     _publish(registry, accuracy=0.93, scale=1.01, base=f"{MODEL}@1")
     event = controller.begin(SCENARIO, ALGORITHM, policy=_policy())
     canary_id = event.instance_ids[0]
-    versions = {e.instance_id: e.version.ref for e in controller.serving(SCENARIO, ALGORITHM)}
+    versions = {e.instance_id: e.version.ref
+                for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
     assert versions[canary_id] == f"{MODEL}@2"
     assert all(ref == f"{MODEL}@1" for iid, ref in versions.items() if iid != canary_id)
-    canary_flags = {e.instance_id: e.canary for e in controller.serving(SCENARIO, ALGORITHM)}
+    canary_flags = {e.instance_id: e.canary
+                    for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
     assert canary_flags[canary_id] and sum(canary_flags.values()) == 1
 
 
@@ -331,11 +335,13 @@ def test_canary_on_replica_added_after_deploy():
     event = controller.begin(SCENARIO, ALGORITHM, canary=joined.instance_id,
                              policy=_policy())
     assert event.instance_ids == (joined.instance_id,)
-    versions = {e.instance_id: e.version.ref for e in controller.serving(SCENARIO, ALGORITHM)}
+    versions = {e.instance_id: e.version.ref
+                for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
     assert versions[joined.instance_id] == f"{MODEL}@2"
     rollback = controller.rollback(SCENARIO, ALGORITHM)
     assert rollback.kind == "rollback"
-    versions = {e.instance_id: e.version.ref for e in controller.serving(SCENARIO, ALGORITHM)}
+    versions = {e.instance_id: e.version.ref
+                for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
     assert versions[joined.instance_id] == f"{MODEL}@1"  # restored to the baseline
 
 
@@ -420,11 +426,11 @@ def test_failed_promotion_is_recorded_and_keeps_the_canary_serving():
     # the rollout is back in the canary stage: the canary still serves
     # the target version and a retried promote succeeds
     versions = {e.instance_id: e.version.ref
-                for e in controller.serving(SCENARIO, ALGORITHM)}
+                for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
     assert versions[canary_id] == f"{MODEL}@2"
     controller._make_entry = original_make_entry
     promoted = controller.promote(SCENARIO, ALGORITHM)
     assert promoted.kind == "promote"
     versions = {e.instance_id: e.version.ref
-                for e in controller.serving(SCENARIO, ALGORITHM)}
+                for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
     assert all(ref == f"{MODEL}@2" for ref in versions.values())
