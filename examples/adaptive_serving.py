@@ -63,10 +63,11 @@ def stream(client: LibEIClient, controller: AdaptiveController, rounds: int) -> 
         # one control cycle per stream round: this is the measure → detect
         # → re-solve → redeploy loop running against live traffic
         for event in controller.check_all():
-            print(f"  !! {event.outcome}: {event.old_model} -> {event.new_model} "
-                  f"on {event.instance_id} (drift {event.drift:.2f}x, "
-                  f"violations {event.violations}, "
-                  f"{event.invalidated_keys} cache keys invalidated)")
+            facts = event.fields
+            print(f"  !! {event.kind}: {facts['old_model']} -> {facts['new_model']} "
+                  f"on {facts['replica']} (drift {facts['drift']:.2f}x, "
+                  f"violations {facts['violations']}, "
+                  f"{facts['invalidated_keys']} cache keys invalidated)")
 
 
 def main() -> None:

@@ -98,8 +98,10 @@ def stream(client: LibEIClient, rollout: RolloutController, rounds: int) -> int:
             client.call_algorithm(SCENARIO, ALGORITHM, {"seq": request.args["seq"]})
             served += 1
         for event in rollout.step():
-            print(f"  !! {event.kind}: {event.ref} on {', '.join(event.instance_ids)}"
-                  + (f" (violations {event.violations})" if event.violations else ""))
+            facts = event.fields
+            served_by = facts.get("instances") or [facts["canary"]]
+            print(f"  !! {event.kind}: {facts['ref']} on {', '.join(served_by)}"
+                  + (f" (violations {facts['violations']})" if facts.get("violations") else ""))
     return served
 
 
@@ -150,7 +152,7 @@ def main() -> None:
               f"({plan.saved_bytes / 1024:.0f} KiB saved vs full, mode={plan.mode})")
 
         event = rollout.begin(SCENARIO, ALGORITHM, policy=policy)
-        print(f"canarying {event.ref} on {event.instance_ids[0]}")
+        print(f"canarying {event.fields['ref']} on {event.fields['canary']}")
         served = stream_until_resolved(client, rollout)
         print(f"  {served} requests served through the canary window, zero failures")
 
@@ -158,7 +160,7 @@ def main() -> None:
         print(f"\npublished {v3.ref} with a regressed eval accuracy "
               f"({v3.extra['accuracy']:.2f} < SLO 0.80)")
         event = rollout.begin(SCENARIO, ALGORITHM, policy=policy)
-        print(f"canarying {event.ref} on {event.instance_ids[0]}")
+        print(f"canarying {event.fields['ref']} on {event.fields['canary']}")
         served = stream_until_resolved(client, rollout)
         print(f"  {served} requests served through the canary window, zero failures")
 

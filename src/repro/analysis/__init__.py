@@ -41,8 +41,6 @@ _EXPORTS = {
     "check_model": "repro.analysis.shapes",
     "validate_model": "repro.analysis.shapes",
     "LockWatch": "repro.analysis.lockwatch",
-    "budget_from_env": "repro.analysis.lockwatch",
-    "enabled_from_env": "repro.analysis.lockwatch",
     "watched": "repro.analysis.lockwatch",
     "ALL_RULES": "repro.analysis.rules",
     "LintContext": "repro.analysis.rules",

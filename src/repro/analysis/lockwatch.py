@@ -207,14 +207,6 @@ class LockWatch:
 
     # -- inspection ------------------------------------------------------
 
-    def graph(self) -> Dict[str, List[str]]:
-        """Adjacency snapshot: site -> sorted list of sites acquired
-        while it was held."""
-        with self._meta:
-            return {
-                source: sorted(targets) for source, targets in self._edges.items()
-            }
-
     def find_cycle(self) -> Optional[List[EdgeWitness]]:
         """A list of edge witnesses forming a cycle, or None."""
         with self._meta:
@@ -365,17 +357,3 @@ def watched(budget_s: Optional[float] = None, clock: Clock = SYSTEM_CLOCK):
     finally:
         threading.Lock = saved_lock
         threading.RLock = saved_rlock
-
-
-def budget_from_env(default: float = 1.0) -> float:
-    """The hold budget configured via ``REPRO_LOCKWATCH_BUDGET_S``."""
-    raw = os.environ.get("REPRO_LOCKWATCH_BUDGET_S", "")
-    try:
-        return float(raw) if raw else default
-    except ValueError:
-        return default
-
-
-def enabled_from_env() -> bool:
-    """Whether ``REPRO_LOCKWATCH=1`` asked for instrumentation."""
-    return os.environ.get("REPRO_LOCKWATCH", "") == "1"

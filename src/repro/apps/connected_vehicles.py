@@ -136,13 +136,6 @@ class ObjectTracker:
         """Consume one frame and return the updated track state."""
         return self.update_with_measurement(self.measure(frame))
 
-    def track(self, frames: np.ndarray) -> np.ndarray:
-        """Track through a frame sequence; returns the (n, 2) estimated positions."""
-        estimates = []
-        for frame in frames:
-            estimates.append(self.update(frame).position.copy())
-        return np.array(estimates)
-
     def reset(self) -> None:
         """Forget the current track."""
         self.state = None

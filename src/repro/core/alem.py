@@ -60,22 +60,6 @@ class ALEM:
             "memory_mb": self.memory_mb,
         }
 
-    def dominates(self, other: "ALEM") -> bool:
-        """Pareto dominance: at least as good on every axis and better on one."""
-        at_least = (
-            self.accuracy >= other.accuracy
-            and self.latency_s <= other.latency_s
-            and self.energy_j <= other.energy_j
-            and self.memory_mb <= other.memory_mb
-        )
-        strictly = (
-            self.accuracy > other.accuracy
-            or self.latency_s < other.latency_s
-            or self.energy_j < other.energy_j
-            or self.memory_mb < other.memory_mb
-        )
-        return at_least and strictly
-
     def objective_value(self, target: OptimizationTarget) -> float:
         """Scalar to *minimize* for the given optimization target."""
         if target is OptimizationTarget.LATENCY:

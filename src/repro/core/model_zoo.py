@@ -103,10 +103,6 @@ class ModelZoo:
                 f"model {name!r} is not in the zoo; available: {sorted(self._entries)}"
             ) from exc
 
-    def remove(self, name: str) -> None:
-        """Delete an entry (no-op if absent)."""
-        self._entries.pop(name, None)
-
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 

@@ -149,7 +149,7 @@ class OpenEI:
             # changes the measured ALEM points: the package configuration
             # (profiles differ per package, and two same-device instances
             # may share one fleet cache), the zoo contents, and the known
-            # accuracies — so package swaps, register()/remove() and
+            # accuracies — so package swaps, zoo register() and
             # set_accuracy() all invalidate stale selections immediately
             fingerprint = (
                 self.capability_evaluator.profiler.package_name,

@@ -292,22 +292,25 @@ class ControlPlaneJournal:
     TELEMETRY_RESET = "telemetry-reset"
     #: The adaptive controller learned a latency-drift factor for a replica.
     CALIBRATION = "calibration"
+    #: An operator cleared learned drift (a null scenario or algorithm matches all).
+    CALIBRATION_RESET = "calibration-reset"
     #: A registry version became the fleet-wide serving baseline.
-    ROLLOUT_DEPLOY = "rollout-deploy"
+    ROLLOUT_DEPLOY = "deploy"
     #: A canary claim was granted as a lease (written BEFORE staging).
-    ROLLOUT_LEASE = "rollout-lease"
+    ROLLOUT_LEASE = "lease"
     #: An unresolved lease was released (staging failed, or expired at recovery).
-    ROLLOUT_LEASE_RELEASED = "rollout-lease-released"
+    ROLLOUT_LEASE_RELEASED = "lease-released"
     #: The in-flight canary was promoted fleet-wide.
-    ROLLOUT_PROMOTE = "rollout-promote"
+    ROLLOUT_PROMOTE = "promote"
     #: The in-flight canary was rolled back to the baseline.
-    ROLLOUT_ROLLBACK = "rollout-rollback"
+    ROLLOUT_ROLLBACK = "rollback"
 
     EVENT_TYPES = (
         REGISTRY_PUBLISH,
         TELEMETRY_WINDOW,
         TELEMETRY_RESET,
         CALIBRATION,
+        CALIBRATION_RESET,
         ROLLOUT_DEPLOY,
         ROLLOUT_LEASE,
         ROLLOUT_LEASE_RELEASED,
@@ -323,7 +326,9 @@ class ControlPlaneJournal:
     #: which live traffic regenerates within one window.  Control events —
     #: publishes, deploys, leases, promotes, rollbacks — stay strict: the
     #: correctness of recovery adjudication depends on them.
-    RELAXED_EVENTS = frozenset((TELEMETRY_WINDOW, TELEMETRY_RESET, CALIBRATION))
+    RELAXED_EVENTS = frozenset(
+        (TELEMETRY_WINDOW, TELEMETRY_RESET, CALIBRATION, CALIBRATION_RESET)
+    )
 
     def __init__(
         self,

@@ -49,12 +49,6 @@ class EdgeDataStore:
         """Store one reading; a full series drops its oldest."""
         self._readings[reading.sensor_id].append(reading)
 
-    def capture(self, sensor_id: str, count: int = 1) -> List[SensorReading]:
-        """Pull ``count`` fresh readings from a registered live sensor and record them."""
-        if sensor_id not in self._sensors:
-            raise ResourceNotFoundError(f"no live sensor registered as {sensor_id!r}")
-        return self.realtime_batch([sensor_id] * count)
-
     # -- queries -----------------------------------------------------------------
     def realtime(self, sensor_id: str) -> SensorReading:
         """Newest reading for a sensor, pulling from the live sensor when attached."""

@@ -10,7 +10,7 @@ separable classes, spatial structure for images — so every code path
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -32,18 +32,6 @@ class Dataset:
     def input_shape(self) -> Tuple[int, ...]:
         """Shape of one sample (excluding the batch dimension)."""
         return tuple(self.x_train.shape[1:])
-
-    def subset(self, train_count: int, test_count: Optional[int] = None) -> "Dataset":
-        """Return a smaller dataset sharing the same distribution."""
-        test_count = test_count if test_count is not None else train_count // 4 or 1
-        return Dataset(
-            x_train=self.x_train[:train_count],
-            y_train=self.y_train[:train_count],
-            x_test=self.x_test[:test_count],
-            y_test=self.y_test[:test_count],
-            num_classes=self.num_classes,
-            name=f"{self.name}[{train_count}]",
-        )
 
 
 def _split(x: np.ndarray, y: np.ndarray, test_fraction: float, rng: np.random.Generator):

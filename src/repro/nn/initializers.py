@@ -85,8 +85,3 @@ def get(name: str) -> Initializer:
         raise ConfigurationError(
             f"unknown initializer {name!r}; choose from {sorted(_REGISTRY)}"
         ) from exc
-
-
-def available() -> Tuple[str, ...]:
-    """Return the names of all registered initializers."""
-    return tuple(sorted(_REGISTRY))

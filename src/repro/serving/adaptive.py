@@ -38,9 +38,8 @@ solving a second selection nobody would serve.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import asdict, dataclass, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from repro.core.model_selector import RLModelSelector
 from repro.core.openei import OpenEI
 from repro.core.wal import ControlPlaneJournal
 from repro.exceptions import ConfigurationError, ModelSelectionError, ResourceNotFoundError
-from repro.serving.deployments import MAX_EVENTS, Deployment
+from repro.serving.deployments import ControlEvent, Deployment
 from repro.serving.telemetry import ALEMTelemetry, TelemetryWindow
 
 
@@ -87,24 +86,6 @@ class SLOPolicy:
         return (self.scenario, self.algorithm)
 
 
-@dataclass(frozen=True)
-class ReselectionEvent:
-    """One control action taken after a detected SLO violation."""
-
-    scenario: str
-    algorithm: str
-    instance_id: str
-    violations: Dict[str, float]
-    drift: float
-    old_model: str
-    new_model: Optional[str]
-    outcome: str                 # "reselected" | "offloaded" | "exhausted"
-    invalidated_keys: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-
 @dataclass
 class ControllerStats:
     """Counters surfaced through the gateway's ``/ei_status``."""
@@ -121,7 +102,7 @@ class ControllerStats:
 
 
 def _where(policy: SLOPolicy, instance) -> Dict[str, str]:
-    """The key fields a record and its reselection event share."""
+    """The key fields of one replica's record."""
     return dict(
         scenario=policy.scenario, algorithm=policy.algorithm, instance_id=instance.instance_id
     )
@@ -162,7 +143,6 @@ class AdaptiveController:
         self.rl_episodes = int(rl_episodes)
         self.rl_seed = int(rl_seed)
         self.stats = ControllerStats()  # guarded-by: _lock
-        self.events: Deque[ReselectionEvent] = deque(maxlen=MAX_EVENTS)  # guarded-by: _lock
         self._lock = threading.RLock()
         self._policies: Dict[Tuple[str, str], SLOPolicy] = {}  # guarded-by: _lock
         self._last_action: Dict[Tuple[str, str, str], float] = {}  # guarded-by: _lock
@@ -189,12 +169,14 @@ class AdaptiveController:
                 raise ConfigurationError(
                     f"a policy for {policy.scenario}/{policy.algorithm} is already registered"
                 )
-            self._policies[policy.key] = policy
             table = self.fleet.deployments
             deployments = table.records(*policy.key)
             if not deployments:
+                # every replica's record is built before the policy is
+                # registered: a selection that raises leaves nothing behind
                 deployments = [self._initial_deployment(policy, i) for i in self.fleet]
                 table.deploy(*policy.key, deployments)
+            self._policies[policy.key] = policy
             return deployments
 
     def policy(self, scenario: str, algorithm: str) -> SLOPolicy:
@@ -241,7 +223,8 @@ class AdaptiveController:
 
         The next violation check re-measures from scratch, which is how an
         offloaded deployment gets a chance to fail back to the edge once
-        the operator knows the slowdown has cleared.
+        the operator knows the slowdown has cleared.  The reset is
+        journaled, so a recovery restores none of the cleared drift.
         """
         with self._lock:
             for key in list(self._calibration):
@@ -250,6 +233,9 @@ class AdaptiveController:
                 if algorithm is not None and key[1] != algorithm:
                     continue
                 del self._calibration[key]
+        self.fleet.deployments.emit(
+            ControlPlaneJournal.CALIBRATION_RESET, scenario, algorithm, self.journal
+        )
 
     def restore_calibration(
         self, entries: Sequence[Tuple[Tuple[str, str, str], float]]
@@ -278,20 +264,20 @@ class AdaptiveController:
             self.fleet.deployments.serve(*key)
 
     # -- the control loop --------------------------------------------------------
-    def check_all(self) -> List[ReselectionEvent]:
+    def check_all(self) -> List[ControlEvent]:
         """Run one control cycle over every registered policy."""
         with self._lock:
             policies = list(self._policies.values())
-        events: List[ReselectionEvent] = []
+        events: List[ControlEvent] = []
         for policy in policies:
             events.extend(self.check(policy.scenario, policy.algorithm))
         return events
 
-    def check(self, scenario: str, algorithm: str) -> List[ReselectionEvent]:
+    def check(self, scenario: str, algorithm: str) -> List[ControlEvent]:
         """Compare telemetry against one policy; reselect where violated."""
         policy = self.policy(scenario, algorithm)
-        events: List[ReselectionEvent] = []
-        learned: List[Tuple[Tuple[str, str, str], float]] = []
+        actions: List[Tuple[str, Dict[str, object]]] = []
+        learned: List[Dict[str, object]] = []
         with self._lock:
             self.stats.checks += 1
             for deployment in self.fleet.deployments.records(scenario, algorithm):
@@ -307,29 +293,20 @@ class AdaptiveController:
                 if last is not None and self.fleet.clock.monotonic() - last < policy.cooldown_s:
                     continue
                 self.stats.violations += 1
-                event = self._reselect(policy, instance, deployment, window, violations, learned)
+                action = self._reselect(policy, instance, deployment, window, violations, learned)
                 # stamp even when holding position, so cooldown_s also
                 # spaces the (re-)evaluation work for a deployment that
                 # cannot improve — not just successful swaps
                 self._last_action[key] = self.fleet.clock.monotonic()
-                if event is None:
-                    # already on the best known fallback; nothing to change
-                    continue
-                self.events.append(event)
-                events.append(event)
-        if self.journal is not None:
-            # calibration is learned under the lock but journaled after it:
-            # the fsync must not extend the critical section every handler
-            # thread contends on
-            for (s, a, replica), drift in learned:
-                self.journal.append(
-                    ControlPlaneJournal.CALIBRATION,
-                    scenario=s,
-                    algorithm=a,
-                    replica=replica,
-                    drift=drift,
-                )
-        return events
+                if action is not None:  # None: already on the best known fallback
+                    actions.append(action)
+        # learned and decided under the lock but emitted after it: the
+        # journal write must not extend the critical section every
+        # handler thread contends on
+        table = self.fleet.deployments
+        for fields in learned:
+            table.emit(ControlPlaneJournal.CALIBRATION, scenario, algorithm, self.journal, **fields)
+        return [table.emit(kind, scenario, algorithm, **fields) for kind, fields in actions]
 
     def _reselect(  # requires-lock: _lock (only called from check() inside the with block)
         self,
@@ -338,8 +315,9 @@ class AdaptiveController:
         deployment: Deployment,
         window: TelemetryWindow,
         violations: Dict[str, float],
-        learned: List[Tuple[Tuple[str, str, str], float]],
-    ) -> Optional[ReselectionEvent]:
+        learned: List[Dict[str, object]],
+    ) -> Optional[Tuple[str, Dict[str, object]]]:
+        """Reselect one violated replica; returns the outcome's kind and facts."""
         openei = instance.openei
         observed = window.observed_alem()
         key = (policy.scenario, policy.algorithm, instance.instance_id)
@@ -358,7 +336,7 @@ class AdaptiveController:
             if window.count("accuracy") and deployment.expected.accuracy > 0:
                 accuracy_scale = observed.accuracy / deployment.expected.accuracy
         if self._calibration.get(key) != drift:
-            learned.append((key, drift))
+            learned.append(dict(replica=instance.instance_id, drift=drift))
         self._calibration[key] = drift
 
         # stale analytic selections for this device/task are now wrong
@@ -372,10 +350,11 @@ class AdaptiveController:
         candidates = openei.evaluate_capability(task=policy.task)
         adjusted = [self._apply_drift(c, drift, accuracy_scale) for c in candidates]
 
-        def event(new_model: Optional[str], outcome: str) -> ReselectionEvent:
-            return ReselectionEvent(
-                **where, violations=violations, drift=drift, old_model=deployment.model_name,
-                new_model=new_model, outcome=outcome, invalidated_keys=invalidated,
+        def action(outcome: str, new_model: Optional[str]) -> Tuple[str, Dict[str, object]]:
+            return outcome, dict(
+                replica=instance.instance_id, violations=violations, drift=drift,
+                old_model=deployment.model_name, new_model=new_model,
+                invalidated_keys=invalidated,
             )
 
         try:
@@ -393,7 +372,7 @@ class AdaptiveController:
         except ModelSelectionError:
             if self.offload is None:
                 self.stats.exhausted += 1
-                return event(None, "exhausted")
+                return action("exhausted", None)
             plan = self._offload_plan(openei, policy)
             if deployment.mode == "cloud" and plan.model_name == deployment.model_name:
                 # the SLO is still violated but the cloud is already the
@@ -411,7 +390,7 @@ class AdaptiveController:
         # fresh model is judged on its own window, not its predecessor's
         self.fleet.deployments.put(new_deployment)
         self.telemetry.reset(policy.scenario, policy.algorithm, instance.instance_id)
-        return event(new_deployment.model_name, outcome)
+        return action(outcome, new_deployment.model_name)
 
     @staticmethod
     def _apply_drift(
@@ -478,5 +457,4 @@ class AdaptiveController:
                 ],
                 **self.stats.as_dict(),
                 "deployments": [d.as_dict() for d in self.deployments()],
-                "recent_events": [e.as_dict() for e in list(self.events)[-10:]],
             }

@@ -257,11 +257,6 @@ class SelectionCache:
         # lint: ignore[mutable-return] deliberate live view — callers read counters, snapshots go through as_dict()
         return self._cache.stats
 
-    @property
-    def hit_rate(self) -> float:
-        """Convenience mirror of ``stats.hit_rate``."""
-        return self._cache.stats.hit_rate
-
     def describe(self) -> Dict[str, object]:
         """Status summary (surfaced by fleet ``/ei_status``)."""
         return self._cache.describe()

@@ -24,25 +24,54 @@ promote          :meth:`DeploymentTable.promote` (fresh records in, canary
 Records are immutable, so a request that resolved its record keeps a
 consistent view while a transition installs the next one, and nothing
 handed out can be edited behind the table's lock.
+
+Each transition is then told once, through :meth:`DeploymentTable.emit`:
+one :class:`ControlEvent` is kept in the fleet's bounded ring (what
+``/ei_status`` lists as ``recent_events``) and, when its kind is a
+journaled type, written to the
+:class:`~repro.core.wal.ControlPlaneJournal` that recovery replays.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.alem import ALEM
 from repro.core.openei import BatchAlgorithmHandler, OpenEI
 from repro.core.registry import ModelVersion
+from repro.core.wal import ControlPlaneJournal
 from repro.exceptions import ResourceNotFoundError
 from repro.nn.model import Sequential
 from repro.serving.telemetry import OBSERVED_ALEM_KEY
 
-#: Recent transitions each control loop keeps for ``/ei_status``.
-MAX_EVENTS = 128
+#: Recent transitions the fleet keeps, and ``/ei_status`` lists.
+MAX_EVENTS = 20
+
+
+@dataclass(frozen=True, slots=True)
+class ControlEvent:
+    """One control-plane transition, as listed, journaled and replayed.
+
+    ``kind`` is the journal's event type for a journaled transition
+    (``deploy``, ``lease``, ``promote``, ...) and a status-only name
+    otherwise (``canary``, ``healthy``, ``reselected``, ``offloaded``,
+    ``exhausted``, ``promote-failed``).  ``fields`` are the transition's
+    own facts: the version it moved, the replica, the violated axes.
+    """
+
+    kind: str
+    scenario: Optional[str]
+    algorithm: Optional[str]
+    fields: Dict[str, object]
+
+    def as_dict(self) -> Dict[str, object]:
+        return {"kind": self.kind, "scenario": self.scenario, "algorithm": self.algorithm,
+                **self.fields}
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,6 +135,7 @@ class DeploymentTable:
         self._fleet = fleet
         self._lock = threading.Lock()
         self._records: Dict[Tuple[str, str], Dict[str, Deployment]] = {}  # guarded-by: _lock
+        self._events: Deque[ControlEvent] = deque(maxlen=MAX_EVENTS)  # guarded-by: _lock
 
     # -- reading -----------------------------------------------------------------
     def get(self, scenario: str, algorithm: str, instance_id: str) -> Deployment:
@@ -126,6 +156,11 @@ class DeploymentTable:
         """Every key's records, keys sorted (what ``/ei_status`` reports)."""
         with self._lock:
             return {key: list(table.values()) for key, table in sorted(self._records.items())}
+
+    def recent_events(self) -> List[ControlEvent]:
+        """The newest :data:`MAX_EVENTS` transitions, oldest first."""
+        with self._lock:
+            return list(self._events)
 
     def serves_everywhere(self, scenario: str, algorithm: str, fingerprint: str) -> bool:
         """Whether every fleet replica already serves the version ``fingerprint``."""
@@ -160,6 +195,27 @@ class DeploymentTable:
                 if record.canary:
                     table[instance_id] = replace(record, canary=False)
             return sorted(table)
+
+    def emit(
+        self,
+        kind: str,
+        scenario: Optional[str],
+        algorithm: Optional[str],
+        journal: Optional[ControlPlaneJournal] = None,
+        **fields: object,
+    ) -> ControlEvent:
+        """Record one transition: keep it in the ring and, when ``journal``
+        is given and ``kind`` is a journaled type, write it to the WAL.
+
+        Callers emit outside their own locks, at the point the transition's
+        write-ahead ordering puts its journal record (docs/DURABILITY.md).
+        """
+        event = ControlEvent(kind, scenario, algorithm, fields)
+        with self._lock:
+            self._events.append(event)
+        if journal is not None and kind in ControlPlaneJournal.EVENT_TYPES:
+            journal.append(kind, scenario=scenario, algorithm=algorithm, **fields)
+        return event
 
     # -- serving -----------------------------------------------------------------
     def _instance_id(self, openei: OpenEI) -> str:

@@ -222,6 +222,7 @@ class EdgeFleet:
             "telemetry": self.telemetry.describe() if self.telemetry is not None else None,
             "adaptive": self.adaptive.describe() if self.adaptive is not None else None,
             "rollout": self.rollout.describe() if self.rollout is not None else None,
+            "recent_events": [e.as_dict() for e in self.deployments.recent_events()],
             "instances": [instance.describe() for instance in self._instances],
         }
 

@@ -5,23 +5,26 @@ table, empty telemetry windows, no calibration, no rollout claims.  This module
 turns the :class:`~repro.core.wal.ControlPlaneJournal` (plus the blob
 store behind :meth:`~repro.core.registry.ModelRegistry.recover`) into
 the pre-crash control state by a single left-to-right reduction over
-the journal:
+the journal, decoded into the same
+:class:`~repro.serving.deployments.ControlEvent` records the live
+controllers emit:
 
 * the last ``telemetry-window`` snapshot per key (not erased by a later
   ``telemetry-reset``) is restored into :class:`ALEMTelemetry`;
-* the last ``calibration`` drift per key is restored into the
-  :class:`AdaptiveController`;
-* the last ``rollout-deploy`` / ``rollout-promote`` per
-  ``(scenario, algorithm)`` names the fleet-wide baseline, which is
-  re-deployed through the normal :meth:`RolloutController.deploy` path
-  unless the fleet's :class:`~repro.serving.deployments.DeploymentTable`
-  says every replica already serves it;
-* an *open* ``rollout-lease`` — one with no later release, promote or
-  rollback — is adjudicated against its journaled ``expires_at``: an
-  unexpired lease **resumes** (the recovered controller re-runs
-  :meth:`RolloutController.begin` with the journaled policy and canary,
-  taking a fresh lease), an expired one is **released** with a journaled
-  ``rollout-lease-released`` event and the fleet stays on the baseline.
+* the last ``calibration`` drift per key (not cleared by a later
+  ``calibration-reset``) is restored into the :class:`AdaptiveController`;
+* the last ``deploy`` / ``promote`` per ``(scenario, algorithm)`` names
+  the fleet-wide baseline, which is re-deployed through the normal
+  :meth:`RolloutController.deploy` path unless the fleet's
+  :class:`~repro.serving.deployments.DeploymentTable` says every replica
+  already serves it;
+* an *open* ``lease`` — one no later ``lease-released``, ``promote``,
+  ``rollback`` or ``deploy`` resolved — is adjudicated against its
+  journaled ``expires_at``: an unexpired lease **resumes** (the recovered
+  controller re-runs :meth:`RolloutController.begin` with the journaled
+  policy and canary, taking a fresh lease), an expired one is
+  **released** with a journaled ``lease-released`` event and the fleet
+  stays on the baseline.
 
 Every step is idempotent: recovering twice (the supervisor runs recovery
 on :meth:`~repro.serving.supervisor.GatewaySupervisor.start` *and* every
@@ -38,7 +41,18 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.registry import ModelRegistry
 from repro.core.wal import ControlPlaneJournal
 from repro.exceptions import ConfigurationError, ResourceNotFoundError
+from repro.serving.deployments import ControlEvent
 from repro.serving.rollout import RolloutController, RolloutPolicy
+
+#: Journaled kinds that name the fleet-wide baseline.
+_BASELINES = frozenset((ControlPlaneJournal.ROLLOUT_DEPLOY, ControlPlaneJournal.ROLLOUT_PROMOTE))
+
+#: Journaled kinds that resolve an open lease (a deploy supersedes it,
+#: exactly as :meth:`RolloutController.deploy` drops the active claim).
+_RESOLVES_LEASE = _BASELINES | {
+    ControlPlaneJournal.ROLLOUT_ROLLBACK,
+    ControlPlaneJournal.ROLLOUT_LEASE_RELEASED,
+}
 
 
 @dataclass
@@ -60,49 +74,45 @@ class RecoveryReport:
         return asdict(self)
 
 
-def _reduce(events: List[Dict[str, object]]):
+def _decode(record: Dict[str, object]) -> ControlEvent:
+    """One journal record as the event that wrote it."""
+    fields = {k: v for k, v in record.items() if k not in ("type", "ts", "scenario", "algorithm")}
+    return ControlEvent(record["type"], record.get("scenario"), record.get("algorithm"), fields)
+
+
+def _forget(state: Dict[Tuple[str, str, str], object], *wanted: Optional[str]) -> None:
+    """Drop every key matching ``wanted`` (``None`` matches anything)."""
+    for key in [k for k in state if all(w is None or w == h for w, h in zip(wanted, k))]:
+        del state[key]
+
+
+def _reduce(events: List[ControlEvent]):
     """Fold the journal into last-writer-wins control state.
 
     Returns ``(snapshots, calibrations, baselines, leases)`` keyed by
     ``(scenario, algorithm, replica)`` / ``(scenario, algorithm)``.
+    ``registry-publish`` events belong to :meth:`ModelRegistry.recover`.
     """
     snapshots: Dict[Tuple[str, str, str], Dict[str, object]] = {}
     calibrations: Dict[Tuple[str, str, str], float] = {}
-    baselines: Dict[Tuple[str, str], Dict[str, object]] = {}
-    leases: Dict[Tuple[str, str], Dict[str, object]] = {}
+    baselines: Dict[Tuple[str, str], ControlEvent] = {}
+    leases: Dict[Tuple[str, str], ControlEvent] = {}
     for event in events:
-        kind = event.get("type")
+        kind, fields, pair = event.kind, event.fields, (event.scenario, event.algorithm)
         if kind == ControlPlaneJournal.TELEMETRY_WINDOW:
-            key = (event["scenario"], event["algorithm"], event["replica"])
-            snapshots[key] = event
+            snapshots[(*pair, fields["replica"])] = fields
         elif kind == ControlPlaneJournal.TELEMETRY_RESET:
-            scenario, algorithm = event["scenario"], event["algorithm"]
-            replica = event.get("replica")
-            for key in list(snapshots):
-                if key[0] == scenario and key[1] == algorithm and (
-                    replica is None or key[2] == replica
-                ):
-                    del snapshots[key]
+            _forget(snapshots, *pair, fields.get("replica"))
         elif kind == ControlPlaneJournal.CALIBRATION:
-            key = (event["scenario"], event["algorithm"], event["replica"])
-            calibrations[key] = float(event["drift"])
-        elif kind == ControlPlaneJournal.ROLLOUT_DEPLOY:
-            pair = (event["scenario"], event["algorithm"])
-            baselines[pair] = event
-            # an explicit deploy supersedes whatever rollout was in
-            # flight, exactly as deploy() drops the active claim
-            leases.pop(pair, None)
+            calibrations[(*pair, fields["replica"])] = float(fields["drift"])
+        elif kind == ControlPlaneJournal.CALIBRATION_RESET:
+            _forget(calibrations, *pair)
         elif kind == ControlPlaneJournal.ROLLOUT_LEASE:
-            leases[(event["scenario"], event["algorithm"])] = event
-        elif kind == ControlPlaneJournal.ROLLOUT_LEASE_RELEASED:
-            leases.pop((event["scenario"], event["algorithm"]), None)
-        elif kind == ControlPlaneJournal.ROLLOUT_PROMOTE:
-            pair = (event["scenario"], event["algorithm"])
-            baselines[pair] = event
+            leases[pair] = event
+        elif kind in _RESOLVES_LEASE:
             leases.pop(pair, None)
-        elif kind == ControlPlaneJournal.ROLLOUT_ROLLBACK:
-            leases.pop((event["scenario"], event["algorithm"]), None)
-        # REGISTRY_PUBLISH events belong to ModelRegistry.recover()
+            if kind in _BASELINES:
+                baselines[pair] = event
     return snapshots, calibrations, baselines, leases
 
 
@@ -125,7 +135,7 @@ def recover_control_plane(
     has passed its ``expires_at``: the same clock the rollout controller
     stamped it with.
     """
-    events = journal.replay()
+    events = [_decode(record) for record in journal.replay()]
     report = RecoveryReport(events_replayed=len(events))
     snapshots, calibrations, baselines, leases = _reduce(events)
 
@@ -157,54 +167,46 @@ def recover_control_plane(
         return report
 
     for (scenario, algorithm), baseline in sorted(baselines.items()):
+        fields = baseline.fields
         if rollout.in_flight(scenario, algorithm):
             # a live canary explains why the fleet is not uniformly on the
             # baseline; deploying now would stomp the claim mid-rollout
             continue
-        if fleet.deployments.serves_everywhere(scenario, algorithm, baseline["fingerprint"]):
+        if fleet.deployments.serves_everywhere(scenario, algorithm, fields["fingerprint"]):
             continue
-        rollout.deploy(
-            scenario, algorithm, baseline["name"], version=int(baseline["version"])
-        )
-        report.deployed.append(str(baseline["ref"]))
+        rollout.deploy(scenario, algorithm, fields["name"], version=int(fields["version"]))
+        report.deployed.append(str(fields["ref"]))
 
     for (scenario, algorithm), lease in sorted(leases.items()):
+        fields = lease.fields
         if rollout.in_flight(scenario, algorithm):
             continue  # a previous recovery pass (or live traffic) re-claimed it
-        if float(lease["expires_at"]) <= fleet.clock.wall():
+        if float(fields["expires_at"]) <= fleet.clock.wall():
             # the crashed holder sat on the claim past its TTL: release it
-            # durably and leave the fleet on the baseline — satellite fix
-            # for the claim leaked between begin() and the first check()
-            journal.append(
-                ControlPlaneJournal.ROLLOUT_LEASE_RELEASED,
-                scenario=scenario,
-                algorithm=algorithm,
-                ref=lease["ref"],
-                canary=lease["canary"],
-                reason="lease-expired",
-            )
+            # durably and leave the fleet on the baseline, instead of
+            # leaking the claim made between begin() and the first check()
+            reason = "lease-expired"
             report.leases_expired += 1
-            continue
-        try:
-            rollout.begin(
-                scenario,
-                algorithm,
-                version=int(lease["version"]),
-                canary=str(lease["canary"]),
-                policy=RolloutPolicy.from_dict(dict(lease["policy"])),
-            )
-            report.leases_resumed += 1
-        except (ConfigurationError, ResourceNotFoundError) as exc:
-            # the journaled canary no longer exists, or the target already
-            # serves: the lease cannot be resumed in this fleet, so it is
-            # released rather than left to block every future rollout
-            journal.append(
-                ControlPlaneJournal.ROLLOUT_LEASE_RELEASED,
-                scenario=scenario,
-                algorithm=algorithm,
-                ref=lease["ref"],
-                canary=lease["canary"],
-                reason=f"unresumable: {type(exc).__name__}",
-            )
-            report.leases_released += 1
+        else:
+            try:
+                rollout.begin(
+                    scenario,
+                    algorithm,
+                    version=int(fields["version"]),
+                    canary=str(fields["canary"]),
+                    policy=RolloutPolicy.from_dict(dict(fields["policy"])),
+                )
+                report.leases_resumed += 1
+                continue
+            except (ConfigurationError, ResourceNotFoundError) as exc:
+                # the journaled canary no longer exists, or the target
+                # already serves: the lease cannot be resumed in this
+                # fleet, so it is released rather than left to block
+                # every future rollout
+                reason = f"unresumable: {type(exc).__name__}"
+                report.leases_released += 1
+        fleet.deployments.emit(
+            ControlPlaneJournal.ROLLOUT_LEASE_RELEASED, scenario, algorithm, journal,
+            ref=fields["ref"], canary=fields["canary"], reason=reason,
+        )
     return report

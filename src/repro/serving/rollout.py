@@ -34,21 +34,23 @@ every replica currently serves for a ``(scenario, algorithm)``):
 
 Transfer costs are accounted per replica against what it already held
 (:meth:`~repro.core.registry.ModelRegistry.delta_bytes`), so rollout
-events report how many bytes the version push actually moved.
+events report how many bytes the version push actually moved.  Every
+transition is one :class:`~repro.serving.deployments.ControlEvent`,
+emitted through the table: kept for ``/ei_status``, journaled when
+durable, and returned to the caller.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.alem import ALEM, ALEMRequirement
 from repro.core.registry import ModelRegistry, ModelVersion
 from repro.core.wal import ControlPlaneJournal
 from repro.exceptions import ConfigurationError, ResourceNotFoundError
-from repro.serving.deployments import MAX_EVENTS, Deployment
+from repro.serving.deployments import ControlEvent, Deployment
 from repro.serving.telemetry import ALEMTelemetry
 
 #: TTL of a canary claim, on the fleet's wall clock: a crashed process
@@ -90,35 +92,6 @@ class RolloutPolicy:
             min_samples=int(record["min_samples"]),
             healthy_checks=int(record["healthy_checks"]),
         )
-
-
-@dataclass(frozen=True)
-class RolloutEvent:
-    """One state transition of a rollout."""
-
-    kind: str                    # "deploy" | "canary" | "healthy" | "promote" |
-                                 # "rollback" | "canary-failed" | "promote-failed"
-    scenario: str
-    algorithm: str
-    ref: str
-    instance_ids: Tuple[str, ...]
-    transfer_bytes: int = 0
-    violations: Dict[str, float] = field(default_factory=dict)
-    samples: int = 0
-    error: str = ""              # "<ExcType>: <message>" for *-failed events
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "scenario": self.scenario,
-            "algorithm": self.algorithm,
-            "ref": self.ref,
-            "instances": list(self.instance_ids),
-            "transfer_bytes": self.transfer_bytes,
-            "violations": dict(self.violations),
-            "samples": self.samples,
-            "error": self.error,
-        }
 
 
 @dataclass
@@ -179,7 +152,6 @@ class RolloutController:
             )
         self.telemetry = telemetry
         self.stats = RolloutStats()  # guarded-by: _lock
-        self.events: Deque[RolloutEvent] = deque(maxlen=MAX_EVENTS)  # guarded-by: _lock
         self._lock = threading.RLock()
         self._rollouts: Dict[Tuple[str, str], _ActiveRollout] = {}  # guarded-by: _lock
         fleet.rollout = self
@@ -217,16 +189,14 @@ class RolloutController:
             canary=canary,
         )
 
-    def _log(  # requires-lock: _lock
-        self, kind: str, key: Tuple[str, str], ref: str, instance_ids, **details
-    ) -> RolloutEvent:
-        """Append one transition to the event log and hand it back."""
-        event = RolloutEvent(
-            kind=kind, scenario=key[0], algorithm=key[1], ref=ref,
-            instance_ids=tuple(instance_ids), **details,
+    def _emit(
+        self, kind: str, key: Tuple[str, str], target: ModelVersion, **fields
+    ) -> ControlEvent:
+        """Emit one transition of ``target``'s rollout through the table."""
+        return self.fleet.deployments.emit(
+            kind, *key, self.journal, name=target.name, version=target.version,
+            ref=target.ref, fingerprint=target.fingerprint, **fields,
         )
-        self.events.append(event)
-        return event
 
     def _held(self, key: Tuple[str, str]) -> Dict[str, Deployment]:
         """What each replica serves for ``key`` right now, by replica id."""
@@ -288,19 +258,10 @@ class RolloutController:
             self._rollouts.pop(key, None)
             self.stats.deploys += 1
             self.stats.bytes_transferred += moved
-            self._log("deploy", key, target.ref, sorted(table), transfer_bytes=moved)
-        if self.journal is not None:
-            # journaled before deploy() returns: an acknowledged baseline
-            # survives a crash, and recovery re-deploys the same version
-            self.journal.append(
-                ControlPlaneJournal.ROLLOUT_DEPLOY,
-                scenario=scenario,
-                algorithm=algorithm,
-                name=target.name,
-                version=target.version,
-                ref=target.ref,
-                fingerprint=target.fingerprint,
-            )
+        # journaled before deploy() returns: an acknowledged baseline
+        # survives a crash, and recovery re-deploys the same version
+        self._emit(ControlPlaneJournal.ROLLOUT_DEPLOY, key, target,
+                   instances=sorted(table), transfer_bytes=moved)
         self._refresh_zoo(target)
         self.fleet.deployments.serve(scenario, algorithm)
         return list(table.values())
@@ -324,15 +285,15 @@ class RolloutController:
         canary: Optional[str] = None,
         policy: Optional[RolloutPolicy] = None,
         validate: bool = True,
-    ) -> RolloutEvent:
+    ) -> ControlEvent:
         """Stage the candidate version on one canary replica.
 
         ``version=None`` stages the latest registry version of the name
         the baseline serves; ``canary=None`` picks the first replica.
         ``validate=True`` (default) shape-checks the candidate before it
-        is staged: a rejected artifact records a ``canary-failed`` event,
-        releases the rollout claim, and raises ``AnalysisError`` — the
-        fleet keeps serving the baseline.
+        is staged: a rejected artifact releases the rollout claim with a
+        ``lease-released`` event carrying the error, and raises
+        ``AnalysisError`` — the fleet keeps serving the baseline.
         """
         key = (scenario, algorithm)
         policy = policy or RolloutPolicy()
@@ -383,21 +344,11 @@ class RolloutController:
         # a process killed between here and the first check() leaves a
         # journaled lease for recovery to adjudicate (resume while the TTL
         # holds, release after it) instead of a silently leaked claim
-        if self.journal is not None:
-            self.journal.append(
-                ControlPlaneJournal.ROLLOUT_LEASE,
-                scenario=scenario,
-                algorithm=algorithm,
-                name=target.name,
-                version=target.version,
-                ref=target.ref,
-                fingerprint=target.fingerprint,
-                canary=canary,
-                baseline_ref=baseline_ref,
-                policy=policy.as_dict(),
-                granted_at=claim.granted_at,
-                expires_at=claim.expires_at,
-            )
+        self._emit(
+            ControlPlaneJournal.ROLLOUT_LEASE, key, target, canary=canary,
+            baseline_ref=baseline_ref, policy=policy.as_dict(),
+            granted_at=claim.granted_at, expires_at=claim.expires_at,
+        )
         # pull + profile outside the lock: staging must not stall the
         # control loop for an artifact deserialization
         try:
@@ -411,33 +362,18 @@ class RolloutController:
             entry = self._make_entry(key, instance, target, canary=True)
         except Exception as exc:
             # a failed staging must leave a trace operators can find:
-            # count it, log the canary-failed event, release the claim,
-            # and only then re-raise to the caller
+            # count it, release the claim, emit the release carrying the
+            # error (journaled, so recovery never resumes a lease whose
+            # staging already failed in this life), and only then re-raise
             with self._lock:
                 self.stats.failures += 1
-                self.events.append(
-                    RolloutEvent(
-                        kind="canary-failed",
-                        scenario=scenario,
-                        algorithm=algorithm,
-                        ref=target.ref,
-                        instance_ids=(canary,),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
                 if self._rollouts.get(key) is claim:  # release the claim; nothing was staged
                     del self._rollouts[key]
-            if self.journal is not None:
-                # the release is journaled too, so recovery never resumes
-                # a lease whose staging already failed in this life
-                self.journal.append(
-                    ControlPlaneJournal.ROLLOUT_LEASE_RELEASED,
-                    scenario=scenario,
-                    algorithm=algorithm,
-                    ref=target.ref,
-                    canary=canary,
-                    reason=f"staging-failed: {type(exc).__name__}",
-                )
+            self._emit(
+                ControlPlaneJournal.ROLLOUT_LEASE_RELEASED, key, target, canary=canary,
+                reason=f"staging-failed: {type(exc).__name__}",
+                error=f"{type(exc).__name__}: {exc}",
+            )
             raise
         with self._lock:
             # rollback restores whatever the replica served at swap time
@@ -447,14 +383,14 @@ class RolloutController:
             claim.stage = "canary"
             self.stats.canaries += 1
             self.stats.bytes_transferred += moved
-            event = self._log("canary", key, target.ref, (canary,), transfer_bytes=moved)
+        event = self._emit("canary", key, target, canary=canary, transfer_bytes=moved)
         # judge the canary on its own observations, not its predecessor's
         self.telemetry.reset(scenario, algorithm, canary)
         return event
 
-    def step(self) -> List[RolloutEvent]:
+    def step(self) -> List[ControlEvent]:
         """One control cycle over every in-flight canary."""
-        events: List[RolloutEvent] = []
+        events: List[ControlEvent] = []
         with self._lock:
             keys = [k for k, r in self._rollouts.items() if r.stage == "canary"]
         for scenario, algorithm in keys:
@@ -463,7 +399,7 @@ class RolloutController:
                 events.append(event)
         return events
 
-    def check(self, scenario: str, algorithm: str) -> Optional[RolloutEvent]:
+    def check(self, scenario: str, algorithm: str) -> Optional[ControlEvent]:
         """Evaluate one canary window; promote, roll back, or keep watching."""
         key = (scenario, algorithm)
         with self._lock:
@@ -493,13 +429,10 @@ class RolloutController:
                     return None
                 active.healthy_streak += 1
                 promote_now = active.healthy_streak >= policy.healthy_checks
-                if not promote_now:
-                    event = self._log(
-                        "healthy", key, active.target.ref, (canary_id,),
-                        samples=window.count("latency_s"),
-                    )
             if promote_now:
                 return self._promote(key, active)
+            event = self._emit("healthy", key, active.target, canary=canary_id,
+                               samples=window.count("latency_s"))
             # each healthy check must stand on a fresh window: clear so the
             # next check cannot be satisfied by the samples just judged
             self.telemetry.reset(scenario, algorithm, canary_id)
@@ -510,13 +443,13 @@ class RolloutController:
             with self._lock:
                 active.judging = False
 
-    def promote(self, scenario: str, algorithm: str) -> RolloutEvent:
+    def promote(self, scenario: str, algorithm: str) -> ControlEvent:
         """Promote the in-flight canary fleet-wide immediately (operator override)."""
         with self._lock:
             active = self._require_active(scenario, algorithm)
         return self._promote((scenario, algorithm), active)
 
-    def rollback(self, scenario: str, algorithm: str) -> RolloutEvent:
+    def rollback(self, scenario: str, algorithm: str) -> ControlEvent:
         """Roll the in-flight canary back to the baseline (operator override)."""
         with self._lock:
             active = self._require_active(scenario, algorithm)
@@ -535,7 +468,7 @@ class RolloutController:
             )
         return active
 
-    def _promote(self, key: Tuple[str, str], active: _ActiveRollout) -> RolloutEvent:
+    def _promote(self, key: Tuple[str, str], active: _ActiveRollout) -> ControlEvent:
         scenario, algorithm = key
         target = active.target
         # claim the transition, then build the new entries outside the
@@ -559,40 +492,22 @@ class RolloutController:
                 fresh.append(self._make_entry(key, instance, target))
         except Exception as exc:
             # failed mid-pull: the canary keeps serving, but the aborted
-            # promotion is counted and logged before the error propagates
+            # promotion is counted and emitted before the error propagates
             with self._lock:
                 active.stage = "canary"
                 self.stats.failures += 1
-                self.events.append(
-                    RolloutEvent(
-                        kind="promote-failed",
-                        scenario=scenario,
-                        algorithm=algorithm,
-                        ref=target.ref,
-                        instance_ids=(active.canary_id,),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+            self._emit("promote-failed", key, target, canary=active.canary_id,
+                       error=f"{type(exc).__name__}: {exc}")
             raise
         with self._lock:
             serving = self.fleet.deployments.promote(scenario, algorithm, fresh)
             active.stage = "promoted"
             self.stats.promotions += 1
             self.stats.bytes_transferred += moved
-            event = self._log("promote", key, target.ref, serving, transfer_bytes=moved)
-        if self.journal is not None:
-            # resolves the journaled lease: recovery treats a promote as
-            # both the lease's resolution and the new fleet-wide baseline
-            self.journal.append(
-                ControlPlaneJournal.ROLLOUT_PROMOTE,
-                scenario=scenario,
-                algorithm=algorithm,
-                name=target.name,
-                version=target.version,
-                ref=target.ref,
-                fingerprint=target.fingerprint,
-                canary=active.canary_id,
-            )
+        # resolves the journaled lease: recovery treats a promote as both
+        # the lease's resolution and the new fleet-wide baseline
+        event = self._emit(ControlPlaneJournal.ROLLOUT_PROMOTE, key, target,
+                           canary=active.canary_id, instances=serving, transfer_bytes=moved)
         # the fleet-wide swap starts every replica on a fresh window, and
         # the shared zoo now hands selection consumers the promoted build
         self.telemetry.reset(scenario, algorithm)
@@ -605,7 +520,7 @@ class RolloutController:
         active: _ActiveRollout,
         violations: Dict[str, float],
         samples: int,
-    ) -> Optional[RolloutEvent]:
+    ) -> Optional[ControlEvent]:
         scenario, algorithm = key
         with self._lock:
             if active.stage != "canary":  # raced with a concurrent transition
@@ -614,22 +529,13 @@ class RolloutController:
             self.fleet.deployments.put(baseline)
             active.stage = "rolled-back"
             self.stats.rollbacks += 1
-            event = self._log(
-                "rollback", key, active.target.ref, (active.canary_id,),
-                violations=violations, samples=samples,
-            )
-            baseline_ref = baseline.version.ref
-        if self.journal is not None:
-            # resolves the journaled lease: after a crash the fleet must
-            # come back on the baseline, not retry the rejected canary
-            self.journal.append(
-                ControlPlaneJournal.ROLLOUT_ROLLBACK,
-                scenario=scenario,
-                algorithm=algorithm,
-                ref=active.target.ref,
-                baseline_ref=baseline_ref,
-                canary=active.canary_id,
-            )
+        # resolves the journaled lease: after a crash the fleet must come
+        # back on the baseline, not retry the rejected canary
+        event = self._emit(
+            ControlPlaneJournal.ROLLOUT_ROLLBACK, key, active.target,
+            baseline_ref=baseline.version.ref, canary=active.canary_id,
+            violations=violations, samples=samples,
+        )
         self.telemetry.reset(scenario, algorithm, active.canary_id)
         return event
 
@@ -663,5 +569,4 @@ class RolloutController:
                     }
                     for (scenario, algorithm), active in sorted(self._rollouts.items())
                 },
-                "recent_events": [e.as_dict() for e in list(self.events)[-10:]],
             }

@@ -251,15 +251,6 @@ class ALEMTelemetry:
                 total_observations=window.total_observations,
             )
 
-    def replicas(self, scenario: str, algorithm: str) -> List[str]:
-        """Replica ids with observations for one ``(scenario, algorithm)``."""
-        with self._lock:
-            return sorted(
-                replica
-                for (s, a, replica) in self._windows
-                if s == scenario and a == algorithm
-            )
-
     def observed(self, scenario: str, algorithm: str, replica: str) -> Optional[ALEM]:
         """Windowed-mean ALEM for one key, or ``None`` with no observations."""
         window = self.window(scenario, algorithm, replica)

@@ -86,8 +86,6 @@ def test_consistent_order_is_clean():
                 with lock_b:
                     pass
         watch.assert_clean()
-        graph = watch.graph()
-        assert list(graph.values()) == [[lock_b.site]]
 
 
 def test_reentrant_rlock_is_not_a_self_cycle():
@@ -97,7 +95,6 @@ def test_reentrant_rlock_is_not_a_self_cycle():
             with rlock:
                 pass
         watch.assert_clean()
-        assert watch.graph() == {}
 
 
 def test_hold_budget_violation_reports_site_and_stack():

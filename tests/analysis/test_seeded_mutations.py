@@ -16,6 +16,7 @@ from typing import Set
 
 from repro.analysis import KNOWN_RULE_IDS, run_lint
 import repro.core.openei as openei_module
+import repro.loadgen.harness as harness_module
 import repro.serving.batching as batching_module
 import repro.serving.client as client_module
 import repro.serving.deployments as deployments_module
@@ -233,15 +234,16 @@ def test_or_default_that_unshares_an_empty_zoo_is_caught(tmp_path):
 
 
 @seeds("requires-lock-not-held")
-def test_rollout_event_logged_outside_the_lock_is_caught(tmp_path):
-    # _log appends to the lock-guarded event log and says so in its
-    # contract; a deploy that logs after releasing the lock breaks it
+def test_stats_bucket_fetched_outside_the_lock_is_caught(tmp_path):
+    # _bucket creates a per-scenario entry in the lock-guarded stats map
+    # and says so in its contract; a success() that fetches it after
+    # releasing the lock breaks it
     return _mutate(
-        rollout_module,
-        "            self.stats.bytes_transferred += moved\n"
-        '            self._log("deploy"',
-        "            self.stats.bytes_transferred += moved\n"
-        '        self._log("deploy"',
+        harness_module,
+        "            self.overall.latencies_s.append(latency_s)\n"
+        "            self._bucket(scenario)",
+        "            self.overall.latencies_s.append(latency_s)\n"
+        "        self._bucket(scenario)",
         tmp_path,
     )
 

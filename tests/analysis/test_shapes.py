@@ -198,9 +198,9 @@ def test_begin_gate_records_canary_failed_and_releases_the_claim():
     with pytest.raises(AnalysisError, match="deploy time"):
         controller.begin(SCENARIO, ALGORITHM, version=2, policy=policy)
 
-    event = controller.events[-1]
-    assert event.kind == "canary-failed"
-    assert "AnalysisError" in event.error
+    event = controller.fleet.deployments.recent_events()[-1]
+    assert event.kind == "lease-released"
+    assert "AnalysisError" in event.fields["error"]
     assert controller.stats.failures == 1
     # the claim was released: a second attempt fails on the gate again,
     # not on "a rollout is already in flight"

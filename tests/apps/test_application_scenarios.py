@@ -64,7 +64,7 @@ def test_flag_suspicious_filters_small_or_dim_objects():
 def test_tracker_follows_ground_truth():
     workload = trajectory_workload(frames=60, frame_size=32, seed=0)
     tracker = ObjectTracker()
-    estimates = tracker.track(workload.frames)
+    estimates = np.array([tracker.update(frame).position.copy() for frame in workload.frames])
     errors = estimates[5:] - workload.positions[5:]
     rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
     assert rmse < 4.0  # within a few pixels after settling
@@ -73,7 +73,8 @@ def test_tracker_follows_ground_truth():
 def test_tracker_prediction_extrapolates_velocity():
     tracker = ObjectTracker()
     workload = trajectory_workload(frames=10, seed=1)
-    tracker.track(workload.frames)
+    for frame in workload.frames:
+        tracker.update(frame)
     state = tracker.state
     prediction = state.predict(2)
     np.testing.assert_allclose(prediction, state.position + 2 * state.velocity)

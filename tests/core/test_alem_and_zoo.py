@@ -27,14 +27,6 @@ def test_alem_as_dict_round_trip():
     assert as_dict == {"accuracy": 0.9, "latency_s": 0.1, "energy_j": 0.5, "memory_mb": 50.0}
 
 
-def test_alem_dominance():
-    better = _alem(accuracy=0.95, latency=0.05, energy=0.4, memory=40.0)
-    worse = _alem()
-    assert better.dominates(worse)
-    assert not worse.dominates(better)
-    assert not better.dominates(better)  # equal on all axes is not strict dominance
-
-
 def test_alem_objective_values_for_all_targets():
     tuple_ = _alem()
     assert tuple_.objective_value(OptimizationTarget.LATENCY) == 0.1
@@ -76,17 +68,6 @@ def test_alem_improvement_over_exact_ties_are_unity():
         "energy": pytest.approx(1.0),
         "memory": pytest.approx(1.0),
     }
-
-
-def test_alem_dominance_with_zero_axes_and_single_axis_ties():
-    free = _alem(accuracy=0.9, latency=0.0, energy=0.0, memory=0.0)
-    costly = _alem(accuracy=0.9, latency=0.1, energy=0.5, memory=50.0)
-    assert free.dominates(costly)
-    assert not costly.dominates(free)
-    # a strict win on exactly one axis with ties elsewhere still dominates
-    slightly_faster = _alem(latency=0.09)
-    assert slightly_faster.dominates(_alem())
-    assert not _alem().dominates(slightly_faster)
 
 
 # -- requirements --------------------------------------------------------------------
@@ -132,15 +113,13 @@ def test_violations_exact_boundary_is_satisfied():
 
 # -- model zoo ------------------------------------------------------------------------
 
-def test_zoo_register_get_remove():
+def test_zoo_register_get():
     zoo = ModelZoo()
     model = build_mlp(4, 2, hidden=(4,), seed=0, name="tiny")
     entry = zoo.register("tiny", model, task="tabular", input_shape=(4,), optimizations=("int8",))
     assert "tiny" in zoo and len(zoo) == 1
     assert zoo.get("tiny") is entry
     assert entry.optimizations == ("int8",)
-    zoo.remove("tiny")
-    assert "tiny" not in zoo
 
 
 def test_zoo_filters_by_task_and_scenario():

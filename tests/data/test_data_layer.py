@@ -126,7 +126,7 @@ def test_sensor_invalid_period():
 def test_store_capture_and_realtime():
     store = EdgeDataStore()
     store.register_sensor(CameraSensor(sensor_id="cam", seed=0))
-    readings = store.capture("cam", count=3)
+    readings = store.realtime_batch(["cam"] * 3)
     assert len(readings) == 3
     newest = store.realtime("cam")
     assert newest.timestamp > readings[-1].timestamp - 1e-9
@@ -158,7 +158,7 @@ def test_store_retention_evicts_oldest():
 def test_store_series_is_a_bounded_deque_and_capture_respects_retention():
     store = EdgeDataStore(retention=4)
     store.register_sensor(PowerMeterSensor(sensor_id="meter", seed=0))
-    captured = store.capture("meter", count=7)
+    captured = store.realtime_batch(["meter"] * 7)
     assert store.count("meter") == 4
     assert store.historical("meter", start=0.0) == captured[-4:]
     assert store.realtime("meter").timestamp == captured[-1].timestamp + 60.0
@@ -202,7 +202,7 @@ def test_store_readers_walk_a_snapshot_of_the_series():
 
     store.record(RecordsWhenRead())
     store.register_sensor(meter)
-    store.capture("meter", count=3)
+    store.realtime_batch(["meter"] * 3)
     assert len(store.historical("meter", start=0.0)) == 3
     assert store.total_bytes("meter") == 5 * 8
     assert store.total_bytes() == 6 * 8
@@ -215,8 +215,6 @@ def test_store_unknown_sensor_raises():
         store.realtime("ghost")
     with pytest.raises(ResourceNotFoundError):
         store.historical("ghost", 0.0)
-    with pytest.raises(ResourceNotFoundError):
-        store.capture("ghost")
 
 
 # -- workloads ---------------------------------------------------------------------

@@ -50,12 +50,6 @@ def test_get_unknown_name_raises():
         initializers.get("not-an-initializer")
 
 
-def test_available_lists_all():
-    names = initializers.available()
-    assert "glorot_uniform" in names and "zeros" in names
-    assert names == tuple(sorted(names))
-
-
 def test_deterministic_given_seeded_generator():
     a = initializers.glorot_uniform((4, 4), np.random.default_rng(7))
     b = initializers.glorot_uniform((4, 4), np.random.default_rng(7))

@@ -137,12 +137,6 @@ def test_make_images_has_spatial_structure():
     assert ds.x_train.shape[1:] == (8, 8, 1)
 
 
-def test_dataset_subset():
-    ds = make_blobs(samples=100, features=4, classes=2, seed=0)
-    small = ds.subset(20)
-    assert len(small.x_train) == 20
-
-
 def test_personalized_shift_changes_distribution():
     base = make_blobs(samples=100, features=6, classes=3, seed=0)
     shifted = make_personalized_shift(base, shift=3.0, samples=50, seed=1)

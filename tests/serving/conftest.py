@@ -11,6 +11,8 @@ runs pay zero overhead.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.analysis import lockwatch
@@ -18,9 +20,10 @@ from repro.analysis import lockwatch
 
 @pytest.fixture(autouse=True)
 def _lockwatch_guard():
-    if not lockwatch.enabled_from_env():
+    if os.environ.get("REPRO_LOCKWATCH") != "1":
         yield
         return
-    with lockwatch.watched(budget_s=lockwatch.budget_from_env()) as watch:
+    budget_s = float(os.environ.get("REPRO_LOCKWATCH_BUDGET_S") or 1.0)
+    with lockwatch.watched(budget_s=budget_s) as watch:
         yield
     watch.assert_clean()

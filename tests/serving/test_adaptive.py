@@ -7,7 +7,7 @@ import pytest
 from repro.clock import SYSTEM_CLOCK, ManualClock
 from repro.collaboration import CloudOffloadPlanner, CloudSimulator
 from repro.core.alem import ALEMRequirement, OptimizationTarget
-from repro.exceptions import ConfigurationError, ResourceNotFoundError
+from repro.exceptions import ConfigurationError, ModelSelectionError, ResourceNotFoundError
 from repro.hardware.device import LAN_LINK
 from repro.serving import (
     ALEMTelemetry,
@@ -104,14 +104,14 @@ def test_slowdown_triggers_cache_invalidation_and_reselection(image_zoo):
     events = controller.check_all()
     assert len(events) == 1
     event = events[0]
-    assert event.outcome == "reselected"
-    assert event.old_model == "vgg-0.5x"
+    assert event.kind == "reselected"
+    assert event.fields["old_model"] == "vgg-0.5x"
     # the most accurate model that still fits the SLO at 1.5x drift
-    assert event.new_model == "lenet"
-    assert event.drift == pytest.approx(1.5, rel=0.01)
-    assert "latency" in event.violations
+    assert event.fields["new_model"] == "lenet"
+    assert event.fields["drift"] == pytest.approx(1.5, rel=0.01)
+    assert "latency" in event.fields["violations"]
     # the stale analytic selection for this device/task was dropped
-    assert event.invalidated_keys >= 1
+    assert event.fields["invalidated_keys"] >= 1
     assert fleet.selection_cache.stats.invalidations >= 1
     deployment = controller.fleet.deployments.get("safety", "classify", instance.instance_id)
     assert deployment.model_name == "lenet" and deployment.mode == "edge"
@@ -161,8 +161,8 @@ def test_nothing_feasible_without_planner_is_exhausted(image_zoo):
     fleet.instances[0].openei.runtime.set_slowdown(10.0)
     drive(fleet, 4)
     events = controller.check_all()
-    assert [e.outcome for e in events] == ["exhausted"]
-    assert events[0].new_model is None
+    assert [e.kind for e in events] == ["exhausted"]
+    assert events[0].fields["new_model"] is None
     # the deployment is left in place: degraded service beats no service
     assert controller.deployments()[0].model_name == "vgg-0.5x"
     assert controller.stats.exhausted == 1
@@ -174,7 +174,7 @@ def test_nothing_feasible_offloads_to_cloud_and_holds_position(image_zoo):
     fleet.instances[0].openei.runtime.set_slowdown(10.0)
     drive(fleet, 4)
     events = controller.check_all()
-    assert [e.outcome for e in events] == ["offloaded"]
+    assert [e.kind for e in events] == ["offloaded"]
     deployment = controller.deployments()[0]
     assert deployment.mode == "cloud"
     # cloud latency is immune to the edge slowdown
@@ -201,7 +201,7 @@ def test_hold_position_engages_cooldown(image_zoo):
     )
     fleet.instances[0].openei.runtime.set_slowdown(10.0)
     drive(fleet, 4)
-    assert [e.outcome for e in controller.check_all()] == ["offloaded"]
+    assert [e.kind for e in controller.check_all()] == ["offloaded"]
     invalidations = fleet.selection_cache.stats.invalidations
     # the cloud window still violates the SLO, but inside the cooldown the
     # controller must not even attempt the (expensive) re-evaluation
@@ -231,7 +231,7 @@ def test_calibration_reset_enables_failback_from_cloud(image_zoo):
     controller.reset_calibration()
     drive(fleet, 4)  # cloud traffic still violates the latency SLO
     events = controller.check_all()
-    assert [e.outcome for e in events] == ["reselected"]
+    assert [e.kind for e in events] == ["reselected"]
     assert controller.deployments()[0].mode == "edge"
 
 
@@ -240,9 +240,9 @@ def test_rl_warm_start_picks_feasible_model(image_zoo):
     fleet.instances[0].openei.runtime.set_slowdown(1.5)
     drive(fleet, 4)
     events = controller.check_all()
-    assert events[0].outcome == "reselected"
+    assert events[0].kind == "reselected"
     # the bandit explores only the drift-adjusted feasible set
-    assert events[0].new_model in {"lenet", "mobilenet-0.5x"}
+    assert events[0].fields["new_model"] in {"lenet", "mobilenet-0.5x"}
 
 
 # -- wiring and validation ---------------------------------------------------------
@@ -257,7 +257,7 @@ def test_fleet_status_reports_telemetry_and_adaptive(image_zoo):
     adaptive = status["adaptive"]
     assert adaptive["reselections"] == 1
     assert adaptive["deployments"][0]["model"] == "lenet"
-    assert adaptive["recent_events"][0]["outcome"] == "reselected"
+    assert status["recent_events"][-1]["kind"] == "reselected"
     json.dumps(status)  # the whole /ei_status body must serialize
 
 
@@ -278,6 +278,18 @@ def test_controller_validation(image_zoo):
         SLOPolicy("s", "a", None, ALEMRequirement(), cooldown_s=-1.0)
 
 
+def test_failed_add_policy_registers_nothing(image_zoo):
+    """A selection that raises must not leave the policy registered: the
+    retry with a feasible requirement is served, not refused as a duplicate."""
+    fleet, controller = make_controller(image_zoo)
+    infeasible = make_policy(algorithm="detect", requirement=ALEMRequirement(max_latency_s=1e-9))
+    with pytest.raises(ModelSelectionError):
+        controller.add_policy(infeasible)
+    assert fleet.deployments.records("safety", "detect") == []
+    deployments = controller.add_policy(make_policy(algorithm="detect"))
+    assert [d.model_name for d in deployments] == ["vgg-0.5x"]
+
+
 def test_per_replica_isolation_in_heterogeneous_fleet(image_zoo):
     fleet, controller = make_controller(
         image_zoo, devices=("raspberry-pi-4", "jetson-tx2")
@@ -287,7 +299,7 @@ def test_per_replica_isolation_in_heterogeneous_fleet(image_zoo):
     # round-robin alternates, so both replicas fill their windows
     drive(fleet, 8)
     events = controller.check_all()
-    assert [e.instance_id for e in events] == [slow.instance_id]
+    assert [e.fields["replica"] for e in events] == [slow.instance_id]
     # the healthy replica keeps its original deployment
     untouched = controller.fleet.deployments.get("safety", "classify", fast.instance_id)
     assert untouched.reselections == 0
@@ -314,8 +326,8 @@ def test_end_to_end_gateway_recovers_from_mid_stream_slowdown(image_zoo):
             response = client.call_algorithm("safety", "classify", {"seq": i})
             assert response["result"]["observed_alem"]["latency_s"] > MAX_LATENCY_S
         events = controller.check_all()
-        assert [e.outcome for e in events] == ["reselected"]
-        assert events[0].invalidated_keys >= 1
+        assert [e.kind for e in events] == ["reselected"]
+        assert events[0].fields["invalidated_keys"] >= 1
 
         # the same gateway, not restarted, now serves the reselected model
         recovered = []

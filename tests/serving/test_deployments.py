@@ -115,7 +115,7 @@ def test_add_policy_adopts_the_versioned_records_through_canary_and_promote():
             policy=RolloutPolicy(
                 requirement=ALEMRequirement(min_accuracy=0.8), min_samples=3, healthy_checks=2
             ),
-        ).instance_ids[0]
+        ).fields["canary"]
         adaptive_view, rollout_view = views()
         assert adaptive_view == rollout_view
         assert rollout_view[canary_id] == (MODEL, f"{MODEL}@2", True)

@@ -71,6 +71,16 @@ def _serving(fleet):
     return records
 
 
+def _assert_recovery_idempotent(fleet, registry, journal, **controllers) -> None:
+    """A second recovery pass over the same journal restores nothing."""
+    before = fleet.deployments.snapshot()
+    report = recover_control_plane(fleet, registry, journal, **controllers)
+    assert report.deployed == []
+    assert report.leases_resumed == report.leases_expired == report.leases_released == 0
+    assert report.telemetry_restored == report.calibrations_restored == 0
+    assert fleet.deployments.snapshot() == before
+
+
 def _first_life_with_lease(root, clock=SYSTEM_CLOCK) -> str:
     """Publish v1+v2, deploy v1, begin a v2 canary — then 'crash'.
 
@@ -87,7 +97,7 @@ def _first_life_with_lease(root, clock=SYSTEM_CLOCK) -> str:
         policy=RolloutPolicy(min_samples=2, healthy_checks=2),
     )
     journal.close()  # the OS would close the fd on kill -9 anyway
-    return event.instance_ids[0]
+    return event.fields["canary"]
 
 
 def test_unexpired_lease_resumes_the_same_canary(tmp_path):
@@ -111,6 +121,7 @@ def test_unexpired_lease_resumes_the_same_canary(tmp_path):
     for entry in _serving(fleet):
         expected = 2 if entry.instance_id == canary else 1
         assert entry.version.version == expected
+    _assert_recovery_idempotent(fleet, registry, journal, rollout=rollout)
 
 
 def test_expired_lease_is_released_and_fleet_stays_on_baseline(tmp_path):
@@ -132,6 +143,8 @@ def test_expired_lease_is_released_and_fleet_stays_on_baseline(tmp_path):
     _, journal2, registry2, _, fleet2, rollout2 = _life(tmp_path, recovered=True)
     report2 = recover_control_plane(fleet2, registry2, journal2, rollout=rollout2)
     assert report2.leases_resumed == 0 and report2.leases_expired == 0
+    _assert_recovery_idempotent(fleet, registry, journal, rollout=rollout)
+    _assert_recovery_idempotent(fleet2, registry2, journal2, rollout=rollout2)
     journal2.close()
     journal.close()
 
@@ -162,6 +175,7 @@ def test_promoted_rollout_recovers_promoted_with_no_double_promote(tmp_path):
         e.version.version == 2 for e in _serving(fleet2)
     )
     assert rollout2.stats.promotions == 0
+    _assert_recovery_idempotent(fleet2, registry2, journal2, rollout=rollout2)
     journal2.close()
 
 
@@ -192,6 +206,7 @@ def test_rolled_back_rollout_recovers_on_the_baseline(tmp_path):
     assert all(
         e.version.version == 1 for e in _serving(fleet2)
     )
+    _assert_recovery_idempotent(fleet2, registry2, journal2, rollout=rollout2)
     journal2.close()
 
 
@@ -224,6 +239,9 @@ def test_telemetry_windows_recover_but_never_clobber_live_observations(tmp_path)
     assert report2.telemetry_restored == 0
     live = telemetry2.window(SCENARIO, ALGORITHM, "edge-0@raspberry-pi-4")
     assert live.count("latency_s") == before.count("latency_s") + 1
+    _assert_recovery_idempotent(
+        fleet2, registry2, journal2, rollout=rollout2, telemetry=telemetry2
+    )
     journal2.close()
 
 
@@ -278,6 +296,34 @@ def test_calibration_drift_recovers_into_the_adaptive_controller(tmp_path):
         fleet2, registry2, journal2, adaptive=adaptive, telemetry=telemetry2,
     )
     assert report2.calibrations_restored == 0
+    _assert_recovery_idempotent(
+        fleet2, registry2, journal2, adaptive=adaptive, telemetry=telemetry2
+    )
+    journal2.close()
+
+
+def test_calibration_reset_is_not_undone_by_recovery(tmp_path):
+    """Drift an operator cleared stays cleared across a restart."""
+    _, journal, _, telemetry, fleet, _ = _life(tmp_path)
+    adaptive = AdaptiveController(fleet, telemetry=telemetry, journal=journal)
+    for scenario, drift in ((SCENARIO, 2.0), ("home", 3.0)):
+        journal.append(
+            ControlPlaneJournal.CALIBRATION, scenario=scenario, algorithm=ALGORITHM,
+            replica="edge-0@raspberry-pi-4", drift=drift,
+        )
+    adaptive.reset_calibration(SCENARIO)  # the device was serviced
+    journal.close()
+
+    _, journal2, registry2, telemetry2, fleet2, _ = _life(tmp_path, recovered=True)
+    adaptive2 = AdaptiveController(fleet2, telemetry=telemetry2, journal=journal2)
+    report = recover_control_plane(
+        fleet2, registry2, journal2, adaptive=adaptive2, telemetry=telemetry2,
+    )
+    assert report.calibrations_restored == 1
+    assert adaptive2._calibration == {("home", ALGORITHM, "edge-0@raspberry-pi-4"): 3.0}
+    _assert_recovery_idempotent(
+        fleet2, registry2, journal2, adaptive=adaptive2, telemetry=telemetry2
+    )
     journal2.close()
 
 
@@ -298,6 +344,7 @@ def test_lease_for_unknown_canary_is_released_not_fatal(tmp_path):
     assert all(
         e.version.version == 1 for e in _serving(fleet)
     )
+    _assert_recovery_idempotent(fleet, registry, journal, rollout=rollout)
     journal.close()
 
 
@@ -325,4 +372,5 @@ def test_supervisor_runs_recovery_on_start_and_restart(tmp_path):
         assert reports[1].deployed == []
         assert reports[1].leases_resumed == 0
         assert supervisor.describe()["recoveries"] == 2
+    _assert_recovery_idempotent(fleet, registry, journal, rollout=rollout)
     journal.close()

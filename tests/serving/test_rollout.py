@@ -208,7 +208,7 @@ def test_e2e_canary_auto_rollback_on_injected_regression():
     first, second, events, controller, _, status = _run_traffic_script("regression")
 
     assert [e.kind for e in events][-1] == "rollback"
-    assert events[-1].violations  # the confirmed accuracy violation
+    assert events[-1].fields["violations"]  # the confirmed accuracy violation
     assert all(
         e.version.ref == f"{MODEL}@1"
         for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)
@@ -257,7 +257,7 @@ def test_canary_stages_on_exactly_one_replica():
     registry, fleet, controller = _deploy_fleet()
     _publish(registry, accuracy=0.93, scale=1.01, base=f"{MODEL}@1")
     event = controller.begin(SCENARIO, ALGORITHM, policy=_policy())
-    canary_id = event.instance_ids[0]
+    canary_id = event.fields["canary"]
     versions = {e.instance_id: e.version.ref
                 for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
     assert versions[canary_id] == f"{MODEL}@2"
@@ -310,7 +310,7 @@ def test_healthy_checks_each_need_a_fresh_window():
     registry, fleet, controller = _deploy_fleet()
     _publish(registry, accuracy=0.93, scale=1.01, base=f"{MODEL}@1")
     event = controller.begin(SCENARIO, ALGORITHM, policy=_policy())
-    canary_id = event.instance_ids[0]
+    canary_id = event.fields["canary"]
     canary_index = [i.instance_id for i in fleet.instances].index(canary_id)
 
     for _ in range(4):
@@ -334,7 +334,7 @@ def test_canary_on_replica_added_after_deploy():
     _publish(registry, accuracy=0.93, scale=1.01, base=f"{MODEL}@1")
     event = controller.begin(SCENARIO, ALGORITHM, canary=joined.instance_id,
                              policy=_policy())
-    assert event.instance_ids == (joined.instance_id,)
+    assert event.fields["canary"] == joined.instance_id
     versions = {e.instance_id: e.version.ref
                 for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
     assert versions[joined.instance_id] == f"{MODEL}@2"
@@ -351,8 +351,8 @@ def test_rollout_transfer_accounting_uses_deltas():
     full = registry.get(MODEL, 2).size_bytes
     event = controller.begin(SCENARIO, ALGORITHM, policy=_policy())
     # the canary held v1, so only the changed arrays (plus header) travel
-    assert 0 < event.transfer_bytes < full
-    assert event.transfer_bytes == registry.delta_bytes(MODEL, 2, have=f"{MODEL}@1")
+    assert 0 < event.fields["transfer_bytes"] < full
+    assert event.fields["transfer_bytes"] == registry.delta_bytes(MODEL, 2, have=f"{MODEL}@1")
 
 
 def test_fleet_status_surfaces_rollout_block():
@@ -362,7 +362,7 @@ def test_fleet_status_surfaces_rollout_block():
     table = description["serving"][f"{SCENARIO}/{ALGORITHM}"]
     assert len(table) == len(FLEET)
     assert all(entry["version"] == f"{MODEL}@1" for entry in table)
-    assert description["recent_events"][-1]["kind"] == "deploy"
+    assert fleet.describe()["recent_events"][-1]["kind"] == "deploy"
 
 
 def test_handler_runs_payload_through_the_deployed_version():
@@ -376,7 +376,7 @@ def test_handler_runs_payload_through_the_deployed_version():
 
 def test_failed_canary_staging_is_recorded_and_releases_the_claim():
     """A staging failure must leave an operator trail — a counted
-    failure plus a canary-failed event carrying the error — and release
+    failure plus a lease-released event carrying the error — and release
     the rollout claim so a fixed begin() can proceed."""
     registry, fleet, controller = _deploy_fleet()
     _publish(registry, accuracy=0.93, scale=1.01, base=f"{MODEL}@1")
@@ -389,11 +389,12 @@ def test_failed_canary_staging_is_recorded_and_releases_the_claim():
     with pytest.raises(RuntimeError, match="artifact pull interrupted"):
         controller.begin(SCENARIO, ALGORITHM, policy=_policy())
     assert controller.stats.failures == 1
-    event = controller.events[-1]
-    assert event.kind == "canary-failed"
-    assert event.ref == f"{MODEL}@2"
-    assert "RuntimeError: artifact pull interrupted" in event.error
-    assert len(event.instance_ids) == 1
+    event = fleet.deployments.recent_events()[-1]
+    assert event.kind == "lease-released"
+    assert event.fields["reason"] == "staging-failed: RuntimeError"
+    assert event.fields["ref"] == f"{MODEL}@2"
+    assert "RuntimeError: artifact pull interrupted" in event.fields["error"]
+    assert event.fields["canary"] == fleet.instances[0].instance_id
 
     # the claim is gone: a healthy retry stages normally
     controller._make_entry = original_make_entry
@@ -408,7 +409,7 @@ def test_failed_promotion_is_recorded_and_keeps_the_canary_serving():
     registry, fleet, controller = _deploy_fleet()
     _publish(registry, accuracy=0.93, scale=1.01, base=f"{MODEL}@1")
     begin_event = controller.begin(SCENARIO, ALGORITHM, policy=_policy())
-    canary_id = begin_event.instance_ids[0]
+    canary_id = begin_event.fields["canary"]
     original_make_entry = controller._make_entry
 
     def exploding_make_entry(*args, **kwargs):
@@ -418,10 +419,10 @@ def test_failed_promotion_is_recorded_and_keeps_the_canary_serving():
     with pytest.raises(RuntimeError, match="device rejected the artifact"):
         controller.promote(SCENARIO, ALGORITHM)
     assert controller.stats.failures == 1
-    event = controller.events[-1]
+    event = fleet.deployments.recent_events()[-1]
     assert event.kind == "promote-failed"
-    assert event.instance_ids == (canary_id,)
-    assert "RuntimeError: device rejected the artifact" in event.error
+    assert event.fields["canary"] == canary_id
+    assert "RuntimeError: device rejected the artifact" in event.fields["error"]
 
     # the rollout is back in the canary stage: the canary still serves
     # the target version and a retried promote succeeds

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alem import ALEM, ALEMRequirement, OptimizationTarget
+from repro.core.alem import ALEM, ALEMRequirement
 from repro.compression.pruning import magnitude_prune_model, sparsity
 from repro.compression.quantization import quantize_int8_model
 from repro.eialgorithms import build_mlp
@@ -29,16 +29,9 @@ def alem_tuples(draw):
     )
 
 
-@given(alem_tuples(), alem_tuples())
-@settings(max_examples=60, deadline=None)
-def test_dominance_is_antisymmetric(first, second):
-    assert not (first.dominates(second) and second.dominates(first))
-
-
 @given(alem_tuples())
 @settings(max_examples=60, deadline=None)
-def test_dominance_is_irreflexive_and_dict_roundtrip(point):
-    assert not point.dominates(point)
+def test_alem_dict_roundtrip(point):
     rebuilt = ALEM(**{
         "accuracy": point.as_dict()["accuracy"],
         "latency_s": point.as_dict()["latency_s"],
@@ -60,14 +53,6 @@ def test_requirement_violations_consistent_with_satisfaction(
         max_memory_mb=max_memory,
     )
     assert requirement.satisfied_by(point) == (not requirement.violations(point))
-
-
-@given(alem_tuples(), alem_tuples())
-@settings(max_examples=60, deadline=None)
-def test_dominating_point_never_loses_on_any_objective(better, worse):
-    if better.dominates(worse):
-        for target in OptimizationTarget:
-            assert better.objective_value(target) <= worse.objective_value(target)
 
 
 @given(st.floats(min_value=0.0, max_value=0.98), st.integers(min_value=1, max_value=5))

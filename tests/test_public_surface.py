@@ -7,24 +7,27 @@ public module-level class) has to be referenced by name from some
 used in its own module beyond its ``class`` line (a registry such as
 ``ROUTING_POLICIES`` listing it counts).  Tests do not count: surface
 only tests reach is kept alive for its own sake.  Neither do imports
-and ``__all__`` lists: a re-export is not a use.  The exceptions are
-``ALLOWED``, one reason each, naming the paper artefact the entry
-reproduces or the mechanism outside tests that reaches it; an entry
-whose def gains a caller (or goes away) fails too, so the list cannot
-rot.
+and ``__all__`` lists: a re-export is not a use.  Only code counts: a
+name quoted in a docstring, comment or string is not a use either.
+The exceptions are ``ALLOWED``, one reason each, naming the paper
+artefact the entry reproduces or the mechanism outside tests that
+reaches it; an entry whose def gains a caller (or goes away) fails too,
+so the list cannot rot.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import io
 import re
+import tokenize
 from pathlib import Path
-from typing import FrozenSet
+from typing import FrozenSet, Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 SCOPES = ("src", "examples", "bench", "benchmarks")
-WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+STRING_PREFIX = re.compile(r"[A-Za-z]*")
 
 #: ``<path under src/>::<qualname>`` -> the paper artefact it reproduces,
 #: or the mechanism outside tests that reaches it
@@ -35,20 +38,28 @@ ALLOWED = {
     "repro/analysis/interproc.py::blocking_reason": "the one blocking-call classifier; called by both halves of blocking-under-lock",
     "repro/analysis/lint.py::LintReport.warnings": "the CLI summary line counts warnings with it",
     "repro/analysis/lint.py::discover_files": "expands the CLI's paths; called by run_lint",
+    "repro/analysis/lint.py::run_lint": "the engine `python -m repro.analysis.lint` runs (docs/STATIC_ANALYSIS.md); called by lint.main",
+    "repro/analysis/lint.py::load_baseline": "reads the CLI's --baseline file (CI's tests/benchmarks gate); called by lint.main",
+    "repro/analysis/lint.py::write_baseline": "writes analysis-baseline.json for the CLI's --write-baseline; called by lint.main",
     "repro/analysis/lockwatch.py::LockWatch.find_cycle": "the lock-order half of assert_clean",
     "repro/analysis/lockwatch.py::LockWatch.hold_violations": "the hold-budget half of assert_clean",
     "repro/analysis/lockwatch.py::LockWatch.assert_clean": "lockwatch's verdict: raises LockContractError on a lock-order cycle or a hold-budget breach (docs/STATIC_ANALYSIS.md)",
+    "repro/analysis/lockwatch.py::watched": "lockwatch's entry point (docs/STATIC_ANALYSIS.md): swaps in the instrumented Lock/RLock factories for one window",
     "repro/analysis/rules.py::LintContext.enclosing_function": "guarded-by exempts constructors through it",
     "repro/analysis/rules.py::attr_chain": "guarded-by's mutation-target walk",
     "repro/analysis/shapes.py::model_corpus": "the corpus `python -m repro.analysis.shapes` sweeps",
+    "repro/analysis/shapes.py::check_model": "the shape walk validate_model gates publish and deploy on; shapes.main runs it per corpus model",
+    "repro/analysis/shapes.py::ShapeReport.ok": "the verdict validate_model and shapes.main read",
     # the four Section V scenarios: what their libei handlers run
     "repro/apps/connected_health.py::ActivityRecognizer.recognize": "the health handler's per-window fallback for windows of unequal shape (Section V.D)",
     "repro/apps/connected_health.py::ActivityRecognizer.recognize_batch": "the health handler's stacked forward pass (Section V.D)",
     "repro/apps/connected_vehicles.py::ObjectTracker.measure_batch": "the vehicles handler's vectorized centroid measurement (Section V.B)",
+    "repro/apps/connected_vehicles.py::ObjectTracker.fold": "the vehicles handler's in-order Kalman fold over a call's measurements (Section V.B)",
     "repro/apps/connected_vehicles.py::ObjectTracker.update_with_measurement": "the Kalman step ObjectTracker.update runs (Section V.B)",
     "repro/apps/public_safety.py::BlobDetector.detect_batch": "the safety handler's one-pass labeller; detect() and evaluate() wrap it (Section V.A)",
     "repro/apps/smart_home.py::PowerMonitor.infer_batch": "the home handler's vectorized disaggregation; accuracy() uses it (Section V.C)",
     # the clock seam
+    "repro/clock.py::ManualClock": "the injectable time the one clock seam exists for; the bare-clock lint rule names it (repro.clock)",
     "repro/clock.py::ManualClock.advance": "moves the fake clock; ManualClock.sleep is built on it",
     "repro/clock.py::ManualClock.wait_for_waiters": "the fake clock's one ordering point, so time-driven code is driven without sleeps (repro.clock)",
     # collaboration, compression and the EI algorithms
@@ -81,10 +92,15 @@ ALLOWED = {
     "repro/hardware/energy.py::EnergyModel.battery_lifetime_hours": "the E of ALEM turned into battery hours for the catalog's battery-tagged devices",
     "repro/hardware/profiler.py::ALEMProfiler.measure_latency": "the L of ALEM; called by ALEMProfiler.profile",
     "repro/loadgen/harness.py::client_sender": "OpenLoopHarness's carrier over LibEIClient, so replica failover is inside the measured latency",
+    "repro/loadgen/harness.py::OpenLoopHarness": "the arrival-time trace replayer of docs/BENCHMARKS.md; FaultInjector's faults fire on its schedule",
+    "repro/loadgen/trace.py::Trace.save": "writes the trace file format docs/BENCHMARKS.md documents; Trace.load reads it",
     "repro/loadgen/trace.py::constant_trace": "the fixed-rate arrival process of the trace format (docs/BENCHMARKS.md), beside bench's poisson_trace",
     "repro/loadgen/trace.py::Trace.with_faults": "joins a FaultSpec plan to the traffic it replays with; FaultInjector applies it",
     "repro/nn/engine.py::WorkspaceArena.buffer_count": "InferencePlan.describe reports it",
+    "repro/nn/initializers.py::glorot_uniform": "Dense's default weight_init, looked up by name through initializers.get",
+    "repro/nn/initializers.py::he_normal": "Conv2D's default weight_init, looked up by name through initializers.get",
     "repro/nn/layers/conv.py::col2im": "the convolutions' backward pass",
+    "repro/nn/layers/conv.py::im2col": "the convolutions' forward lowering onto GEMM; called by Conv2D.forward",
     "repro/nn/metrics.py::top_k_accuracy": "the recognition A of ALEM the metrics module docstring cites from the paper",
     "repro/nn/metrics.py::iou": "box overlap mean_average_precision matches with",
     "repro/nn/metrics.py::bleu_score": "the A metric the paper names for translation (metrics module docstring)",
@@ -95,13 +111,18 @@ ALLOWED = {
     "repro/runtime/edgeos.py::EdgeRuntime.completed_tasks": "finished count EdgeRuntime.load reads",
     "repro/runtime/migration.py::MigrationPlanner": "computation migration, a running-environment capability of Section IV.C",
     "repro/runtime/migration.py::MigrationPlanner.estimate_remote_seconds": "the remote cost MigrationPlanner.plan compares",
+    "repro/runtime/migration.py::MigrationPlanner.connect": "registers the peers MigrationPlanner.plan chooses among (Section IV.C)",
     # serving
     "repro/serving/adaptive.py::AdaptiveController.reset_calibration": "clears learned drift after a device is serviced; recovery restores drift, so without it the serviced replica never fails back",
     "repro/serving/batching.py::BatchingStats.mean_batch_size": "BatchingStats.as_dict reports it on /ei_status",
+    "repro/serving/cache.py::CacheStats.hit_rate": "CacheStats.as_dict reports it on /ei_status; examples/fleet_gateway.py prints it",
     "repro/serving/cache.py::TTLLRUCache.remove_where": "SelectionCache.invalidate drops matching keys with it",
     "repro/serving/client.py::LibEIClient.base_url": "the replica LibEIClient's failover is pinned to",
     "repro/serving/client.py::LibEIClient.realtime_data": "client for Fig. 6's /ei_data/realtime",
     "repro/serving/client.py::LibEIClient.historical_data": "client for Fig. 6's /ei_data/historical",
+    "repro/serving/fleet.py::EdgeFleet.route": "picks the replica every fleet call goes to; called by EdgeFleet._route_call",
+    "repro/serving/rollout.py::RolloutController.rollback": "the operator's manual rollback beside promote() (docs/MODEL_LIFECYCLE.md)",
+    "repro/serving/supervisor.py::GatewaySupervisor": "the kill/restart target FaultInjector drives; runs recover_control_plane on start and restart (docs/DURABILITY.md)",
 }
 
 
@@ -119,8 +140,21 @@ def _public(path: Path):
                     yield item.name, f"{node.name}.{item.name}", False
 
 
+def _names(source: str) -> Iterator[str]:
+    """The code names in ``source``: its NAME tokens.  Before Python 3.12
+    an f-string is one STRING token, so its replacement fields are
+    tokenized on their own."""
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            yield token.string
+        elif token.type == tokenize.STRING and "f" in STRING_PREFIX.match(token.string)[0].lower():
+            for node in ast.walk(ast.parse(token.string, mode="eval")):
+                if isinstance(node, ast.FormattedValue):
+                    yield from _names(ast.unparse(node.value))
+
+
 def _words(path: Path) -> FrozenSet[str]:
-    """Every name-like word in a file, minus its imports and ``__all__``."""
+    """Every name code in a file uses, minus its imports and ``__all__``."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     for node in ast.walk(ast.parse(text)):
@@ -129,7 +163,7 @@ def _words(path: Path) -> FrozenSet[str]:
             and any(getattr(target, "id", None) == "__all__" for target in node.targets)
         ):
             lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
-    return frozenset(WORD.findall("\n".join(lines)))
+    return frozenset(_names("\n".join(lines) + "\n"))
 
 
 def _used_in_own_module(path: Path, name: str) -> bool:
