@@ -11,8 +11,8 @@ and survive refactors that move code between files:
     block; when several locks are named, holding *any one* of them makes
     the mutation legal.  The lock is named by its attribute name, so ``_lock`` matches
     ``with self._lock:`` as well as ``with queue._lock:`` — guarded state
-    and its lock do not need to live on the same object (the batching
-    queues guard their entries with a per-queue condition).
+    and its lock do not need to live on the same object (the fleet's
+    ``_stats_lock`` guards each instance's ``requests_served``).
 
 ``# requires-lock: <lock>``
     On (or immediately under) a ``def`` line.  Asserts the function is

@@ -202,8 +202,7 @@ def map_held_locks(
     """For every node, which locks are statically held at that point.
 
     A lock is "held" inside the body of ``with <expr>.<name>:`` for any
-    base expression — matching on the terminal attribute name lets
-    ``with queue.cond:`` guard ``queue.entries`` and ``with
+    base expression — matching on the terminal attribute name lets ``with
     self._stats_lock:`` guard ``instance.requests_served``.  Nested
     function bodies reset the held set (they run later, on some other
     stack) except for locks their ``# requires-lock:`` contract asserts.
@@ -477,10 +476,10 @@ class BareClockRule(Rule):
     """Serving and the control plane read time only through :mod:`repro.clock`.
 
     History: four holders took four differently spelled ``clock=``
-    callables while the batching window and the WAL flusher read the
-    host clock directly, so every test of a deadline had to sleep
-    through it.  A bare ``time.monotonic`` / ``time.time`` /
-    ``time.sleep`` in ``repro/serving`` or ``repro/core`` is time a
+    callables while other deadlines read the host clock directly, so
+    every test of a deadline had to sleep through it.  A bare
+    ``time.monotonic`` / ``time.time`` / ``time.sleep`` in
+    ``repro/serving`` or ``repro/core`` is time a
     :class:`~repro.clock.ManualClock` cannot move.  Durations of work
     (``time.perf_counter``) are observations and stay.
     """

@@ -25,9 +25,8 @@ def capture_readings(
     """One reading per call, from the sensor its ``argument`` names (else ``default_id``).
 
     Every id is resolved before the first reading is pulled, so an
-    unknown sensor anywhere in the list raises with no reading consumed
-    and the dispatcher's per-request retry gives each good caller the
-    reading it would have held alone.
+    unknown sensor anywhere in the list raises with no reading consumed:
+    a failed list call leaves every sensor where it was.
     """
     return ei.data_store.realtime_batch(
         [str(args.get(argument, default_id)) for args in calls]
@@ -38,7 +37,7 @@ def amortized_batch_latency(start: float, ei, count: int) -> float:
     """Per-request share of a batch's wall clock, scaled by the emulated slowdown.
 
     ``start`` is the ``time.perf_counter()`` stamp taken when the batch
-    handler began; the share is what each coalesced request actually
+    handler began; the share is what each call in the list actually
     paid, which is what the adaptive control plane should observe.
     """
     return (time.perf_counter() - start) * ei.runtime.slowdown / max(1, count)
@@ -50,9 +49,8 @@ def stack_if_homogeneous(payloads: Sequence[np.ndarray]) -> Optional[np.ndarray]
     Handlers consume their sensor readings exactly once *before*
     stacking; a mixed-shape micro-batch (requests naming
     differently-sized sensors) must take the caller's per-reading path
-    rather than raise — an exception here would make the dispatcher's
-    error-isolation retry re-consume fresh readings, so a co-batched
-    request would see a later reading than it would have alone.
+    rather than raise — an exception here would fail the whole list
+    after its readings were already consumed.
     """
     if len({payload.shape for payload in payloads}) == 1:
         return np.stack(payloads)

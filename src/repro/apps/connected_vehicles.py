@@ -162,8 +162,8 @@ def register_connected_vehicles(
         """
         start = time.perf_counter()
         # every call's ``frames`` is checked, then every camera id resolved,
-        # before any reading is consumed: a raise after that would make the
-        # dispatcher's per-request retry re-consume readings
+        # before any reading is consumed: a raise after that would fail the
+        # list with its readings already gone
         counts = [_frame_count(args) for args in calls]
         readings = capture_readings(
             ei, [args for args, count in zip(calls, counts) for _ in range(count)],

@@ -334,43 +334,13 @@ class ControlPlaneJournal:
         self,
         wal: Union[WriteAheadLog, str, Path],
         fsync: bool = True,
-        flush_interval_s: Optional[float] = None,
         clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if not isinstance(wal, WriteAheadLog):
             wal = WriteAheadLog(wal, fsync=fsync)
         self.wal = wal
-        if flush_interval_s is not None and flush_interval_s <= 0:
-            raise WALError("flush_interval_s must be positive when given")
-        self.flush_interval_s = flush_interval_s
-        #: stamps every event's ``ts`` and paces the background flusher
+        #: stamps every event's ``ts``
         self.clock = clock
-        self._flusher_cond = threading.Condition()
-        self._stopping = False  # guarded-by: _flusher_cond
-        self._flusher: Optional[threading.Thread] = None
-        if flush_interval_s is not None:
-            # bounds how long a relaxed event can sit un-fsynced without
-            # ever putting an fsync on a request-handler thread
-            self._flusher = threading.Thread(
-                target=self._flush_loop, name="wal-flusher", daemon=True
-            )
-            self._flusher.start()
-
-    def _flush_loop(self) -> None:
-        # flush() on a closed WAL is a silent no-op, so the loop cannot
-        # race close(): it just stops doing work until close() wakes it
-        clock = self.clock
-        while True:
-            with self._flusher_cond:
-                deadline = clock.monotonic() + self.flush_interval_s
-                while not self._stopping:
-                    remaining = deadline - clock.monotonic()
-                    if remaining <= 0:
-                        break
-                    clock.wait(self._flusher_cond, remaining)
-                if self._stopping:
-                    return
-            self.wal.flush()
 
     def append(self, event_type: str, **fields: object) -> Dict[str, object]:
         """Journal one typed event; returns the full record as written.
@@ -398,12 +368,6 @@ class ControlPlaneJournal:
         return self.wal.replay()
 
     def close(self) -> None:
-        with self._flusher_cond:
-            self._stopping = True
-            self._flusher_cond.notify_all()
-        if self._flusher is not None:
-            self._flusher.join()
-            self._flusher = None
         self.wal.close()
 
     def __enter__(self) -> "ControlPlaneJournal":

@@ -54,7 +54,7 @@ class CollaborationError(ReproError):
 
 
 class BatchContractError(APIError):
-    """A batch handler violated the batching contract (wrong result count)."""
+    """A list handler broke its contract: one result per call (wrong result count)."""
 
 
 class LockContractError(ReproError):

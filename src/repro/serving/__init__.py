@@ -24,12 +24,6 @@ chooses which instance serves each request (round-robin, least-loaded,
 capability-aware), and :mod:`repro.serving.cache` memoizes Eq. (1) model
 selections behind a TTL + LRU :class:`~repro.serving.cache.SelectionCache`.
 
-Under concurrency, :mod:`repro.serving.batching` micro-batches
-same-algorithm requests into one vectorized invocation
-(:class:`~repro.serving.batching.BatchingDispatcher`); pass
-``batching=BatchingConfig(...)`` to :class:`LibEIServer` or
-:class:`~repro.serving.fleet.FleetGateway` to turn it on.
-
 What each replica serves per ``(scenario, algorithm)`` is held once, in
 the fleet's :class:`~repro.serving.deployments.DeploymentTable` of
 frozen :class:`~repro.serving.deployments.Deployment` records, read by
@@ -60,7 +54,6 @@ back to the pre-crash fleet state.
 
 from repro.serving.adaptive import AdaptiveController, SLOPolicy
 from repro.serving.api import LibEIDispatcher, parse_path
-from repro.serving.batching import BatchingConfig, BatchingDispatcher
 from repro.serving.cache import SelectionCache
 from repro.serving.client import LibEIClient
 from repro.serving.fleet import EdgeFleet, FleetGateway
@@ -74,8 +67,6 @@ from repro.serving.telemetry import ALEMTelemetry
 __all__ = [
     "ALEMTelemetry",
     "AdaptiveController",
-    "BatchingConfig",
-    "BatchingDispatcher",
     "EdgeFleet",
     "FleetGateway",
     "GatewaySupervisor",

@@ -14,9 +14,7 @@ for energy systems): it
 3. **re-solves** — invalidates the affected
    :class:`~repro.serving.cache.SelectionCache` keys, rescales the
    candidate ALEM points by the measured latency/accuracy drift, and
-   re-runs :meth:`~repro.core.model_selector.ModelSelector.select`
-   (optionally warm-started by
-   :class:`~repro.core.model_selector.RLModelSelector` online feedback);
+   re-runs the exact :meth:`~repro.core.model_selector.ModelSelector.select`;
 4. **redeploys** — hot-swaps the replica's deployed model in place, or,
    when nothing on the edge is feasible any more, falls back to the
    paper's first dataflow through a
@@ -46,7 +44,6 @@ import numpy as np
 from repro.collaboration.cloud_edge import CloudOffloadPlanner
 from repro.core.alem import ALEM, ALEMRequirement, OptimizationTarget
 from repro.core.capability import EvaluatedCandidate
-from repro.core.model_selector import RLModelSelector
 from repro.core.openei import OpenEI
 from repro.core.wal import ControlPlaneJournal
 from repro.exceptions import ConfigurationError, ModelSelectionError, ResourceNotFoundError
@@ -124,12 +121,8 @@ class AdaptiveController:
         fleet,
         telemetry: Optional[ALEMTelemetry] = None,
         offload: Optional[CloudOffloadPlanner] = None,
-        rl_episodes: int = 0,
-        rl_seed: int = 0,
         journal: Optional[ControlPlaneJournal] = None,
     ) -> None:
-        if rl_episodes < 0:
-            raise ConfigurationError("rl_episodes must be non-negative")
         self.fleet = fleet
         self.journal = journal
         telemetry = telemetry if telemetry is not None else getattr(fleet, "telemetry", None)
@@ -140,8 +133,6 @@ class AdaptiveController:
             )
         self.telemetry = telemetry
         self.offload = offload
-        self.rl_episodes = int(rl_episodes)
-        self.rl_seed = int(rl_seed)
         self.stats = ControllerStats()  # guarded-by: _lock
         self._lock = threading.RLock()
         self._policies: Dict[Tuple[str, str], SLOPolicy] = {}  # guarded-by: _lock
@@ -358,7 +349,9 @@ class AdaptiveController:
             )
 
         try:
-            selected = self._solve(openei, adjusted, policy)
+            selected = openei.model_selector.select(
+                adjusted, requirement=policy.requirement, target=policy.target
+            ).selected
             nominal = next(
                 c for c in candidates if c.model_name == selected.model_name
             )
@@ -406,29 +399,6 @@ class AdaptiveController:
                 memory_mb=alem.memory_mb,
             ),
         )
-
-    def _solve(
-        self,
-        openei: OpenEI,
-        adjusted: Sequence[EvaluatedCandidate],
-        policy: SLOPolicy,
-    ) -> EvaluatedCandidate:
-        """Exact Eq. (1) over drift-adjusted candidates, optionally RL-refined."""
-        result = openei.model_selector.select(
-            adjusted, requirement=policy.requirement, target=policy.target
-        )
-        if self.rl_episodes > 0 and len(result.feasible) > 1:
-            # warm start from the feasible set only: the bandit gathers
-            # noisy online feedback and may overturn near-ties, but can
-            # never pick an infeasible arm
-            learner = RLModelSelector(
-                result.feasible,
-                requirement=policy.requirement,
-                target=policy.target,
-                seed=self.rl_seed,
-            )
-            return learner.train(self.rl_episodes)
-        return result.selected
 
     def _offload_plan(self, openei: OpenEI, policy: SLOPolicy):
         return self.offload.plan(

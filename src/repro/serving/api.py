@@ -27,10 +27,7 @@ class LibEITarget(Protocol):
     a whole :class:`~repro.serving.fleet.EdgeFleet` implement this
     surface, which is what lets one dispatcher/server code path serve
     either — the gateway is just a :class:`LibEIServer` whose target
-    happens to route.  So does
-    :class:`~repro.serving.batching.BatchingDispatcher`, which turns
-    concurrent ``call_algorithm`` calls into one ``call_algorithm_batch``
-    on the target it wraps.
+    happens to route.
     """
 
     def describe(self) -> Dict[str, object]:

@@ -28,7 +28,6 @@ from repro.core.model_zoo import ModelZoo
 from repro.core.openei import AlgorithmHandler, BatchAlgorithmHandler, OpenEI
 from repro.exceptions import ConfigurationError, ResourceNotFoundError
 from repro.serving.api import ParsedRequest
-from repro.serving.batching import BatchingConfig
 from repro.serving.cache import SelectionCache
 from repro.serving.deployments import DeploymentTable
 from repro.serving.router import RoutingPolicy, make_router
@@ -97,6 +96,10 @@ class EdgeFleet:
         # table both controllers propose transitions to
         self.deployments = DeploymentTable(self)
         self._instances: List[FleetInstance] = []
+        # set by the first register_algorithm: from then on the replica
+        # set is fixed, since a newcomer would hold no handler and no
+        # deployment record for the keys already served
+        self._serving = False
         self._ids = itertools.count()
         self._stats_lock = threading.Lock()
 
@@ -141,7 +144,16 @@ class EdgeFleet:
         return fleet
 
     def add_instance(self, openei: OpenEI, instance_id: Optional[str] = None) -> FleetInstance:
-        """Register an already-deployed OpenEI instance with the fleet."""
+        """Register an already-deployed OpenEI instance with the fleet.
+
+        Only before the fleet's first :meth:`register_algorithm`: routing
+        would send a later replica its share of keys it cannot serve.
+        """
+        if self._serving:
+            raise ConfigurationError(
+                "the fleet already serves algorithms; add every instance "
+                "before the first register_algorithm"
+            )
         if instance_id is None:
             instance_id = f"edge-{next(self._ids)}@{openei.device.name}"
         if any(existing.instance_id == instance_id for existing in self._instances):
@@ -192,6 +204,7 @@ class EdgeFleet:
         Exactly one of ``handler`` / ``batch_handler``, as on
         :meth:`OpenEI.register_algorithm <repro.core.openei.OpenEI.register_algorithm>`.
         """
+        self._serving = True
         for instance in self._instances:
             instance.openei.register_algorithm(scenario, name, handler, batch_handler)
 
@@ -239,12 +252,13 @@ class EdgeFleet:
         self, scenario: str, name: str, instance: FleetInstance,
         results: Sequence[Dict[str, object]], start: float,
     ) -> List[Dict[str, object]]:
-        """Copy, record and tag what ``instance`` answered since ``start``.
+        """Count, copy, record and tag what ``instance`` answered since ``start``.
 
-        Each result's wall clock is its amortized share: the calls ran as
-        one invocation.
+        A call is counted here, once it has answered.  Each result's wall
+        clock is its amortized share: the calls ran as one invocation.
         """
         per_request_s = (time.perf_counter() - start) / max(1, len(results))
+        self._count_request(instance, count=len(results))
         tagged = []
         for result in results:
             # copy before tagging: a handler may return a shared/cached dict
@@ -263,7 +277,6 @@ class EdgeFleet:
     ) -> Dict[str, object]:
         """Route an algorithm call to the policy's chosen instance."""
         instance = self._route_call(scenario, name, args)
-        self._count_request(instance)
         start = time.perf_counter()
         result = instance.openei.call_algorithm(scenario, name, args)
         return self._finish(scenario, name, instance, [result], start)[0]
@@ -274,7 +287,7 @@ class EdgeFleet:
         name: str,
         args_list: Sequence[Optional[Dict[str, object]]],
     ) -> List[Dict[str, object]]:
-        """Route one micro-batch of same-algorithm calls to a single instance.
+        """Route a list of same-algorithm calls to a single instance.
 
         The whole batch lands on the policy's chosen replica (routed on
         its first call's arguments) so the handler can answer it with one
@@ -283,9 +296,6 @@ class EdgeFleet:
         instance = self._route_call(scenario, name, args_list[0] if args_list else None)
         start = time.perf_counter()
         results = instance.openei.call_algorithm_batch(scenario, name, args_list)
-        # count only after success: a failed batch is retried per request by
-        # the batching dispatcher, and those retries count themselves
-        self._count_request(instance, count=len(args_list))
         return self._finish(scenario, name, instance, results, start)
 
     def get_realtime_data(self, sensor_id: str) -> Dict[str, object]:
@@ -315,10 +325,7 @@ class FleetGateway(LibEIServer):
     tell a fleet from a single instance, except that ``/ei_status`` now
     reports fleet-wide state and responses carry a ``served_by`` field.
     Run several gateways over one fleet for replica failover (see
-    :class:`~repro.serving.client.LibEIClient`).  Passing
-    ``batching=BatchingConfig(...)`` micro-batches concurrent
-    same-algorithm requests before they are routed, so one replica
-    answers the whole batch with a single vectorized invocation.
+    :class:`~repro.serving.client.LibEIClient`).
     """
 
     def __init__(
@@ -326,7 +333,6 @@ class FleetGateway(LibEIServer):
         fleet: EdgeFleet,
         host: str = "127.0.0.1",
         port: int = 0,
-        batching: Optional[BatchingConfig] = None,
     ) -> None:
-        super().__init__(fleet, host=host, port=port, batching=batching)
+        super().__init__(fleet, host=host, port=port)
         self.fleet = fleet

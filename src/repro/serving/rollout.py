@@ -316,14 +316,12 @@ class RolloutController:
                     f"a rollout of {self._rollouts[key].target.ref} is already in flight "
                     f"for {scenario}/{algorithm}"
                 )
-            baseline_version = first.version
-            target = self.registry.get(baseline_version.name, version)
+            target = self.registry.get(first.version.name, version)
             if canary is None:
                 canary = self.fleet.instances[0].instance_id
             instance = self.fleet.instance(canary)
-            baseline = table.get(canary)
-            held = baseline if baseline is not None else first
-            if held.fingerprint == target.fingerprint:
+            baseline = table[canary]
+            if baseline.fingerprint == target.fingerprint:
                 raise ConfigurationError(
                     f"{canary} already serves {target.ref}; nothing to roll out"
                 )
@@ -333,7 +331,7 @@ class RolloutController:
             granted_at = self.fleet.clock.wall()
             claim = _ActiveRollout(
                 target=target, canary_id=canary, policy=policy,
-                baseline=held,
+                baseline=baseline,
                 stage="staging",
                 granted_at=granted_at,
                 expires_at=granted_at + LEASE_TTL_S,
@@ -353,12 +351,7 @@ class RolloutController:
         # control loop for an artifact deserialization
         try:
             self._shape_check(target, validate)
-            if baseline is None:
-                # the replica joined the fleet after deploy(): install the
-                # current baseline on it first so a rollback has a real
-                # deployment to restore
-                baseline = self._make_entry(key, instance, baseline_version)
-            moved = self._transfer_cost(target, held.version)
+            moved = self._transfer_cost(target, baseline.version)
             entry = self._make_entry(key, instance, target, canary=True)
         except Exception as exc:
             # a failed staging must leave a trace operators can find:
@@ -377,7 +370,6 @@ class RolloutController:
             raise
         with self._lock:
             # rollback restores whatever the replica served at swap time
-            # (the freshly-built baseline for a replica that joined late)
             replaced = self.fleet.deployments.put(entry)
             claim.baseline = replaced if replaced is not None else baseline
             claim.stage = "canary"

@@ -15,9 +15,7 @@ import socketserver
 import threading
 from typing import Optional, Set, Tuple
 
-from repro.exceptions import ConfigurationError
 from repro.serving.api import LibEIDispatcher, LibEITarget, encode_body
-from repro.serving.batching import BatchingConfig, BatchingDispatcher
 from repro.serving.http import FramingError, read_request, response_head
 
 #: Seconds a connection may sit without a complete request (or a peer
@@ -158,11 +156,6 @@ class LibEIServer:
         with LibEIServer(openei) as server:
             client = LibEIClient(server.address)
             client.get("/ei_status")
-
-    Passing ``batching=BatchingConfig(...)`` wraps the target in a
-    :class:`~repro.serving.batching.BatchingDispatcher`, so concurrent
-    same-algorithm requests from the handler threads coalesce into one
-    vectorized invocation.
     """
 
     def __init__(
@@ -170,16 +163,7 @@ class LibEIServer:
         target: LibEITarget,
         host: str = "127.0.0.1",
         port: int = 0,
-        batching: Optional[BatchingConfig] = None,
     ) -> None:
-        self.batching: Optional[BatchingDispatcher] = None
-        if batching is not None:
-            if isinstance(target, LibEIDispatcher):
-                raise ConfigurationError(
-                    "batching= cannot wrap an already-built LibEIDispatcher; "
-                    "pass the raw target (OpenEI / EdgeFleet) instead"
-                )
-            target = self.batching = BatchingDispatcher(target, config=batching)
         self.dispatcher = target if isinstance(target, LibEIDispatcher) else LibEIDispatcher(target)
         handler = type(
             "BoundLibEIRequestHandler",

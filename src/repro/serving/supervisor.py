@@ -29,7 +29,6 @@ import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, ResourceNotFoundError
-from repro.serving.batching import BatchingConfig
 from repro.serving.fleet import EdgeFleet, FleetGateway
 
 
@@ -41,14 +40,12 @@ class GatewaySupervisor:
         fleet: EdgeFleet,
         gateways: int = 2,
         host: str = "127.0.0.1",
-        batching: Optional[BatchingConfig] = None,
         recovery: Optional[Callable[[], object]] = None,
     ) -> None:
         if gateways <= 0:
             raise ConfigurationError("a supervisor needs at least one gateway")
         self.fleet = fleet
         self.host = host
-        self.batching = batching
         # the durable-control-plane hook, typically a closure over
         # repro.serving.recovery.recover_control_plane: it runs before the
         # first gateway binds and again on every restart(), so a replica
@@ -67,7 +64,7 @@ class GatewaySupervisor:
         self.kills = 0  # guarded-by: _lock
         self.restarts = 0  # guarded-by: _lock
         for _ in range(gateways):
-            gateway = FleetGateway(fleet, host=host, port=0, batching=batching)
+            gateway = FleetGateway(fleet, host=host, port=0)
             self._gateways.append(gateway)
             self._addresses.append(gateway.address)
 
@@ -190,7 +187,7 @@ class GatewaySupervisor:
             # replica converges to the journaled control state before it
             # can take a single request (restart-into-recovery, ROADMAP 3)
             self._recover()
-            gateway = FleetGateway(self.fleet, host=host, port=port, batching=self.batching)
+            gateway = FleetGateway(self.fleet, host=host, port=port)
             gateway.start()
         except BaseException:
             with self._lock:

@@ -13,8 +13,8 @@ when the measurements violate it.
 
 Observations arrive from two sources:
 
-* the :class:`~repro.serving.fleet.EdgeFleet` (and a telemetry-enabled
-  :class:`~repro.core.openei.OpenEI`) wall-clock every algorithm call;
+* the :class:`~repro.serving.fleet.EdgeFleet` wall-clocks every
+  algorithm call it routes, single or list;
 * a handler can report richer, simulation-aware measurements by putting
   an ``"observed_alem"`` dictionary into its result — any subset of
   ``accuracy`` / ``latency_s`` / ``energy_j`` / ``memory_mb``.  Reported

@@ -112,19 +112,26 @@ def test_hold_budget_violation_reports_site_and_stack():
 def test_condition_wait_does_not_count_against_budget():
     clock = ManualClock()
 
-    def pass_time_while_parked():
-        assert clock.wait_for_waiters(1)
-        clock.advance(0.2)
-
     with lockwatch.watched(budget_s=0.05, clock=clock) as watch:
         cond = _lockforge.make_condition()
-        mover = threading.Thread(target=pass_time_while_parked)
-        mover.start()
+        woken = []
+
+        def pass_time_while_parked():
+            with cond:
+                pass  # only reachable once the waiter released cond in wait()
+            clock.advance(0.2)
+            with cond:
+                woken.append(True)
+                cond.notify()
+
         with cond:
-            # parked in wait() for 4x the budget: wait releases the lock,
-            # so the recorded hold spans stay at zero
-            while clock.monotonic() < 0.2:
-                clock.wait(cond)
+            # started under cond, so the mover's first acquire proves the
+            # waiter is parked; parked for 4x the budget: wait releases
+            # the lock, so the recorded hold spans stay at zero
+            mover = threading.Thread(target=pass_time_while_parked)
+            mover.start()
+            while not woken:
+                cond.wait()
         mover.join(timeout=10.0)
         assert not mover.is_alive() and clock.monotonic() == pytest.approx(0.2)
         watch.assert_clean()

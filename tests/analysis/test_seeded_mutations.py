@@ -17,7 +17,7 @@ from typing import Set
 from repro.analysis import KNOWN_RULE_IDS, run_lint
 import repro.core.openei as openei_module
 import repro.loadgen.harness as harness_module
-import repro.serving.batching as batching_module
+import repro.serving.cache as cache_module
 import repro.serving.client as client_module
 import repro.serving.deployments as deployments_module
 import repro.serving.rollout as rollout_module
@@ -249,15 +249,15 @@ def test_stats_bucket_fetched_outside_the_lock_is_caught(tmp_path):
 
 
 @seeds("bare-clock")
-def test_batching_window_on_the_host_clock_is_caught(tmp_path):
-    # time the flush window on the host clock again: no ManualClock can
-    # move it, so a window test is back to sleeping through it
+def test_cache_expiry_on_the_host_clock_is_caught(tmp_path):
+    # judge cache expiry on the host clock again: no ManualClock can
+    # move it, so a TTL test is back to sleeping through it
     package = tmp_path / "repro" / "serving"
     package.mkdir(parents=True)
     return _mutate(
-        batching_module,
-        "now = clock.monotonic()",
-        "now = time.monotonic()",
+        cache_module,
+        "            if self.clock.monotonic() >= entry.expires_at:",
+        "            if time.monotonic() >= entry.expires_at:",
         package,
     )
 

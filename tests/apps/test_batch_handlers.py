@@ -11,7 +11,6 @@ request, as N single calls against an identically-seeded deployment.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,13 +26,7 @@ from repro.apps import register_all
 from repro.apps.connected_vehicles import MAX_FRAMES_PER_CALL, ObjectTracker
 from repro.core import OpenEI
 from repro.exceptions import APIError, ResourceNotFoundError
-from repro.serving import (
-    BatchingConfig,
-    BatchingDispatcher,
-    LibEIClient,
-    LibEIDispatcher,
-    LibEIServer,
-)
+from repro.serving import LibEIClient, LibEIDispatcher, LibEIServer
 
 
 def _deploy(register, **kwargs):
@@ -249,28 +242,6 @@ def test_unknown_sensor_in_a_call_list_consumes_no_reading(
         [untouched.call_algorithm(scenario, name, good)],
     )
     assert openei.data_store.count(sensor_id) == untouched.data_store.count(sensor_id) > 0
-
-
-@pytest.mark.parametrize("scenario,name,register,argument,sensor_id,good", STOCK_ALGORITHMS, ids=STOCK_IDS)
-def test_unknown_sensor_in_a_coalesced_batch_costs_its_neighbour_nothing(
-    scenario, name, register, argument, sensor_id, good, quick_recognizer
-):
-    """Two threads coalesce into one batch; it raises on the unknown sensor
-    and the dispatcher retries each call alone.  The good caller's retry must
-    read the first reading, not one after those the failed batch threw away."""
-    openei = _deploy_one(register, quick_recognizer)
-    alone = _deploy_one(register, quick_recognizer)
-    dispatcher = BatchingDispatcher(openei, BatchingConfig(max_batch_size=2, flush_window_s=5.0))
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        served = pool.submit(dispatcher.call_algorithm, scenario, name, good)
-        refused = pool.submit(dispatcher.call_algorithm, scenario, name, {**good, argument: "nope"})
-        with pytest.raises(ResourceNotFoundError, match="nope"):
-            refused.result(timeout=10.0)
-        result = served.result(timeout=10.0)
-    assert dispatcher.stats.max_batch == 2, "the two calls were meant to coalesce"
-    _assert_results_match([result], [alone.call_algorithm(scenario, name, good)])
-    # the store grew by exactly the readings served
-    assert openei.data_store.count(sensor_id) == alone.data_store.count(sensor_id) > 0
 
 
 def _assert_plain_json(value, path="result"):

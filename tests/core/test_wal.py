@@ -1,7 +1,6 @@
 """The write-ahead log: framing, torn tails, corruption, the journal."""
 
 import struct
-import threading
 
 import pytest
 
@@ -136,11 +135,12 @@ def test_append_to_closed_wal_raises(tmp_path):
 
 
 def test_journal_stamps_type_and_rejects_unknown_events(tmp_path):
-    with ControlPlaneJournal(tmp_path / "control.wal") as journal:
+    clock = ManualClock()
+    with ControlPlaneJournal(tmp_path / "control.wal", clock=clock) as journal:
         event = journal.append(ControlPlaneJournal.ROLLOUT_DEPLOY, ref="m@1")
         assert event["type"] == ControlPlaneJournal.ROLLOUT_DEPLOY
         assert event["ref"] == "m@1"
-        assert "ts" in event
+        assert event["ts"] == clock.wall()  # stamped on the journal's clock
         with pytest.raises(WALError):
             journal.append("not-a-real-event", ref="m@1")
         replayed = journal.replay()
@@ -227,37 +227,6 @@ def test_journal_relaxed_events_skip_the_request_path_fsync(tmp_path, monkeypatc
             ControlPlaneJournal.TELEMETRY_RESET,
             ControlPlaneJournal.ROLLOUT_PROMOTE,
         ]
-
-
-def test_journal_background_flusher_hardens_relaxed_events(tmp_path, monkeypatch):
-    import repro.core.wal as wal_module
-
-    fsynced = threading.Event()
-    real_fsync = wal_module.os.fsync
-
-    def signalling_fsync(fd):
-        real_fsync(fd)
-        fsynced.set()
-
-    monkeypatch.setattr(wal_module.os, "fsync", signalling_fsync)
-    clock = ManualClock()
-    journal = ControlPlaneJournal(tmp_path / "control.wal", flush_interval_s=5.0, clock=clock)
-    event = journal.append(ControlPlaneJournal.CALIBRATION, scenario="s",
-                           algorithm="a", replica="r", drift=0.9)
-    assert event["ts"] == clock.wall()  # stamped on the journal's clock
-    assert journal.describe()["pending_sync"] is True
-    assert clock.wait_for_waiters(1), "the flusher never started waiting"
-    clock.advance(4.9)
-    assert not fsynced.is_set()  # the interval has not passed: nothing is due
-    clock.advance(1.0)
-    assert fsynced.wait(timeout=10.0), "background flusher never fsynced the pending event"
-    assert journal.describe()["pending_sync"] is False
-    journal.close()
-
-
-def test_journal_rejects_non_positive_flush_interval(tmp_path):
-    with pytest.raises(WALError):
-        ControlPlaneJournal(tmp_path / "control.wal", flush_interval_s=0.0)
 
 
 def test_journal_accepts_existing_wal_instance(tmp_path):

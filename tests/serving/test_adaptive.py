@@ -235,16 +235,6 @@ def test_calibration_reset_enables_failback_from_cloud(image_zoo):
     assert controller.deployments()[0].mode == "edge"
 
 
-def test_rl_warm_start_picks_feasible_model(image_zoo):
-    fleet, controller = make_controller(image_zoo, rl_episodes=200, rl_seed=0)
-    fleet.instances[0].openei.runtime.set_slowdown(1.5)
-    drive(fleet, 4)
-    events = controller.check_all()
-    assert events[0].kind == "reselected"
-    # the bandit explores only the drift-adjusted feasible set
-    assert events[0].fields["new_model"] in {"lenet", "mobilenet-0.5x"}
-
-
 # -- wiring and validation ---------------------------------------------------------
 
 def test_fleet_status_reports_telemetry_and_adaptive(image_zoo):

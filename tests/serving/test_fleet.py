@@ -213,3 +213,138 @@ def test_gateway_replica_failover():
         response = client.call_algorithm("home", "power_monitor")
         assert response["status"] == "ok"
         assert client.base_url == f"http://{second.address[0]}:{second.address[1]}"
+
+
+# -- list calls on OpenEI / EdgeFleet ----------------------------------------------
+
+def _echo(ei, args):
+    return {"x": args.get("x")}
+
+
+def _echo_batch(ei, calls):
+    return [{"x": args.get("x")} for args in calls]
+
+
+def test_openei_call_algorithm_batch_uses_batch_handler():
+    openei = OpenEI(device_name="raspberry-pi-4")
+    invocations = []
+
+    def batch(ei, calls):
+        invocations.append(len(calls))
+        return _echo_batch(ei, calls)
+
+    openei.register_algorithm("home", "echo", batch_handler=batch)
+    results = openei.call_algorithm_batch("home", "echo", [{"x": 1}, {"x": 2}, None])
+    assert [r["x"] for r in results] == [1, 2, None]
+    assert invocations == [3]
+
+
+def test_openei_call_algorithm_batch_falls_back_to_loop():
+    openei = OpenEI(device_name="raspberry-pi-4")
+    openei.register_algorithm("home", "echo", _echo)
+    results = openei.call_algorithm_batch("home", "echo", [{"x": 1}, {"x": 2}])
+    assert [r["x"] for r in results] == [1, 2]
+    # per-request and batched answers agree
+    assert results[0] == openei.call_algorithm("home", "echo", {"x": 1})
+
+
+def test_openei_batch_handler_length_mismatch_raises():
+    openei = OpenEI(device_name="raspberry-pi-4")
+    openei.register_algorithm("home", "echo", batch_handler=lambda ei, calls: [{}])
+    with pytest.raises(APIError):
+        openei.call_algorithm_batch("home", "echo", [{"x": 1}, {"x": 2}])
+
+
+def test_openei_batch_unknown_algorithm_raises():
+    openei = OpenEI(device_name="raspberry-pi-4")
+    with pytest.raises(ResourceNotFoundError):
+        openei.call_algorithm_batch("home", "missing", [{}])
+
+
+def test_fleet_register_algorithm_takes_exactly_one_handler():
+    fleet = EdgeFleet.deploy(["raspberry-pi-4", "jetson-tx2"])
+    with pytest.raises(ConfigurationError):
+        fleet.register_algorithm("home", "echo", _echo, batch_handler=_echo_batch)
+    with pytest.raises(ConfigurationError):
+        fleet.register_algorithm("home", "echo")
+    # one positional handler still works, and serves lists too
+    fleet.register_algorithm("home", "echo", _echo)
+    assert fleet.call_algorithm("home", "echo", {"x": 4})["x"] == 4
+    assert [r["x"] for r in fleet.call_algorithm_batch("home", "echo", [{"x": 1}, {"x": 2}])] == [1, 2]
+
+
+class _Counting:
+    """Overrides both public calls the way ``bench/servebench/traced.py`` does."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = []
+
+    def call_algorithm(self, scenario, name, args=None):
+        self.seen.append("single")
+        return super().call_algorithm(scenario, name, args)
+
+    def call_algorithm_batch(self, scenario, name, args_list):
+        self.seen.append(f"batch{len(args_list)}")
+        return super().call_algorithm_batch(scenario, name, args_list)
+
+
+class _CountingOpenEI(_Counting, OpenEI):
+    pass
+
+
+class _CountingFleet(_Counting, EdgeFleet):
+    pass
+
+
+@pytest.mark.parametrize("registration", [
+    {"handler": _echo}, {"batch_handler": _echo_batch},
+])
+def test_neither_public_call_reaches_the_handler_through_the_other(registration):
+    """A subclass that wraps both methods (spans, counters) must see exactly
+    one of them per call, on the fleet and on the replica it enters."""
+    fleet = _CountingFleet()
+    replica = _CountingOpenEI(device_name="raspberry-pi-4")
+    fleet.add_instance(replica)
+    fleet.register_algorithm("home", "echo", **registration)
+
+    assert fleet.call_algorithm("home", "echo", {"x": 1})["x"] == 1
+    assert (fleet.seen, replica.seen) == (["single"], ["single"])
+
+    results = fleet.call_algorithm_batch("home", "echo", [{"x": 1}, {"x": 2}, {"x": 3}])
+    assert [r["x"] for r in results] == [1, 2, 3]
+    assert (fleet.seen, replica.seen) == (["single", "batch3"], ["single", "batch3"])
+
+    # a list of one is still a list call, a single still a single
+    fleet.call_algorithm_batch("home", "echo", [{"x": 9}])
+    assert (fleet.seen[-1], replica.seen[-1]) == ("batch1", "batch1")
+
+
+def test_fleet_routes_whole_batch_to_one_instance():
+    fleet = EdgeFleet.deploy(["raspberry-pi-4", "jetson-tx2", "edge-server"])
+    fleet.register_algorithm("home", "echo", batch_handler=_echo_batch)
+    results = fleet.call_algorithm_batch("home", "echo", [{"x": i} for i in range(5)])
+    assert [r["x"] for r in results] == list(range(5))
+    served_by = {r["served_by"] for r in results}
+    assert len(served_by) == 1, "a micro-batch must land on a single replica"
+    assert sum(i.requests_served for i in fleet) == 5
+
+
+def test_fleet_counts_a_call_once_it_has_answered():
+    """Single and list calls are counted in one place, after they answer:
+    a failed call, of either kind, counts nothing."""
+    fleet = EdgeFleet.deploy(["raspberry-pi-4"])
+
+    def flaky(ei, args):
+        if args.get("x") == 2:
+            raise ResourceNotFoundError("poisoned")
+        return {"x": args.get("x")}
+
+    fleet.register_algorithm("home", "flaky", flaky)
+    fleet.call_algorithm("home", "flaky", {"x": 1})
+    fleet.call_algorithm_batch("home", "flaky", [{"x": 0}, {"x": 1}])
+    with pytest.raises(ResourceNotFoundError):
+        fleet.call_algorithm("home", "flaky", {"x": 2})
+    with pytest.raises(ResourceNotFoundError):
+        fleet.call_algorithm_batch("home", "flaky", [{"x": 0}, {"x": 2}])
+    assert fleet.instances[0].requests_served == 3

@@ -323,26 +323,22 @@ def test_healthy_checks_each_need_a_fresh_window():
     assert controller.check(SCENARIO, ALGORITHM).kind == "promote"
 
 
-def test_canary_on_replica_added_after_deploy():
-    """A replica that joined post-deploy gets the baseline installed, then the canary."""
+def test_replica_added_after_deploy_is_refused():
+    """A replica joining a serving fleet would hold no handler and no
+    record, yet the router would send it its share: the fleet refuses it."""
     from repro.core import OpenEI
 
     registry, fleet, controller = _deploy_fleet()
-    joined = fleet.add_instance(
-        OpenEI(device_name="raspberry-pi-4", zoo=fleet.instances[0].openei.zoo)
-    )
-    _publish(registry, accuracy=0.93, scale=1.01, base=f"{MODEL}@1")
-    event = controller.begin(SCENARIO, ALGORITHM, canary=joined.instance_id,
-                             policy=_policy())
-    assert event.fields["canary"] == joined.instance_id
-    versions = {e.instance_id: e.version.ref
-                for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
-    assert versions[joined.instance_id] == f"{MODEL}@2"
-    rollback = controller.rollback(SCENARIO, ALGORITHM)
-    assert rollback.kind == "rollback"
-    versions = {e.instance_id: e.version.ref
-                for e in controller.fleet.deployments.records(SCENARIO, ALGORITHM)}
-    assert versions[joined.instance_id] == f"{MODEL}@1"  # restored to the baseline
+    with pytest.raises(ConfigurationError):
+        fleet.add_instance(
+            OpenEI(device_name="raspberry-pi-4", zoo=fleet.instances[0].openei.zoo)
+        )
+    assert len(fleet) == len(FLEET)
+    served_by = {
+        fleet.call_algorithm(SCENARIO, ALGORITHM, {"seq": seq})["served_by"]
+        for seq in range(2 * len(FLEET))
+    }
+    assert served_by == {instance.instance_id for instance in fleet}
 
 
 def test_rollout_transfer_accounting_uses_deltas():

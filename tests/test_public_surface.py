@@ -61,7 +61,6 @@ ALLOWED = {
     # the clock seam
     "repro/clock.py::ManualClock": "the injectable time the one clock seam exists for; the bare-clock lint rule names it (repro.clock)",
     "repro/clock.py::ManualClock.advance": "moves the fake clock; ManualClock.sleep is built on it",
-    "repro/clock.py::ManualClock.wait_for_waiters": "the fake clock's one ordering point, so time-driven code is driven without sleeps (repro.clock)",
     # collaboration, compression and the EI algorithms
     "repro/collaboration/cloud_edge.py::CloudOffloadPlanner.round_trip_seconds": "transfer term of CloudOffloadPlanner.plan",
     "repro/compression/distillation.py::DistillationResult.accuracy_gap": "the teacher/student gap of Table I's distillation row",
@@ -114,7 +113,6 @@ ALLOWED = {
     "repro/runtime/migration.py::MigrationPlanner.connect": "registers the peers MigrationPlanner.plan chooses among (Section IV.C)",
     # serving
     "repro/serving/adaptive.py::AdaptiveController.reset_calibration": "clears learned drift after a device is serviced; recovery restores drift, so without it the serviced replica never fails back",
-    "repro/serving/batching.py::BatchingStats.mean_batch_size": "BatchingStats.as_dict reports it on /ei_status",
     "repro/serving/cache.py::CacheStats.hit_rate": "CacheStats.as_dict reports it on /ei_status; examples/fleet_gateway.py prints it",
     "repro/serving/cache.py::TTLLRUCache.remove_where": "SelectionCache.invalidate drops matching keys with it",
     "repro/serving/client.py::LibEIClient.base_url": "the replica LibEIClient's failover is pinned to",
