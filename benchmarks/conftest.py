@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark harnesses.
 
-Each benchmark regenerates one table or figure of the paper (see
-DESIGN.md §4 and EXPERIMENTS.md).  Expensive artifacts — trained models,
+Each benchmark regenerates one table or figure of the paper (see the
+benchmark ↔ figure map in docs/ARCHITECTURE.md, and docs/BENCHMARKS.md
+for how to run them).  Expensive artifacts — trained models,
 populated zoos — are session-scoped so `pytest benchmarks/
 --benchmark-only` completes in minutes on a laptop.
 """

@@ -1,6 +1,7 @@
 """Ablation A1 — is the model selector actually needed?
 
-DESIGN.md calls out the Selecting Algorithm as the answer to the paper's
+The paper offers the Selecting Algorithm (Eq. (1), ``core/model_selector.py``
+in docs/ARCHITECTURE.md's package map) as the answer to its
 "mismatch between edge platform and AI algorithms" challenge.  This
 ablation replaces it with the naive policies a system without OpenEI
 would use — always deploy the most accurate model, always deploy the

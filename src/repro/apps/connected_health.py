@@ -15,11 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.apps._batching import (
-    amortized_batch_latency,
-    capture_readings,
-    stack_if_homogeneous,
-)
+from repro.apps._batching import amortized_batch_latency, capture_readings
 from repro.core.openei import OpenEI
 from repro.data.sensors import WearableIMUSensor
 from repro.data.workloads import activity_recognition_workload
@@ -72,7 +68,7 @@ class ActivityRecognizer:
 
         ``windows`` is ``(n, steps, channels)``; the whole stack runs as a
         single :meth:`~repro.nn.model.Sequential.predict_batch` call, so a
-        micro-batch of requests pays for one forward pass, not ``n``.
+        list of calls pays for one forward pass, not ``n``.
         """
         if not self._trained:
             raise ConfigurationError("train must be called before recognize")
@@ -143,10 +139,9 @@ def register_connected_health(
     def activity_batch_handler(
         ei: OpenEI, calls: List[Dict[str, object]]
     ) -> List[Dict[str, object]]:
-        """Stack the calls' IMU windows into one fused engine forward."""
+        """Answer the calls' IMU windows with one fused engine forward."""
         start = time.perf_counter()
-        readings = capture_readings(ei, calls, "sensor", sensor_id)
-        windows = stack_if_homogeneous([reading.payload for reading in readings])
+        readings, windows = capture_readings(ei, calls, "sensor", sensor_id)
         if windows is not None:
             results = recognizer.recognize_batch(windows)
         else:

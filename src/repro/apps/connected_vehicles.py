@@ -16,11 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.apps._batching import (
-    amortized_batch_latency,
-    capture_readings,
-    stack_if_homogeneous,
-)
+from repro.apps._batching import amortized_batch_latency, capture_readings
 from repro.core.openei import OpenEI
 from repro.data.sensors import VehicleCameraSensor
 from repro.exceptions import APIError, ConfigurationError
@@ -82,8 +78,8 @@ class ObjectTracker:
         """Vectorized :meth:`measure` over a stack of frames.
 
         Per-frame thresholds, masks and weighted centroids are computed
-        with whole-stack array operations — one pass for an entire
-        micro-batch instead of one Python traversal per frame.  Returns
+        with whole-stack array operations — one pass for a whole list
+        of calls instead of one Python traversal per frame.  Returns
         the ``(n, 2)`` measured positions.
         """
         frames = np.asarray(frames, dtype=np.float64)
@@ -165,13 +161,12 @@ def register_connected_vehicles(
         # before any reading is consumed: a raise after that would fail the
         # list with its readings already gone
         counts = [_frame_count(args) for args in calls]
-        readings = capture_readings(
+        readings, stacked = capture_readings(
             ei, [args for args, count in zip(calls, counts) for _ in range(count)],
             "video", camera_id,
         )
         bounds = [0, *accumulate(counts)]
         spans = list(zip(bounds, bounds[1:]))     # call i owns readings[lo:hi]
-        stacked = stack_if_homogeneous([reading.payload for reading in readings])
         if stacked is not None:
             measurements = tracker.measure_batch(stacked)
         else:

@@ -19,11 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps._batching import (
-    amortized_batch_latency,
-    capture_readings,
-    stack_if_homogeneous,
-)
+from repro.apps._batching import amortized_batch_latency, capture_readings
 from repro.core.openei import OpenEI
 from repro.data.sensors import CameraSensor
 from repro.exceptions import ConfigurationError
@@ -182,12 +178,11 @@ def register_public_safety(openei: OpenEI, camera_id: str = "camera1", seed: int
         }
 
     def _batched(build_result):
-        """A handler that stacks the frames of its calls into one detector call."""
+        """A handler that answers the frames of its calls with one detector call."""
 
         def batch_handler(ei: OpenEI, calls: List[Dict[str, object]]) -> List[Dict[str, object]]:
             start = time.perf_counter()
-            readings = capture_readings(ei, calls, "video", camera_id)
-            frames = stack_if_homogeneous([reading.payload for reading in readings])
+            readings, frames = capture_readings(ei, calls, "video", camera_id)
             if frames is not None:
                 per_frame = detector.detect_batch(frames)
             else:

@@ -4,13 +4,19 @@ Each sensor produces :class:`SensorReading` objects with a timestamp, a
 payload (NumPy array) and ground-truth annotations so the application
 scenarios can score themselves.  Generation is deterministic given the
 seed, which the tests and benchmarks rely on.
+
+A sensor synthesises in one place, ``read_batch(k)``: k readings written
+into one read-only ``(k, …)`` block, each payload a row of it, with the
+RNG draws k calls of ``read()`` (which is ``read_batch(1)[0]``) would
+make, so the stream does not depend on how it is cut into blocks.  A
+list handler takes the block as its stacked input (:class:`Readings`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,8 +82,43 @@ class PayloadList(list):
         self.reading = reading
 
 
+class Readings(list):
+    """Readings in order, with the one array that holds their payloads.
+
+    ``block`` is the read-only ``(k, …)`` array whose row ``i`` is
+    ``self[i].payload``, or ``None`` when no such array exists (a list
+    that mixes sensors, or repeats a recorded reading).  Consumers take
+    it from here, never from ``payload.base``: a recorded reading named
+    32 times answers 32 copies of one row, and that row's base is a
+    block of other readings.
+    """
+
+    __slots__ = ("block",)
+
+    def __init__(self, readings: Iterable[SensorReading] = (),
+                 block: Optional[np.ndarray] = None) -> None:
+        super().__init__(readings)
+        self.block = block
+
+
+def _scaled(draws: np.ndarray, loc: float, scale: float) -> np.ndarray:
+    """Standard-normal ``draws`` turned, in place, into ``normal(loc, scale)`` draws.
+
+    NumPy computes ``normal(loc, scale)`` as ``loc + scale * z``; one
+    block-wide multiply then add makes the same two roundings per element.
+    """
+    draws *= scale
+    draws += loc
+    return draws
+
+
 class _BaseSensor:
-    """Shared plumbing: identity, sampling period and deterministic RNG."""
+    """Shared plumbing: identity, sampling period and deterministic RNG.
+
+    A subclass synthesises readings in one place, :meth:`read_batch`,
+    which writes ``count`` of them into one array and makes the RNG draws
+    ``count`` calls of :meth:`read` would make, in the same order.
+    """
 
     def __init__(self, sensor_id: str, period_s: float, seed: int = 0) -> None:
         if period_s <= 0:
@@ -92,12 +133,28 @@ class _BaseSensor:
         self._clock += self.period_s
         return timestamp
 
+    def _emit(self, block: np.ndarray, annotations: Sequence[Dict[str, object]]) -> Readings:
+        """Seal ``block`` read-only, then hand out one timestamped reading per row."""
+        block.flags.writeable = False
+        return Readings(
+            [
+                SensorReading(self.sensor_id, self._tick(), row, notes)
+                for row, notes in zip(block, annotations)
+            ],
+            block,
+        )
+
     def stream(self, count: int) -> Iterator[SensorReading]:
         """Yield ``count`` consecutive readings."""
         for _ in range(count):
             yield self.read()
 
-    def read(self) -> SensorReading:  # pragma: no cover - overridden
+    def read(self) -> SensorReading:
+        """The next reading."""
+        return self.read_batch(1)[0]
+
+    def read_batch(self, count: int) -> Readings:  # pragma: no cover - overridden
+        """The next ``count`` readings, their payloads the rows of one read-only block."""
         raise NotImplementedError
 
 
@@ -123,22 +180,25 @@ class CameraSensor(_BaseSensor):
         self.frame_size = int(frame_size)
         self.max_objects = int(max_objects)
 
-    def read(self) -> SensorReading:
-        timestamp = self._tick()
-        frame = self._rng.normal(0.1, 0.05, size=(self.frame_size, self.frame_size, 1))
-        boxes: List[Tuple[float, float, float, float]] = []
-        for _ in range(int(self._rng.integers(0, self.max_objects + 1))):
-            size = int(self._rng.integers(4, max(5, self.frame_size // 4)))
-            x = int(self._rng.integers(0, self.frame_size - size))
-            y = int(self._rng.integers(0, self.frame_size - size))
-            frame[y : y + size, x : x + size, 0] += self._rng.uniform(0.6, 1.0)
-            boxes.append((float(x), float(y), float(x + size), float(y + size)))
-        return SensorReading(
-            sensor_id=self.sensor_id,
-            timestamp=timestamp,
-            payload=frame,
-            annotations={"boxes": boxes},
-        )
+    def read_batch(self, count: int) -> Readings:
+        size = self.frame_size
+        block = np.empty((count, size, size, 1))
+        annotations: List[Dict[str, object]] = []
+        objects: List[Tuple[int, int, int, int, float]] = []   # frame, x, y, side, brightness
+        for index in range(count):
+            self._rng.standard_normal(out=block[index])
+            boxes: List[Tuple[float, float, float, float]] = []
+            for _ in range(int(self._rng.integers(0, self.max_objects + 1))):
+                side = int(self._rng.integers(4, max(5, size // 4)))
+                x = int(self._rng.integers(0, size - side))
+                y = int(self._rng.integers(0, size - side))
+                objects.append((index, x, y, side, self._rng.uniform(0.6, 1.0)))
+                boxes.append((float(x), float(y), float(x + side), float(y + side)))
+            annotations.append({"boxes": boxes})
+        _scaled(block, 0.1, 0.05)
+        for index, x, y, side, brightness in objects:
+            block[index, y : y + side, x : x + side, 0] += brightness
+        return self._emit(block, annotations)
 
 
 class WearableIMUSensor(_BaseSensor):
@@ -162,21 +222,28 @@ class WearableIMUSensor(_BaseSensor):
         super().__init__(sensor_id, period_s, seed)
         self.steps = int(steps)
         self.channels = int(channels)
-        self._time = np.linspace(0, 2 * np.pi, self.steps)[:, None]
+        # frequency * t for each activity, whose frequency is 1.0 + its index
+        self._waves = (1.0 + np.arange(len(self.ACTIVITIES)))[:, None, None] * np.linspace(
+            0, 2 * np.pi, self.steps
+        )[:, None]
 
-    def read(self) -> SensorReading:
-        timestamp = self._tick()
-        activity = int(self._rng.integers(0, len(self.ACTIVITIES)))
-        frequency = 1.0 + activity
-        phases = self._rng.uniform(0, 2 * np.pi, size=self.channels)
-        window = np.sin(frequency * self._time + phases)
-        window += self._rng.normal(0, 0.25, size=window.shape)
-        return SensorReading(
-            sensor_id=self.sensor_id,
-            timestamp=timestamp,
-            payload=window,
-            annotations={"activity": activity, "activity_name": self.ACTIVITIES[activity]},
-        )
+    def read_batch(self, count: int) -> Readings:
+        activities: List[int] = []
+        phases = np.empty((count, 1, self.channels))
+        block = np.empty((count, self.steps, self.channels))
+        for index in range(count):
+            activities.append(int(self._rng.integers(0, len(self.ACTIVITIES))))
+            phases[index, 0] = self._rng.uniform(0, 2 * np.pi, size=self.channels)
+            self._rng.standard_normal(out=block[index])
+        # window = sin(frequency * t + phases) + noise: one rounding per
+        # operation either way, and the sum is the same in either order
+        waves = self._waves[activities] + phases
+        _scaled(block, 0.0, 0.25)
+        block += np.sin(waves, out=waves)
+        return self._emit(block, [
+            {"activity": activity, "activity_name": self.ACTIVITIES[activity]}
+            for activity in activities
+        ])
 
 
 class PowerMeterSensor(_BaseSensor):
@@ -199,22 +266,21 @@ class PowerMeterSensor(_BaseSensor):
     ) -> None:
         super().__init__(sensor_id, period_s, seed)
         self.base_load_w = float(base_load_w)
-        self._watts = np.array(self.APPLIANCE_WATTS)
         self._states = np.zeros(len(self.APPLIANCES), dtype=bool)
 
-    def read(self) -> SensorReading:
-        timestamp = self._tick()
-        toggles = self._rng.random(len(self.APPLIANCES)) < 0.15
-        self._states = np.logical_xor(self._states, toggles)
-        total = self.base_load_w + float(
-            (self._watts * self._states).sum()
-        ) + float(self._rng.normal(0, 5.0))
-        return SensorReading(
-            sensor_id=self.sensor_id,
-            timestamp=timestamp,
-            payload=np.array([max(0.0, total)]),
-            annotations={"appliance_states": self._states.tolist()},
-        )
+    def read_batch(self, count: int) -> Readings:
+        totals: List[List[float]] = []
+        annotations: List[Dict[str, object]] = []
+        # a reading is one scalar: Python floats make the same IEEE
+        # roundings as NumPy's, without a NumPy dispatch per operation
+        for _ in range(count):
+            self._states = self._states ^ (self._rng.random(len(self.APPLIANCES)) < 0.15)
+            states = self._states.tolist()
+            load = sum(watts for watts, on in zip(self.APPLIANCE_WATTS, states) if on)
+            noise = 0.0 + 5.0 * self._rng.standard_normal()   # normal(0, 5.0)
+            totals.append([max(0.0, self.base_load_w + load + noise)])
+            annotations.append({"appliance_states": states})
+        return self._emit(np.array(totals), annotations)
 
 
 class VehicleCameraSensor(_BaseSensor):
@@ -233,26 +299,35 @@ class VehicleCameraSensor(_BaseSensor):
         seed: int = 0,
     ) -> None:
         super().__init__(sensor_id, period_s, seed)
+        if frame_size < 8:
+            raise ConfigurationError("frame_size must be at least 8")
         self.frame_size = int(frame_size)
         self._position = np.array(
             [self.frame_size / 2.0, self.frame_size / 2.0], dtype=np.float64
         )
         self._velocity = self._rng.normal(0, 0.8, size=2)
+        # flat offsets of a 6x6 square's pixels from its corner in one frame
+        self._square = (np.arange(6)[:, None] * self.frame_size + np.arange(6)).ravel()
 
-    def read(self) -> SensorReading:
-        timestamp = self._tick()
-        self._velocity += self._rng.normal(0, 0.2, size=2)
-        # np.clip spelled out: on a 2-vector its dispatch costs more than the work
-        self._velocity = np.minimum(np.maximum(self._velocity, -2.0), 2.0)
-        self._position = np.minimum(
-            np.maximum(self._position + self._velocity, 4.0), self.frame_size - 5.0
-        )
-        frame = self._rng.normal(0.1, 0.05, size=(self.frame_size, self.frame_size, 1))
-        x, y = int(self._position[0]), int(self._position[1])
-        frame[y - 3 : y + 3, x - 3 : x + 3, 0] += 0.9
-        return SensorReading(
-            sensor_id=self.sensor_id,
-            timestamp=timestamp,
-            payload=frame,
-            annotations={"position": self._position.tolist()},
-        )
+    def read_batch(self, count: int) -> Readings:
+        size = self.frame_size
+        # a reading draws only normals: its 2 velocity steps, then its frame
+        draws = self._rng.standard_normal((count, 2 + size * size))
+        block = _scaled(draws[:, 2:].reshape(count, size, size, 1).copy(), 0.1, 0.05)
+        (vx, vy), (px, py) = self._velocity.tolist(), self._position.tolist()
+        high = size - 5.0
+        corners: List[int] = []       # flat index of each frame's object corner
+        annotations: List[Dict[str, object]] = []
+        # the track on Python floats: the same IEEE arithmetic as the
+        # 2-vectors it stores, without a NumPy dispatch per step
+        for index, (zx, zy) in enumerate(draws[:, :2].tolist()):
+            vx = min(max(vx + (0.0 + 0.2 * zx), -2.0), 2.0)     # normal(0, 0.2) steps
+            vy = min(max(vy + (0.0 + 0.2 * zy), -2.0), 2.0)
+            px, py = min(max(px + vx, 4.0), high), min(max(py + vy, 4.0), high)
+            corners.append((index * size + int(py) - 3) * size + int(px) - 3)
+            annotations.append({"position": [px, py]})
+        self._velocity, self._position = np.array([vx, vy]), np.array([px, py])
+        # block[i, y-3:y+3, x-3:x+3, 0] += 0.9 for every frame at once
+        # (one square per frame, so no pixel is named twice)
+        block.reshape(-1)[np.array(corners)[:, None] + self._square] += 0.9
+        return self._emit(block, annotations)

@@ -5,16 +5,21 @@ O(1) append that drops the oldest reading once the series is full, and
 readers iterate over a snapshot so a handler thread recording beside
 them cannot disturb the walk.  ``realtime_batch`` is the capture path
 of the scenario apps' list handlers: every id is resolved before the
-first reading is pulled.
+first reading is pulled, and a live sensor is asked once per run of its
+id, so a list that names one live sensor throughout comes back as one
+block (``Readings.block``) the handler can use as its stacked input.
+A row of a block keeps the whole block alive; the block is freed once
+its last row has left the retention deque.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from itertools import groupby
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.exceptions import ResourceNotFoundError
-from repro.data.sensors import SensorReading, _BaseSensor
+from repro.data.sensors import Readings, SensorReading, _BaseSensor
 
 
 class EdgeDataStore:
@@ -54,25 +59,32 @@ class EdgeDataStore:
         """Newest reading for a sensor, pulling from the live sensor when attached."""
         return self.realtime_batch([sensor_id])[0]
 
-    def realtime_batch(self, sensor_ids: Sequence[str]) -> List[SensorReading]:
+    def realtime_batch(self, sensor_ids: Sequence[str]) -> Readings:
         """:meth:`realtime` for each id in order (an id named twice is read twice).
 
         All or nothing: every id is resolved before the first live
-        ``read()``, so an unknown one raises with no reading consumed.
+        read, so an unknown one raises with no reading consumed.  Each
+        run of one id is one :meth:`~repro.data.sensors._BaseSensor.read_batch`
+        of a live sensor, or that many copies of a recorded-only
+        sensor's newest reading.  The result's ``block`` is the live
+        sensor's block when the whole list is one run of it, else ``None``.
         """
-        sensors = [self._sensors.get(sensor_id) for sensor_id in sensor_ids]
-        for sensor_id, sensor in zip(sensor_ids, sensors):
-            if sensor is None and not self._readings.get(sensor_id):
+        runs = [(sensor_id, len(list(run))) for sensor_id, run in groupby(sensor_ids)]
+        for sensor_id, _ in runs:
+            if sensor_id not in self._sensors and not self._readings.get(sensor_id):
                 raise ResourceNotFoundError(f"no data recorded for sensor {sensor_id!r}")
-        newest: List[SensorReading] = []
-        for sensor_id, sensor in zip(sensor_ids, sensors):
+        newest = Readings()
+        for sensor_id, count in runs:
+            sensor = self._sensors.get(sensor_id)
             series = self._readings[sensor_id]
             if sensor is None:
-                newest.append(series[-1])
+                newest.extend([series[-1]] * count)
             else:
-                reading = sensor.read()
-                series.append(reading)
-                newest.append(reading)
+                captured = sensor.read_batch(count)
+                series.extend(captured)
+                newest.extend(captured)
+                if len(runs) == 1:
+                    newest.block = captured.block
         return newest
 
     def historical(

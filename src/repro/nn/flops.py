@@ -2,8 +2,8 @@
 
 The hardware profiler derives ALEM latency/energy from these counts
 rather than from wall-clock measurements, so the selector's behaviour is
-deterministic and board-independent (the substitution documented in
-DESIGN.md).
+deterministic and board-independent (the ``hardware`` row of the package
+map in docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations

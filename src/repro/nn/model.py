@@ -77,11 +77,11 @@ class Sequential:
         return self.compile_plan().execute(inputs)
 
     def predict_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """One fused forward pass over a whole (micro-)batch of inputs.
+        """One fused forward pass over a whole batch of inputs.
 
         Semantically identical to :meth:`predict`; the separate name is
-        the contract the serving layer's batch handlers rely on — stack
-        the micro-batch into a single array, make one engine call.
+        the contract the scenario apps' list handlers rely on — a list
+        of calls' inputs in one array, one engine call.
         """
         return self.compile_plan().execute(inputs)
 

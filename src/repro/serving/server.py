@@ -99,6 +99,9 @@ class _LibEIHTTPServer(socketserver.ThreadingTCPServer):
     """
 
     allow_reuse_address = True  # restart() rebinds the port a killed server held
+    # the listen backlog: socketserver's 5 drops the rest of a connection
+    # burst, and each dropped peer waits out a SYN retransmit (1 s or more)
+    request_queue_size = socket.SOMAXCONN
     daemon_threads = True  # stop() must not wait on a connection's thread
 
     def __init__(self, address: Tuple[str, int], handler: type) -> None:

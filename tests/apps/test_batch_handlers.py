@@ -126,6 +126,27 @@ def test_mixed_shape_micro_batch_does_not_raise():
     assert all("detections" in r for r in results)
 
 
+def test_a_list_naming_a_recorded_only_camera_stacks_its_newest_frame():
+    """32 calls to a camera with no live sensor answer its newest frame 32 times,
+    even though that frame is a row of a 32-row block of other frames."""
+    from repro.apps._batching import capture_readings
+    from repro.data.sensors import CameraSensor
+
+    openei = _deploy(register_public_safety)
+    recorded = CameraSensor(sensor_id="recorded", seed=5).read_batch(32)
+    for reading in recorded:
+        openei.data_store.record(reading)
+    calls = [{"video": "recorded"} for _ in range(32)]
+    readings, frames = capture_readings(openei, calls, "video", "camera1")
+    assert all(reading is recorded[-1] for reading in readings)
+    assert frames.shape == recorded.block.shape
+    assert all(np.array_equal(frame, recorded[-1].payload) for frame in frames)
+    results = openei.call_algorithm_batch("safety", "detection", calls)
+    single = openei.call_algorithm("safety", "detection", {"video": "recorded"})
+    _assert_results_match(results, [single] * 32)
+    assert openei.data_store.count("camera1") == 0
+
+
 def test_recognize_batch_matches_recognize():
     recognizer = ActivityRecognizer(seed=0)
     recognizer.train(samples=120, epochs=4, seed=0)

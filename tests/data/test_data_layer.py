@@ -97,6 +97,35 @@ def test_sensor_streams_are_byte_identical_to_the_pinned_digests(sensor_class, s
 
 
 @pytest.mark.parametrize(
+    "sensor_class,seed", list(SENSOR_STREAM_DIGESTS),
+    ids=[f"{cls.__name__}-seed{seed}" for cls, seed in SENSOR_STREAM_DIGESTS],
+)
+def test_read_batch_equals_reading_one_at_a_time(sensor_class, seed):
+    """A block of readings is the readings ``read()`` would have made, in order."""
+    one_at_a_time = list(sensor_class(seed=seed).stream(64))
+    sensor = sensor_class(seed=seed)
+    chunks = [sensor.read_batch(count) for count in (1, 7, 32, 24)]
+    captured = [reading for chunk in chunks for reading in chunk]
+    assert len(captured) == len(one_at_a_time) == 64
+    for got, want in zip(captured, one_at_a_time):
+        assert repr(got.timestamp) == repr(want.timestamp)
+        assert got.payload.tobytes() == want.payload.tobytes()
+        assert got.payload.dtype == want.payload.dtype
+        assert got.payload.shape == want.payload.shape
+        assert repr(got.annotations) == repr(want.annotations)
+    for chunk in chunks:
+        block = chunk.block
+        assert block.shape == (len(chunk), *chunk[0].payload.shape)
+        with pytest.raises(ValueError, match="read-only"):
+            block[...] = 0.0
+        for row, reading in zip(block, chunk):
+            assert reading.payload.base is block
+            assert np.array_equal(reading.payload, row)
+            with pytest.raises(ValueError, match="read-only"):
+                reading.payload[...] = 0.0
+
+
+@pytest.mark.parametrize(
     "sensor_class", [CameraSensor, VehicleCameraSensor, WearableIMUSensor, PowerMeterSensor]
 )
 def test_a_reading_is_read_only_and_keeps_its_payload_json(sensor_class):
@@ -119,6 +148,8 @@ def test_sensor_invalid_period():
         CameraSensor(period_s=0.0)
     with pytest.raises(ConfigurationError):
         CameraSensor(frame_size=4)
+    with pytest.raises(ConfigurationError):
+        VehicleCameraSensor(frame_size=7)
 
 
 # -- store -----------------------------------------------------------------------
@@ -178,6 +209,38 @@ def test_realtime_batch_reads_in_order_and_is_all_or_nothing():
     assert kept is recorded                     # no live sensor: the newest recorded reading
     assert store.count("live") == 2 and store.count("recorded") == 1
     assert store.realtime_batch([]) == []
+
+
+def test_realtime_batch_reads_each_run_of_an_id_as_one_block():
+    store = EdgeDataStore()
+    store.register_sensor(CameraSensor(sensor_id="cam", seed=0))
+    store.register_sensor(WearableIMUSensor(sensor_id="imu", seed=0))
+    captured = store.realtime_batch(["cam", "imu", "cam", "cam"])
+    cams = list(CameraSensor(sensor_id="cam", seed=0).stream(3))
+    imu = next(WearableIMUSensor(sensor_id="imu", seed=0).stream(1))
+    assert [reading.sensor_id for reading in captured] == ["cam", "imu", "cam", "cam"]
+    for got, want in zip(captured, [cams[0], imu, cams[1], cams[2]]):
+        assert got.timestamp == want.timestamp
+        assert got.payload.tobytes() == want.payload.tobytes()
+    assert captured.block is None                # two sensors: no one array holds the list
+    assert store.historical("cam", start=0.0) == [captured[0], *captured[2:]]
+    assert store.historical("imu", start=0.0) == [captured[1]]
+    run = store.realtime_batch(["cam"] * 4)
+    assert run.block is not None and run.block.shape == (4, 32, 32, 1)
+    assert all(reading.payload.base is run.block for reading in run)
+    assert [r.timestamp for r in run] == [c.timestamp for c in CameraSensor(seed=0).stream(7)][3:]
+
+
+def test_a_recorded_only_run_repeats_its_newest_reading_and_has_no_block():
+    """The newest recorded reading may be a row of a block; that block is not the answer."""
+    store = EdgeDataStore()
+    recorded = CameraSensor(sensor_id="cam", seed=0).read_batch(32)
+    for reading in recorded:
+        store.record(reading)
+    captured = store.realtime_batch(["cam"] * 32)
+    assert all(reading is recorded[-1] for reading in captured)
+    assert captured.block is None
+    assert recorded[-1].payload.base is recorded.block
 
 
 def test_store_readers_walk_a_snapshot_of_the_series():

@@ -115,6 +115,21 @@ def test_server_round_trip_with_client(served_openei):
         assert server.url.startswith("http://127.0.0.1:")
 
 
+def test_a_burst_of_connections_waits_in_the_listen_backlog(served_openei):
+    """Connections a busy server has not accepted yet queue in the kernel.
+
+    Nothing accepts here (the server is never started), so every
+    connection beyond the listen backlog would be dropped and time out.
+    """
+    server = LibEIServer(served_openei)
+    try:
+        for _ in range(32):
+            connection = socket.create_connection(server.address, timeout=0.5)
+            connection.close()
+    finally:
+        server.stop()
+
+
 def test_client_raises_api_error_on_missing_resources(served_openei):
     server = LibEIServer(served_openei)
     with server:
