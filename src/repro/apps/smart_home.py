@@ -132,11 +132,8 @@ def register_smart_home(
     ) -> List[Dict[str, object]]:
         """Resolve every call's reading with one vectorized nearest-sum lookup."""
         start = time.perf_counter()
-        readings, stacked = capture_readings(ei, calls, "meter", meter_id)
-        if stacked is not None:
-            totals = stacked[:, 0]
-        else:
-            totals = np.array([reading.payload[0] for reading in readings], dtype=np.float64)
+        readings, _ = capture_readings(ei, calls, "meter", meter_id)
+        totals = np.array([reading.payload[0] for reading in readings], dtype=np.float64)
         truth = np.array(
             [reading.annotations["appliance_states"] for reading in readings], dtype=bool
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +39,10 @@ class SensorReading:
     _served: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.payload.flags.writeable = False
+        # a row of a sealed block is read-only already; setting the flag
+        # again would cost about half as much as building the reading
+        if self.payload.flags.writeable:
+            self.payload.flags.writeable = False
 
     @property
     def nbytes(self) -> int:
@@ -93,12 +96,7 @@ class Readings(list):
     block of other readings.
     """
 
-    __slots__ = ("block",)
-
-    def __init__(self, readings: Iterable[SensorReading] = (),
-                 block: Optional[np.ndarray] = None) -> None:
-        super().__init__(readings)
-        self.block = block
+    block: Optional[np.ndarray] = None
 
 
 def _scaled(draws: np.ndarray, loc: float, scale: float) -> np.ndarray:
@@ -136,13 +134,12 @@ class _BaseSensor:
     def _emit(self, block: np.ndarray, annotations: Sequence[Dict[str, object]]) -> Readings:
         """Seal ``block`` read-only, then hand out one timestamped reading per row."""
         block.flags.writeable = False
-        return Readings(
-            [
-                SensorReading(self.sensor_id, self._tick(), row, notes)
-                for row, notes in zip(block, annotations)
-            ],
-            block,
-        )
+        readings = Readings([
+            SensorReading(self.sensor_id, self._tick(), block[index], notes)
+            for index, notes in enumerate(annotations)
+        ])
+        readings.block = block
+        return readings
 
     def stream(self, count: int) -> Iterator[SensorReading]:
         """Yield ``count`` consecutive readings."""
@@ -228,21 +225,24 @@ class WearableIMUSensor(_BaseSensor):
         )[:, None]
 
     def read_batch(self, count: int) -> Readings:
-        activities: List[int] = []
+        activities = np.empty(count, dtype=np.intp)
         phases = np.empty((count, 1, self.channels))
         block = np.empty((count, self.steps, self.channels))
         for index in range(count):
-            activities.append(int(self._rng.integers(0, len(self.ACTIVITIES))))
-            phases[index, 0] = self._rng.uniform(0, 2 * np.pi, size=self.channels)
+            activities[index] = self._rng.integers(0, len(self.ACTIVITIES))
+            self._rng.random(out=phases[index, 0])
             self._rng.standard_normal(out=block[index])
-        # window = sin(frequency * t + phases) + noise: one rounding per
-        # operation either way, and the sum is the same in either order
-        waves = self._waves[activities] + phases
+        # window = sin(frequency * t + phases) + noise, where uniform(0, 2π)
+        # is 0 + 2π * random() (the 0 + changes no non-negative value):
+        # one rounding per operation either way, and the sum is the same
+        # in either order
+        phases *= 2 * np.pi
+        waves = self._waves.take(activities, axis=0) + phases
         _scaled(block, 0.0, 0.25)
         block += np.sin(waves, out=waves)
         return self._emit(block, [
             {"activity": activity, "activity_name": self.ACTIVITIES[activity]}
-            for activity in activities
+            for activity in activities.tolist()
         ])
 
 
@@ -306,28 +306,26 @@ class VehicleCameraSensor(_BaseSensor):
             [self.frame_size / 2.0, self.frame_size / 2.0], dtype=np.float64
         )
         self._velocity = self._rng.normal(0, 0.8, size=2)
-        # flat offsets of a 6x6 square's pixels from its corner in one frame
-        self._square = (np.arange(6)[:, None] * self.frame_size + np.arange(6)).ravel()
 
     def read_batch(self, count: int) -> Readings:
         size = self.frame_size
-        # a reading draws only normals: its 2 velocity steps, then its frame
-        draws = self._rng.standard_normal((count, 2 + size * size))
-        block = _scaled(draws[:, 2:].reshape(count, size, size, 1).copy(), 0.1, 0.05)
+        steps = np.empty((count, 2))
+        block = np.empty((count, size, size, 1))
+        for index in range(count):     # a reading's 2 velocity steps, then its frame
+            self._rng.standard_normal(out=steps[index])
+            self._rng.standard_normal(out=block[index])
+        _scaled(block, 0.1, 0.05)
         (vx, vy), (px, py) = self._velocity.tolist(), self._position.tolist()
         high = size - 5.0
-        corners: List[int] = []       # flat index of each frame's object corner
         annotations: List[Dict[str, object]] = []
         # the track on Python floats: the same IEEE arithmetic as the
         # 2-vectors it stores, without a NumPy dispatch per step
-        for index, (zx, zy) in enumerate(draws[:, :2].tolist()):
+        for index, (zx, zy) in enumerate(steps.tolist()):
             vx = min(max(vx + (0.0 + 0.2 * zx), -2.0), 2.0)     # normal(0, 0.2) steps
             vy = min(max(vy + (0.0 + 0.2 * zy), -2.0), 2.0)
             px, py = min(max(px + vx, 4.0), high), min(max(py + vy, 4.0), high)
-            corners.append((index * size + int(py) - 3) * size + int(px) - 3)
+            x, y = int(px), int(py)
+            block[index, y - 3 : y + 3, x - 3 : x + 3, 0] += 0.9
             annotations.append({"position": [px, py]})
         self._velocity, self._position = np.array([vx, vy]), np.array([px, py])
-        # block[i, y-3:y+3, x-3:x+3, 0] += 0.9 for every frame at once
-        # (one square per frame, so no pixel is named twice)
-        block.reshape(-1)[np.array(corners)[:, None] + self._square] += 0.9
         return self._emit(block, annotations)
