@@ -31,9 +31,7 @@ _EXPORTS = {
     "Suppression": "repro.analysis.findings",
     "KNOWN_RULE_IDS": "repro.analysis.lint",
     "LintReport": "repro.analysis.lint",
-    "load_baseline": "repro.analysis.lint",
     "run_lint": "repro.analysis.lint",
-    "write_baseline": "repro.analysis.lint",
     "ProjectIndex": "repro.analysis.callgraph",
     "run_interproc": "repro.analysis.interproc",
     "ShapeReport": "repro.analysis.shapes",

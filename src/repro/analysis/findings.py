@@ -66,12 +66,6 @@ class Finding:
             "chain": list(self.chain),
         }
 
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity used by the baseline file: line numbers drift with
-        unrelated edits, so a grandfathered finding is keyed by what it
-        says, not where it currently sits."""
-        return (self.path, self.rule, self.message)
-
 
 @dataclass(frozen=True)
 class Suppression:

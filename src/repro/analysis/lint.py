@@ -9,9 +9,8 @@ Two passes: pass 1 parses every file, indexes which classes define
 project-wide symbol table and call graph; pass 2 runs every file rule
 over every file, then the call-graph rules
 (:mod:`repro.analysis.interproc`) over the whole project, filters
-findings through ``# lint: ignore[...]`` suppressions and the optional
-``--baseline`` file, and reports what survives.  ``--strict`` exits
-non-zero on any unsuppressed, non-baselined finding (the CI gate);
+findings through ``# lint: ignore[...]`` suppressions, and reports what
+survives.  ``--strict`` exits non-zero on any unsuppressed finding (the CI gate);
 without it the run is a report and always exits 0.  ``--format json``
 emits the full report as one JSON object for artifacts and diffing.
 """
@@ -22,7 +21,6 @@ import argparse
 import ast
 import json
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -58,8 +56,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Tuple[Finding, Suppression]] = field(default_factory=list)
-    #: findings matched (and absorbed) by the ``--baseline`` file
-    baselined: List[Finding] = field(default_factory=list)
     files_checked: int = 0
 
     @property
@@ -78,7 +74,6 @@ class LintReport:
                 {"finding": f.as_dict(), "reason": s.reason, "line": s.line}
                 for f, s in self.suppressed
             ],
-            "baselined": [f.as_dict() for f in self.baselined],
         }
 
 
@@ -155,54 +150,11 @@ def _suppression_findings(path: str, comments: CommentMap) -> List[Finding]:
     return findings
 
 
-def load_baseline(path: str) -> List[Tuple[str, str, str]]:
-    """Read a baseline file: a JSON list of grandfathered findings, each
-    ``{"path": ..., "rule": ..., "message": ...}``.  Line numbers are
-    deliberately absent — see :meth:`Finding.baseline_key`."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = raw["findings"] if isinstance(raw, dict) else raw
-    return [(e["path"], e["rule"], e["message"]) for e in entries]
-
-
-def write_baseline(path: str, report: LintReport) -> None:
-    """Grandfather the current unsuppressed findings into ``path``."""
-    entries = [
-        {"path": f.path, "rule": f.rule, "message": f.message}
-        for f in report.findings
-    ]
-    Path(path).write_text(
-        json.dumps({"findings": entries}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def _apply_baseline(
-    report: LintReport, baseline: Sequence[Tuple[str, str, str]]
-) -> None:
-    """Move findings matched by the baseline into ``report.baselined``.
-
-    Matching is a multiset: two grandfathered copies of the same finding
-    absorb at most two occurrences, so a *new* third instance of an old
-    pattern still fails the gate.
-    """
-    budget = Counter(baseline)
-    kept: List[Finding] = []
-    for finding in report.findings:
-        key = finding.baseline_key()
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-            report.baselined.append(finding)
-        else:
-            kept.append(finding)
-    report.findings = kept
-
-
 def run_lint(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     exclude: Sequence[str] = (),
-    baseline: Optional[Sequence[Tuple[str, str, str]]] = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` and return the report."""
     report = LintReport()
@@ -241,9 +193,6 @@ def run_lint(
         if wanted(finding.rule):
             mod = index.modules[index.path_to_module[finding.path]]
             _route(report, [finding], mod.comments.suppressions)
-
-    if baseline:
-        _apply_baseline(report, baseline)
 
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
@@ -295,42 +244,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=("text", "json"),
         default="text",
         help="output format: human-readable text (default) or one JSON "
-        "object with findings/suppressed/baselined records",
-    )
-    parser.add_argument(
-        "--baseline",
-        default="",
-        metavar="FILE",
-        help="JSON file of grandfathered findings; matches are reported "
-        "as 'baselined' and do not fail --strict",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default="",
-        metavar="FILE",
-        help="write the run's unsuppressed findings to FILE as a new "
-        "baseline and exit 0",
+        "object with findings/suppressed records",
     )
     args = parser.parse_args(argv)
 
     select = [r.strip() for r in args.select.split(",") if r.strip()] or None
     ignore = [r.strip() for r in args.ignore.split(",") if r.strip()] or None
-    baseline = load_baseline(args.baseline) if args.baseline else None
-    report = run_lint(
-        args.paths,
-        select=select,
-        ignore=ignore,
-        exclude=args.exclude,
-        baseline=baseline,
-    )
-
-    if args.write_baseline:
-        write_baseline(args.write_baseline, report)
-        print(
-            f"wrote baseline with {len(report.findings)} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return 0
+    report = run_lint(args.paths, select=select, ignore=ignore, exclude=args.exclude)
 
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -342,8 +262,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{len(report.errors)} error(s), {len(report.warnings)} warning(s), "
             f"{len(report.suppressed)} suppressed"
         )
-        if report.baselined:
-            summary += f", {len(report.baselined)} baselined"
         print(summary)
     if args.strict and report.findings:
         if args.format != "json":

@@ -13,22 +13,29 @@ cannot drift apart.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.data.sensors import SensorReading
+from repro.data.sensors import SensorReading, _BaseSensor
+from repro.exceptions import APIError
 
 
 def capture_readings(
-    ei, calls: Sequence[Dict[str, object]], argument: str, default_id: str
+    ei, calls: Sequence[Dict[str, object]], argument: str, default_id: str,
+    kinds: Tuple[Type[_BaseSensor], ...],
 ) -> Tuple[List[SensorReading], Optional[np.ndarray]]:
-    """One reading per call, from the sensor its ``argument`` names (else ``default_id``),
-    and the stacked input the handler answers them with.
+    """One reading per call, from the sensor its ``argument`` names (else
+    ``default_id``), and the stacked input the handler answers them with.
 
-    Every id is resolved before the first reading is pulled, so an
-    unknown sensor anywhere in the list raises with no reading consumed:
-    a failed list call leaves every sensor where it was.
+    Every id is checked before the first reading is pulled, so a bad one
+    anywhere in the list raises with no reading consumed: a failed list
+    call leaves every sensor where it was.  An unknown id raises
+    :class:`~repro.exceptions.ResourceNotFoundError` (404).  A live sensor
+    that is none of the ``kinds`` the handler reads raises
+    :class:`~repro.exceptions.APIError` (400), checked once per distinct
+    id; a recorded-only series is taken as it is, since nothing says which
+    kind of sensor recorded it.
 
     The stacked input is the captured block itself when one live sensor
     answered every call (the store hands it over explicitly; no copy is
@@ -37,9 +44,15 @@ def capture_readings(
     its per-reading path rather than raise, since an exception here would
     fail the whole list after its readings were already consumed.
     """
-    readings = ei.data_store.realtime_batch(
-        [str(args.get(argument, default_id)) for args in calls]
-    )
+    ids = [str(args.get(argument, default_id)) for args in calls]
+    for sensor_id in dict.fromkeys(ids):
+        sensor = ei.data_store.sensor(sensor_id)
+        if sensor is not None and not isinstance(sensor, kinds):
+            raise APIError(
+                f"argument {argument!r} names sensor {sensor_id!r}, a {type(sensor).__name__}; "
+                f"this algorithm reads {' or '.join(kind.__name__ for kind in kinds)}"
+            )
+    readings = ei.data_store.realtime_batch(ids)
     if readings.block is not None:
         return readings, readings.block
     payloads = [reading.payload for reading in readings]

@@ -141,7 +141,7 @@ def register_connected_health(
     ) -> List[Dict[str, object]]:
         """Answer the calls' IMU windows with one fused engine forward."""
         start = time.perf_counter()
-        readings, windows = capture_readings(ei, calls, "sensor", sensor_id)
+        readings, windows = capture_readings(ei, calls, "sensor", sensor_id, (WearableIMUSensor,))
         if windows is not None:
             results = recognizer.recognize_batch(windows)
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -138,12 +138,11 @@ class ObjectTracker:
 
 
 def register_connected_vehicles(
-    openei: OpenEI, camera_id: str = "vehiclecam1", seed: int = 0,
-    tracker: Optional[ObjectTracker] = None,
+    openei: OpenEI, seed: int = 0, tracker: Optional[ObjectTracker] = None,
 ) -> ObjectTracker:
-    """Attach a vehicle camera and register the tracking algorithm on ``openei``."""
+    """Attach a vehicle camera (``vehiclecam1``) and register the tracking algorithm on ``openei``."""
     tracker = tracker or ObjectTracker()
-    camera = VehicleCameraSensor(sensor_id=camera_id, seed=seed)
+    camera = VehicleCameraSensor(seed=seed)
     openei.data_store.register_sensor(camera)
 
     def tracking_batch_handler(
@@ -163,7 +162,7 @@ def register_connected_vehicles(
         counts = [_frame_count(args) for args in calls]
         readings, stacked = capture_readings(
             ei, [args for args, count in zip(calls, counts) for _ in range(count)],
-            "video", camera_id,
+            "video", camera.sensor_id, (VehicleCameraSensor,),
         )
         bounds = [0, *accumulate(counts)]
         spans = list(zip(bounds, bounds[1:]))     # call i owns readings[lo:hi]
@@ -178,7 +177,7 @@ def register_connected_vehicles(
             )
         results: List[Dict[str, object]] = [
             {
-                "sensor_id": camera_id,
+                "sensor_id": camera.sensor_id,
                 # the (stateful) fold runs in call order; ``predicted_next``
                 # reads the state it leaves behind
                 "track": tracker.fold(measurements[lo:hi]),

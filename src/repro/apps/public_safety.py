@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.apps._batching import amortized_batch_latency, capture_readings
 from repro.core.openei import OpenEI
-from repro.data.sensors import CameraSensor
+from repro.data.sensors import CameraSensor, VehicleCameraSensor
 from repro.exceptions import ConfigurationError
 from repro.nn.metrics import mean_average_precision
 
@@ -137,23 +137,22 @@ def mask_private_regions(frame: np.ndarray, boxes: Sequence[Box], fill: float = 
     return masked
 
 
-def flag_suspicious(detections: Sequence[Detection], min_area: float = 30.0,
-                    min_score: float = 0.6) -> List[Detection]:
-    """Heuristic firearm/threat flagging: large, bright objects are escalated."""
+def flag_suspicious(detections: Sequence[Detection], min_area: float = 30.0) -> List[Detection]:
+    """Heuristic firearm/threat flagging: large objects scoring at least 0.6 are escalated."""
     flagged = []
     for det in detections:
         x1, y1, x2, y2 = det.box
         area = (x2 - x1) * (y2 - y1)
-        if area >= min_area and det.score >= min_score:
+        if area >= min_area and det.score >= 0.6:
             flagged.append(det)
     return flagged
 
 
-def register_public_safety(openei: OpenEI, camera_id: str = "camera1", seed: int = 0,
+def register_public_safety(openei: OpenEI, seed: int = 0,
                            detector: Optional[BlobDetector] = None) -> BlobDetector:
-    """Attach a camera sensor and register the safety algorithms on ``openei``."""
+    """Attach a camera sensor (``camera1``) and register the safety algorithms on ``openei``."""
     detector = detector or BlobDetector()
-    camera = CameraSensor(sensor_id=camera_id, seed=seed)
+    camera = CameraSensor(seed=seed)
     openei.data_store.register_sensor(camera)
 
     def _detection_result(reading, detections, latency_s: float) -> Dict[str, object]:
@@ -182,7 +181,9 @@ def register_public_safety(openei: OpenEI, camera_id: str = "camera1", seed: int
 
         def batch_handler(ei: OpenEI, calls: List[Dict[str, object]]) -> List[Dict[str, object]]:
             start = time.perf_counter()
-            readings, frames = capture_readings(ei, calls, "video", camera_id)
+            readings, frames = capture_readings(
+                ei, calls, "video", camera.sensor_id, (CameraSensor, VehicleCameraSensor)
+            )
             if frames is not None:
                 per_frame = detector.detect_batch(frames)
             else:

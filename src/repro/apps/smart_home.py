@@ -119,12 +119,11 @@ class PowerMonitor:
 
 
 def register_smart_home(
-    openei: OpenEI, meter_id: str = "powermeter1", seed: int = 0,
-    monitor: Optional[PowerMonitor] = None,
+    openei: OpenEI, seed: int = 0, monitor: Optional[PowerMonitor] = None,
 ) -> PowerMonitor:
-    """Attach a power meter and register the power-monitoring algorithm on ``openei``."""
+    """Attach a power meter (``powermeter1``) and register the power-monitoring algorithm on ``openei``."""
     monitor = monitor or PowerMonitor()
-    meter = PowerMeterSensor(sensor_id=meter_id, seed=seed)
+    meter = PowerMeterSensor(seed=seed)
     openei.data_store.register_sensor(meter)
 
     def power_monitor_batch_handler(
@@ -132,7 +131,7 @@ def register_smart_home(
     ) -> List[Dict[str, object]]:
         """Resolve every call's reading with one vectorized nearest-sum lookup."""
         start = time.perf_counter()
-        readings, _ = capture_readings(ei, calls, "meter", meter_id)
+        readings, _ = capture_readings(ei, calls, "meter", meter.sensor_id, (PowerMeterSensor,))
         totals = np.array([reading.payload[0] for reading in readings], dtype=np.float64)
         truth = np.array(
             [reading.annotations["appliance_states"] for reading in readings], dtype=bool

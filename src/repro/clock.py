@@ -47,24 +47,23 @@ SYSTEM_CLOCK = Clock()
 class ManualClock(Clock):
     """A clock that moves only when told to: the one test double.
 
-    ``monotonic()`` starts at ``0.0`` and ``wall()`` at ``wall_start``;
+    ``monotonic()`` starts at ``0.0`` and ``wall()`` at ``1.7e9`` (a 2023 date);
     both move together, by :meth:`advance` or by :meth:`sleep` — a
     sleeper on a manual clock *is* time passing, which models one sleeper
     at a time, not parallel ones.
     """
 
-    __slots__ = ("_lock", "_now", "_wall_start")
+    __slots__ = ("_lock", "_now")
 
-    def __init__(self, wall_start: float = 1.7e9) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._now = 0.0  # guarded-by: _lock
-        self._wall_start = float(wall_start)
 
     def monotonic(self) -> float:
         return self._now  # lint: ignore[mutable-return] a float — immutable
 
     def wall(self) -> float:
-        return self._wall_start + self.monotonic()
+        return 1.7e9 + self.monotonic()
 
     def sleep(self, seconds: float) -> None:
         self.advance(seconds)

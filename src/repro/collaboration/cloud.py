@@ -105,8 +105,8 @@ class CloudSimulator:
             raise CollaborationError(f"cannot upload against unknown model {name!r}")
         self._uploaded.setdefault(name, []).append(model.clone_architecture())
 
-    def aggregate(self, name: str, include_global: bool = True) -> TrainedModelRecord:
-        """Average uploaded edge models (plus optionally the current global one).
+    def aggregate(self, name: str) -> TrainedModelRecord:
+        """Average uploaded edge models with the current global one.
 
         This is the "retrained models will be uploaded to the cloud and
         combined into a general and global model" step of Section II.C —
@@ -116,9 +116,7 @@ class CloudSimulator:
         if not uploads:
             raise CollaborationError(f"no uploaded models to aggregate for {name!r}")
         record = self._registry[name]
-        participants = list(uploads)
-        if include_global:
-            participants.append(record.model)
+        participants = [*uploads, record.model]
         reference = record.model.clone_architecture()
         weight_dicts = [participant.get_weights() for participant in participants]
         averaged = {

@@ -31,7 +31,6 @@ def truncated_svd(matrix: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray
 def low_rank_compress_model(
     model: Sequential,
     rank_fraction: float = 0.25,
-    min_rank: int = 1,
     in_place: bool = False,
 ) -> Sequential:
     """Apply truncated SVD to every Dense layer's weight matrix.
@@ -53,7 +52,7 @@ def low_rank_compress_model(
             continue
         weights = layer.params["W"]
         rows, cols = weights.shape
-        rank = max(min_rank, int(round(min(rows, cols) * rank_fraction)))
+        rank = max(1, int(round(min(rows, cols) * rank_fraction)))
         a, b = truncated_svd(weights, rank)
         layer.params["W"][...] = a @ b
         original_params += weights.size

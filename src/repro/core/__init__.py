@@ -18,37 +18,43 @@
   with inference, local training and the real-time ML module.
 * :mod:`repro.core.openei` — the OpenEI facade deployed on an edge device
   (Fig. 4), wiring the three components together with libei.
+
+Names are loaded lazily (PEP 562), so a process that needs only the
+durable layer (``repro.core.wal``, ``repro.core.store``) does not pay
+for NumPy and :mod:`repro.nn` at import.
 """
 
-from repro.core.alem import ALEM, ALEMRequirement, OptimizationTarget
-from repro.core.capability import CapabilityEvaluator, EvaluatedCandidate
-from repro.core.model_selector import ModelSelector, RLModelSelector, SelectionResult
-from repro.core.model_zoo import ModelZoo, ZooEntry
-from repro.core.openei import OpenEI
-from repro.core.package_manager import InferenceOutcome, PackageManager
-from repro.core.registry import ModelRegistry, ModelVersion, RegistryStats
-from repro.core.store import BlobStore, content_key
-from repro.core.wal import ControlPlaneJournal, WriteAheadLog
+import importlib
 
-__all__ = [
-    "ALEM",
-    "ALEMRequirement",
-    "BlobStore",
-    "CapabilityEvaluator",
-    "ControlPlaneJournal",
-    "WriteAheadLog",
-    "content_key",
-    "EvaluatedCandidate",
-    "InferenceOutcome",
-    "ModelRegistry",
-    "ModelSelector",
-    "ModelVersion",
-    "ModelZoo",
-    "OpenEI",
-    "RegistryStats",
-    "OptimizationTarget",
-    "PackageManager",
-    "RLModelSelector",
-    "SelectionResult",
-    "ZooEntry",
-]
+_EXPORTS = {
+    "ALEM": "repro.core.alem",
+    "ALEMRequirement": "repro.core.alem",
+    "OptimizationTarget": "repro.core.alem",
+    "CapabilityEvaluator": "repro.core.capability",
+    "EvaluatedCandidate": "repro.core.capability",
+    "ModelSelector": "repro.core.model_selector",
+    "RLModelSelector": "repro.core.model_selector",
+    "SelectionResult": "repro.core.model_selector",
+    "ModelZoo": "repro.core.model_zoo",
+    "ZooEntry": "repro.core.model_zoo",
+    "OpenEI": "repro.core.openei",
+    "InferenceOutcome": "repro.core.package_manager",
+    "PackageManager": "repro.core.package_manager",
+    "ModelRegistry": "repro.core.registry",
+    "ModelVersion": "repro.core.registry",
+    "RegistryStats": "repro.core.registry",
+    "BlobStore": "repro.core.store",
+    "content_key": "repro.core.store",
+    "ControlPlaneJournal": "repro.core.wal",
+    "WriteAheadLog": "repro.core.wal",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

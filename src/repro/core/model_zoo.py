@@ -69,7 +69,6 @@ class ModelZoo:
         registry,
         name: str,
         version: Optional[int] = None,
-        entry_name: Optional[str] = None,
     ) -> ZooEntry:
         """Install one registry version into the zoo (replacing same-name entries).
 
@@ -83,7 +82,7 @@ class ModelZoo:
         record = registry.get(name, version)
         model = registry.pull(name, record.version)
         return self.register(
-            entry_name or name,
+            name,
             model,
             task=record.task,
             input_shape=record.input_shape,

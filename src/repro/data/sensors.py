@@ -184,13 +184,13 @@ class CameraSensor(_BaseSensor):
         objects: List[Tuple[int, int, int, int, float]] = []   # frame, x, y, side, brightness
         for index in range(count):
             self._rng.standard_normal(out=block[index])
-            boxes: List[Tuple[float, float, float, float]] = []
+            boxes: List[List[float]] = []
             for _ in range(int(self._rng.integers(0, self.max_objects + 1))):
                 side = int(self._rng.integers(4, max(5, size // 4)))
                 x = int(self._rng.integers(0, size - side))
                 y = int(self._rng.integers(0, size - side))
                 objects.append((index, x, y, side, self._rng.uniform(0.6, 1.0)))
-                boxes.append((float(x), float(y), float(x + side), float(y + side)))
+                boxes.append([float(x), float(y), float(x + side), float(y + side)])
             annotations.append({"boxes": boxes})
         _scaled(block, 0.1, 0.05)
         for index, x, y, side, brightness in objects:

@@ -44,6 +44,10 @@ class EdgeDataStore:
         """Attach a live sensor; realtime queries will pull fresh readings from it."""
         self._sensors[sensor.sensor_id] = sensor
 
+    def sensor(self, sensor_id: str) -> Optional[_BaseSensor]:
+        """The live sensor registered as ``sensor_id``, or ``None``."""
+        return self._sensors.get(sensor_id)
+
     @property
     def sensor_ids(self) -> List[str]:
         """All sensors known to the store (live or with recorded data)."""

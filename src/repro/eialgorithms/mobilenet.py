@@ -10,7 +10,7 @@ the OpenEI model selector explores.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import (
@@ -24,12 +24,14 @@ from repro.nn.layers import (
 )
 from repro.nn.model import Sequential
 
+#: Output channels of each depthwise-separable block before width scaling.
+BLOCK_CHANNELS = (16, 32, 64)
+
 
 def build_mobilenet(
     input_shape: Tuple[int, int, int] = (16, 16, 1),
     num_classes: int = 4,
     width_multiplier: float = 1.0,
-    block_channels: Sequence[int] = (16, 32, 64),
     use_batchnorm: bool = True,
     seed: Optional[int] = 0,
     name: Optional[str] = None,
@@ -40,8 +42,6 @@ def build_mobilenet(
     ----------
     width_multiplier:
         The MobileNet alpha: every channel count is scaled by this factor.
-    block_channels:
-        Output channels of each depthwise-separable block before scaling.
     """
     if len(input_shape) != 3:
         raise ConfigurationError("input_shape must be (height, width, channels)")
@@ -55,13 +55,13 @@ def build_mobilenet(
 
     _, _, in_channels = input_shape
     model = Sequential(name=name or f"mobilenet-{width_multiplier:g}x")
-    first = scaled(block_channels[0])
+    first = scaled(BLOCK_CHANNELS[0])
     model.add(Conv2D(in_channels, first, kernel_size=3, stride=1, seed=seed))
     if use_batchnorm:
         model.add(BatchNorm(first))
     model.add(ReLU())
     previous = first
-    for idx, channels in enumerate(block_channels[1:], start=1):
+    for idx, channels in enumerate(BLOCK_CHANNELS[1:], start=1):
         out = scaled(channels)
         stride = 2 if idx % 2 == 0 else 1
         model.add(

@@ -65,15 +65,14 @@ class LatencyModel:
         samples: int,
         epochs: int = 1,
         package_efficiency: float = 0.35,
-        backward_multiplier: float = 3.0,
     ) -> float:
         """Estimated time to (re)train on ``samples`` examples for ``epochs`` epochs.
 
-        A backward+update pass costs roughly ``backward_multiplier`` times
+        A backward+update pass costs roughly three times
         the forward pass, the standard rule of thumb the local-training
         path of the package manager uses.
         """
         if samples <= 0 or epochs <= 0:
             raise ConfigurationError("samples and epochs must be positive")
         per_sample = self.inference_seconds(cost, device, package_efficiency) - self.dispatch_overhead_s
-        return self.dispatch_overhead_s + per_sample * backward_multiplier * samples * epochs
+        return self.dispatch_overhead_s + per_sample * 3.0 * samples * epochs

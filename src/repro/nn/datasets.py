@@ -34,10 +34,11 @@ class Dataset:
         return tuple(self.x_train.shape[1:])
 
 
-def _split(x: np.ndarray, y: np.ndarray, test_fraction: float, rng: np.random.Generator):
+def _split(x: np.ndarray, y: np.ndarray, rng: np.random.Generator):
+    """Shuffle, then hold out the last quarter as the test split."""
     order = rng.permutation(len(x))
     x, y = x[order], y[order]
-    split = int(len(x) * (1.0 - test_fraction))
+    split = int(len(x) * 0.75)
     return x[:split], y[:split], x[split:], y[split:]
 
 
@@ -46,7 +47,6 @@ def make_blobs(
     features: int = 16,
     classes: int = 4,
     spread: float = 1.0,
-    test_fraction: float = 0.25,
     seed: int = 0,
 ) -> Dataset:
     """Gaussian blobs: the workhorse tabular classification task."""
@@ -61,7 +61,7 @@ def make_blobs(
         ys.append(np.full(per_class, cls))
     x = np.concatenate(xs).astype(np.float64)
     y = np.concatenate(ys).astype(np.int64)
-    x_train, y_train, x_test, y_test = _split(x, y, test_fraction, rng)
+    x_train, y_train, x_test, y_test = _split(x, y, rng)
     return Dataset(x_train, y_train, x_test, y_test, classes, name="blobs")
 
 
@@ -71,7 +71,6 @@ def make_images(
     channels: int = 1,
     classes: int = 4,
     noise: float = 0.3,
-    test_fraction: float = 0.25,
     seed: int = 0,
 ) -> Dataset:
     """Tiny synthetic image-classification task with class-specific spatial patterns.
@@ -98,7 +97,7 @@ def make_images(
         ys.append(np.full(per_class, cls))
     x = np.concatenate(xs).astype(np.float64)
     y = np.concatenate(ys).astype(np.int64)
-    x_train, y_train, x_test, y_test = _split(x, y, test_fraction, rng)
+    x_train, y_train, x_test, y_test = _split(x, y, rng)
     return Dataset(x_train, y_train, x_test, y_test, classes, name="images")
 
 

@@ -28,8 +28,8 @@ class ModelCost:
         return self.size_bytes / (1024.0**2)
 
 
-def activation_bytes(model: Sequential, input_shape: Tuple[int, ...], bytes_per_value: float = 4.0) -> float:
-    """Peak activation memory: the largest intermediate tensor produced."""
+def activation_bytes(model: Sequential, input_shape: Tuple[int, ...]) -> float:
+    """Peak activation memory: the largest intermediate tensor produced, at 4 bytes a value."""
     import numpy as np
 
     peak = float(np.prod(input_shape))
@@ -37,7 +37,7 @@ def activation_bytes(model: Sequential, input_shape: Tuple[int, ...], bytes_per_
     for layer in model.layers:
         shape = layer.output_shape(shape)
         peak = max(peak, float(np.prod(shape)))
-    return peak * bytes_per_value
+    return peak * 4.0
 
 
 def model_cost(model: Sequential, input_shape: Tuple[int, ...], bytes_per_param: float = 4.0) -> ModelCost:

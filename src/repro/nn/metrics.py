@@ -96,12 +96,12 @@ def mean_average_precision(
     return float(average_precision)
 
 
-def bleu_score(candidate: Sequence[str], reference: Sequence[str], max_n: int = 4) -> float:
-    """Corpus-free sentence BLEU with uniform n-gram weights and brevity penalty."""
+def bleu_score(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """Corpus-free sentence BLEU-4: uniform 1- to 4-gram weights and a brevity penalty."""
     if not candidate or not reference:
         return 0.0
     precisions = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         cand_ngrams = Counter(tuple(candidate[i : i + n]) for i in range(len(candidate) - n + 1))
         ref_ngrams = Counter(tuple(reference[i : i + n]) for i in range(len(reference) - n + 1))
         overlap = sum(min(count, ref_ngrams[gram]) for gram, count in cand_ngrams.items())

@@ -123,9 +123,7 @@ class Sequential:
         loss: Optional[Loss] = None,
         optimizer: Optional[Optimizer] = None,
         validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        shuffle: bool = True,
         rng: Optional[np.random.Generator] = None,
-        verbose: bool = False,
     ) -> TrainingHistory:
         """Train the model with mini-batch gradient descent.
 
@@ -141,8 +139,8 @@ class Sequential:
         rng = rng or np.random.default_rng(0)
         history = TrainingHistory()
         count = inputs.shape[0]
-        for epoch in range(epochs):
-            order = rng.permutation(count) if shuffle else np.arange(count)
+        for _ in range(epochs):
+            order = rng.permutation(count)
             epoch_loss = 0.0
             correct = 0
             for start in range(0, count, batch_size):
@@ -162,11 +160,6 @@ class Sequential:
                 val_loss, val_acc = self.evaluate(*validation_data, loss=loss)
                 history.val_loss.append(val_loss)
                 history.val_accuracy.append(val_acc)
-            if verbose:  # pragma: no cover - console output only
-                print(
-                    f"epoch {epoch + 1}/{epochs} "
-                    f"loss={history.loss[-1]:.4f} acc={history.accuracy[-1]:.4f}"
-                )
         return history
 
     def evaluate(

@@ -176,26 +176,6 @@ def openei_with_apps():
     return openei
 
 
-def test_register_all_exposes_paper_urls(openei_with_apps):
-    algorithms = openei_with_apps.algorithms()
-    assert "detection" in algorithms["safety"]
-    assert "firearm_detection" in algorithms["safety"]
-    assert "tracking" in algorithms["vehicles"]
-    assert "power_monitor" in algorithms["home"]
-    assert "activity_recognition" in algorithms["health"]
-
-
-def test_registered_handlers_return_results(openei_with_apps):
-    detection = openei_with_apps.call_algorithm("safety", "detection", {})
-    assert "detections" in detection
-    tracking = openei_with_apps.call_algorithm("vehicles", "tracking", {"frames": 2})
-    assert len(tracking["track"]) == 2
-    power = openei_with_apps.call_algorithm("home", "power_monitor", {})
-    assert set(power["appliances"]) == set(PowerMonitor().appliance_names)
-    health = openei_with_apps.call_algorithm("health", "activity_recognition", {})
-    assert "activity_name" in health and "ground_truth" in health
-
-
 def test_power_monitor_handler_matches_ground_truth_often(openei_with_apps):
     matches = 0
     trials = 10

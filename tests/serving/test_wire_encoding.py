@@ -1,26 +1,24 @@
 """The libei wire format: one encoder, byte for byte ``json.dumps``.
 
 :func:`repro.serving.api.encode_body` splices each reading's cached JSON
-text into ``/ei_data`` bodies instead of re-encoding its floats.  These
-tests hold it to ``json.dumps(body).encode()`` on every route, in process
-and over a raw socket, and count how often a payload is really encoded.
+text into ``/ei_data`` bodies instead of re-encoding its floats.  That
+every route's body is ``json.dumps(body).encode()`` on the wire is a row
+of the conformance table (``test_conformance.py``); these tests count
+how often a payload is really encoded.
 """
 
 from __future__ import annotations
 
 import json
-import socket
 import sys
 import threading
 from types import SimpleNamespace
 
 import pytest
 
-from repro.apps import register_all
 from repro.core import OpenEI
 from repro.data import CameraSensor, sensors
-from repro.data.sensors import PayloadList
-from repro.serving import LibEIDispatcher, LibEIServer
+from repro.serving import LibEIDispatcher
 from repro.serving.api import encode_body
 
 FRAMES = 12
@@ -39,74 +37,6 @@ def recorded_openei() -> OpenEI:
 def window(openei: OpenEI, first: int, last: int) -> str:
     stamps = [r.timestamp for r in openei.data_store.historical(RECORDED, 0.0)]
     return f"/ei_data/historical/{RECORDED}/?start={stamps[first]!r}&end={stamps[last]!r}"
-
-
-@pytest.fixture(scope="module")
-def stock_openei() -> OpenEI:
-    openei = recorded_openei()
-    register_all(openei, seed=0)
-    return openei
-
-
-#: route -> (path, status); the data routes carry payloads to splice
-ROUTES = {
-    "realtime, live sensor": ("/ei_data/realtime/camera1/", 200),
-    "realtime, live power meter": ("/ei_data/realtime/powermeter1/", 200),
-    "realtime, recorded series": (REALTIME, 200),
-    "historical window": (f"/ei_data/historical/{RECORDED}/?start=0.1&end=0.5", 200),
-    "historical, empty window": (f"/ei_data/historical/{RECORDED}/?start=1000", 200),
-    "historical, open-ended end": (f"/ei_data/historical/{RECORDED}/?start=0", 200),
-    "unknown sensor": ("/ei_data/realtime/ghost/", 404),
-    "non-finite start": (f"/ei_data/historical/{RECORDED}/?start=nan", 400),
-    "status": ("/ei_status", 200),
-}
-
-
-@pytest.mark.parametrize("route", sorted(ROUTES))
-def test_encoder_is_json_dumps_on_every_route(stock_openei, route):
-    path, expected_status = ROUTES[route]
-    status, body = LibEIDispatcher(stock_openei).safe_handle_path(path)
-    assert status == expected_status
-    assert encode_body(body) == json.dumps(body).encode("utf-8")
-    data = body.get("data", {})
-    payloads = [data["payload"]] if "payload" in data else data.get("payloads", [])
-    for payload in payloads:  # the splice path really ran, on real lists
-        assert isinstance(payload, PayloadList)
-        assert payload == payload.reading.payload.tolist()
-
-
-def test_encoder_is_json_dumps_on_every_stock_algorithm(stock_openei):
-    dispatcher = LibEIDispatcher(stock_openei)
-    routes = [(s, a) for s, names in stock_openei.algorithms().items() for a in names]
-    assert len(routes) >= 4
-    for scenario, algorithm in routes:
-        _, body = dispatcher.safe_handle_path(f"/ei_algorithms/{scenario}/{algorithm}/")
-        assert encode_body(body) == json.dumps(body).encode("utf-8"), (scenario, algorithm)
-
-
-def raw_get(address, path: str) -> bytes:
-    """One response body read off a plain socket, checked against its Content-Length."""
-    with socket.create_connection(address, timeout=5.0) as sock:
-        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n".encode())
-        received = bytearray()
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            received += chunk
-    head, _, body = bytes(received).partition(b"\r\n\r\n")
-    lengths = [line.split(b":", 1)[1] for line in head.split(b"\r\n")
-               if line.lower().startswith(b"content-length:")]
-    assert [int(length) for length in lengths] == [len(body)]
-    return body
-
-
-@pytest.mark.parametrize("route", ["realtime, recorded series", "historical window"])
-def test_http_body_is_json_dumps_of_the_dispatched_body(stock_openei, route):
-    path = ROUTES[route][0]
-    with LibEIServer(stock_openei) as server:
-        wire = raw_get(server.address, path)
-    assert wire == json.dumps(LibEIDispatcher(stock_openei).handle_path(path)).encode("utf-8")
 
 
 @pytest.fixture

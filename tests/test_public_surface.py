@@ -39,8 +39,6 @@ ALLOWED = {
     "repro/analysis/lint.py::LintReport.warnings": "the CLI summary line counts warnings with it",
     "repro/analysis/lint.py::discover_files": "expands the CLI's paths; called by run_lint",
     "repro/analysis/lint.py::run_lint": "the engine `python -m repro.analysis.lint` runs (docs/STATIC_ANALYSIS.md); called by lint.main",
-    "repro/analysis/lint.py::load_baseline": "reads the CLI's --baseline file (CI's tests/benchmarks gate); called by lint.main",
-    "repro/analysis/lint.py::write_baseline": "writes analysis-baseline.json for the CLI's --write-baseline; called by lint.main",
     "repro/analysis/lockwatch.py::LockWatch.find_cycle": "the lock-order half of assert_clean",
     "repro/analysis/lockwatch.py::LockWatch.hold_violations": "the hold-budget half of assert_clean",
     "repro/analysis/lockwatch.py::LockWatch.assert_clean": "lockwatch's verdict: raises LockContractError on a lock-order cycle or a hold-budget breach (docs/STATIC_ANALYSIS.md)",
